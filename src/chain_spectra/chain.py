@@ -2,12 +2,14 @@
 nearest-neighbour interaction.
 
 A chain of n unit-mass oscillators with base frequency omega and coupling
-strength c has the quadratic form A = omega^2 I + c (M - shift), where M is
-the Jacobi matrix of the interaction family.  For the polynomial families
-the shift makes the diagonal exactly omega^2; the uniform family keeps
-omega^2 + 2c.  Mode frequencies are the square roots of the eigenvalues of
-A, available in closed form for every built-in family and numerically for
-custom coupling patterns.
+strength c has the quadratic form A = omega^2 I + c K.  For the built-in
+families K is the Jacobi matrix M of the interaction family less its
+constant diagonal F_0 (K = M for the uniform chain, whose diagonal stays
+omega^2 + 2c), so the squared mode frequencies are omega^2 + c mu with mu
+the spectrum of K.  jacobi.interaction_spectrum is the single source of
+that closed-form spectrum; the coupling bound and the positive-definiteness
+test are read from it too.  Custom coupling patterns are diagonalized
+numerically.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from .errors import (
     TooFewLevels,
     UnsupportedFamily,
 )
-from .jacobi import ConstantParams, SymTridiagonal, build_jacobi, numeric_decomposition
+from .jacobi import (
+    ConstantParams,
+    SymTridiagonal,
+    build_jacobi,
+    interaction_spectrum,
+    numeric_decomposition,
+)
 from .polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams
 
 # A chain counts as positive definite when its smallest squared mode
@@ -82,13 +90,12 @@ InteractionKind = Union[
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A chain of n oscillators; mass and hbar default to 1."""
+    """A chain of n unit-mass oscillators; hbar defaults to 1."""
 
     n: int
     omega: float
     coupling: float
     interaction: InteractionKind
-    mass: float = 1.0
     hbar: float = 1.0
 
     def __post_init__(self):
@@ -98,8 +105,6 @@ class ChainSpec:
             raise InvalidParams(f"omega must be positive, got {self.omega}")
         if not self.coupling >= 0.0:
             raise InvalidParams(f"coupling must be >= 0, got {self.coupling}")
-        if not self.mass > 0.0:
-            raise InvalidParams(f"mass must be positive, got {self.mass}")
         if not self.hbar > 0.0:
             raise InvalidParams(f"hbar must be positive, got {self.hbar}")
         kind = self.interaction
@@ -162,41 +167,25 @@ def max_coupling(chain: ChainSpec) -> float:
     no closed-form bound."""
     if isinstance(chain.interaction, CustomInteraction):
         raise UnsupportedFamily("no closed-form coupling bound for custom gammas")
-    n = chain.n
-    w2 = chain.omega**2
-    kind = chain.interaction
-    if isinstance(kind, ConstantInteraction) or n == 1:
-        return math.inf
-    if isinstance(kind, (KrawtchoukInteraction, HahnInteraction)):
-        return 2.0 * w2 / (n - 1)
-    q = kind.q
-    if q > 1.0:
-        return w2 / (1.0 - q ** (1 - n))
-    return w2 / (q ** (1 - n) - 1.0)
+    lowest = min(interaction_spectrum(_family_params(chain)))
+    return math.inf if lowest >= 0.0 else chain.omega**2 / -lowest
+
+
+# First family index of the mode labels: lattice nodes x = 0..n-1 for dual
+# q-Krawtchouk, j = 1..n otherwise.
+_FIRST_LABEL = {DualQKrawtchoukInteraction: 0}
 
 
 def _closed_squares(chain: ChainSpec) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Squared mode frequencies in family order, with their family indices."""
-    n = chain.n
+    """Squared mode frequencies omega^2 + c mu in family order, with their
+    family indices."""
+    if isinstance(chain.interaction, CustomInteraction):
+        raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
     w2 = chain.omega**2
     c = chain.coupling
-    kind = chain.interaction
-    if isinstance(kind, ConstantInteraction):
-        squares = tuple(
-            w2 + 4.0 * c * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2
-            for j in range(1, n + 1)
-        )
-        return squares, tuple(range(1, n + 1))
-    if isinstance(kind, (KrawtchoukInteraction, HahnInteraction)):
-        squares = tuple(w2 - c * (n - 2 * j + 1) / 2.0 for j in range(1, n + 1))
-        return squares, tuple(range(1, n + 1))
-    if isinstance(kind, DualQKrawtchoukInteraction):
-        q = kind.q
-        squares = tuple(
-            w2 + c * (q ** (x - n + 1) - q ** (-x)) for x in range(n)
-        )
-        return squares, tuple(range(n))
-    raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
+    squares = tuple(w2 + c * mu for mu in interaction_spectrum(_family_params(chain)))
+    first = _FIRST_LABEL.get(type(chain.interaction), 1)
+    return squares, tuple(range(first, first + chain.n))
 
 
 class SpectrumOrigin(enum.Enum):
@@ -276,10 +265,20 @@ def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
     )
 
 
-def single_phonon_levels(chain: ChainSpec) -> tuple[float, ...]:
-    """The n single-phonon energies E_0 + hbar * omega_j, ascending."""
-    spectrum = mode_frequencies(chain)
-    ground = 0.5 * chain.hbar * sum(spectrum.omegas)
+def ground_energy(chain: ChainSpec, spectrum: ModeSpectrum) -> float:
+    """Zero-point energy E_0 = (hbar / 2) * sum_j omega_j of a mode spectrum
+    of the chain."""
+    return 0.5 * chain.hbar * sum(spectrum.omegas)
+
+
+def single_phonon_levels(
+    chain: ChainSpec, spectrum: ModeSpectrum | None = None
+) -> tuple[float, ...]:
+    """The n single-phonon energies E_0 + hbar * omega_j, ascending, of the
+    given mode spectrum (by default mode_frequencies(chain))."""
+    if spectrum is None:
+        spectrum = mode_frequencies(chain)
+    ground = ground_energy(chain, spectrum)
     return tuple(ground + chain.hbar * w for w in spectrum.omegas)
 
 
@@ -308,7 +307,7 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
             f"{count} occupation states exceed the budget of {LEVEL_CAP}"
         )
     spectrum = mode_frequencies(chain)
-    ground = 0.5 * chain.hbar * sum(spectrum.omegas)
+    ground = ground_energy(chain, spectrum)
     states = []
     for total in range(max_total + 1):
         for modes in combinations_with_replacement(range(n), total):

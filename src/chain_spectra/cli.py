@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .chain import (
     ChainSpec,
@@ -38,11 +37,11 @@ from .chain import (
     KrawtchoukInteraction,
     _family_params,
     enumerate_levels,
+    ground_energy,
     max_coupling,
     mode_frequencies,
     rescale_levels,
     single_phonon_levels,
-    state_energy,
 )
 from .errors import (
     ChainSpectraError,
@@ -68,18 +67,6 @@ _CONFIG_DEFAULTS = {
 }
 
 _FAMILIES = ("constant", "krawtchouk", "hahn", "qkrawtchouk", "custom")
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """What a subcommand computed: the echoed chain spec, the command
-    name, the payload to render, optional residuals and the wall time."""
-
-    command: str
-    spec_echo: dict
-    payload: dict
-    residuals: dict | None
-    wall_ms: float
 
 
 def _load_config(stderr) -> dict | None:
@@ -154,7 +141,6 @@ def _chain_from_args(parser: argparse.ArgumentParser, args) -> ChainSpec:
             omega=args.omega,
             coupling=args.c,
             interaction=interaction,
-            mass=args.mass,
             hbar=args.hbar,
         )
     except ChainSpectraError as exc:
@@ -173,7 +159,6 @@ def _spec_echo(chain: ChainSpec) -> dict:
         "n": chain.n,
         "omega": chain.omega,
         "coupling": chain.coupling,
-        "mass": chain.mass,
         "hbar": chain.hbar,
     }
     if isinstance(chain.interaction, HahnInteraction):
@@ -185,15 +170,7 @@ def _spec_echo(chain: ChainSpec) -> dict:
     return echo
 
 
-def _write_out(text: str, out: str | None, stdout) -> None:
-    if out is None:
-        stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _pd_failure(chain: ChainSpec, stderr) -> int:
+def _pd_failure(chain: ChainSpec, stderr) -> tuple[int, None]:
     try:
         bound = max_coupling(chain)
         hint = "unbounded" if math.isinf(bound) else repr(bound)
@@ -203,12 +180,11 @@ def _pd_failure(chain: ChainSpec, stderr) -> int:
         )
     except UnsupportedFamily:
         print("chain is not positive definite", file=stderr)
-    return 3
+    return 3, None
 
 
-def _cmd_spectrum(parser, args, cfg, stdout, stderr) -> int:
+def _cmd_spectrum(parser, args, cfg, stderr):
     chain = _chain_from_args(parser, args)
-    t0 = time.perf_counter()
     custom = isinstance(chain.interaction, CustomInteraction)
     try:
         numeric = mode_frequencies(chain, method="numeric")
@@ -220,8 +196,11 @@ def _cmd_spectrum(parser, args, cfg, stdout, stderr) -> int:
         residual = max(
             abs(a - b) / a for a, b in zip(closed.omegas, numeric.omegas)
         )
-    ground = state_energy(chain, (0,) * chain.n)
-    levels = single_phonon_levels(chain)
+    # The levels come from the spectrum mode_frequencies(chain) would give:
+    # closed form where it exists, numeric otherwise.
+    spectrum = numeric if closed is None else closed
+    ground = ground_energy(chain, spectrum)
+    levels = single_phonon_levels(chain, spectrum)
     payload = {
         "spec": _spec_echo(chain),
         "omegas_closed": None if closed is None else list(closed.omegas),
@@ -230,13 +209,6 @@ def _cmd_spectrum(parser, args, cfg, stdout, stderr) -> int:
         "single_phonon_levels": list(levels),
         "residual_closed_vs_numeric": residual,
     }
-    report = RunReport(
-        command="spectrum",
-        spec_echo=payload["spec"],
-        payload=payload,
-        residuals=None if residual is None else {"closed_vs_numeric": residual},
-        wall_ms=1e3 * (time.perf_counter() - t0),
-    )
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
@@ -259,16 +231,13 @@ def _cmd_spectrum(parser, args, cfg, stdout, stderr) -> int:
         if residual is not None:
             lines.append(f"residual_closed_vs_numeric {residual:.6g}")
         text = "\n".join(lines) + "\n"
-    _write_out(text, args.out, stdout)
-    print(f"wall_ms={report.wall_ms:.3f}", file=stderr)
-    return 0
+    return 0, text
 
 
-def _cmd_verify(parser, args, cfg, stdout, stderr) -> int:
+def _cmd_verify(parser, args, cfg, stderr):
     chain = _chain_from_args(parser, args)
     if isinstance(chain.interaction, CustomInteraction):
         parser.error("closed form unavailable for custom interactions")
-    t0 = time.perf_counter()
     fam = _family_params(chain)
     M = build_jacobi(fam)
     if args.perturb:
@@ -298,37 +267,16 @@ def _cmd_verify(parser, args, cfg, stdout, stderr) -> int:
         status = "pass" if value <= thr else "FAIL"
         ok = ok and value <= thr
         lines.append(f"{name} {value:.3e} {thr:.3e} {status}")
-    report = RunReport(
-        command="verify",
-        spec_echo=_spec_echo(chain),
-        payload={name: value for name, value, _ in checks},
-        residuals={"orthogonality": ortho, "reconstruction": recon,
-                   "closed_vs_numeric_eigenvalues": eig_dev},
-        wall_ms=1e3 * (time.perf_counter() - t0),
-    )
-    _write_out("\n".join(lines) + "\n", args.out, stdout)
-    print(f"wall_ms={report.wall_ms:.3f}", file=stderr)
-    return 0 if ok else 1
+    return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def _cmd_bound(parser, args, cfg, stdout, stderr) -> int:
+def _cmd_bound(parser, args, cfg, stderr):
     chain = _chain_from_args(parser, args)
-    t0 = time.perf_counter()
     try:
         bound = max_coupling(chain)
     except UnsupportedFamily as exc:
         parser.error(str(exc))
-    report = RunReport(
-        command="bound",
-        spec_echo=_spec_echo(chain),
-        payload={"max_coupling": bound},
-        residuals=None,
-        wall_ms=1e3 * (time.perf_counter() - t0),
-    )
-    text = ("unbounded" if math.isinf(bound) else repr(bound)) + "\n"
-    _write_out(text, args.out, stdout)
-    print(f"wall_ms={report.wall_ms:.3f}", file=stderr)
-    return 0
+    return 0, ("unbounded" if math.isinf(bound) else repr(bound)) + "\n"
 
 
 _DEFAULT_PANELS = (
@@ -435,8 +383,7 @@ def _render_svg(panels, cfg) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_plot(parser, args, cfg, stdout, stderr) -> int:
-    t0 = time.perf_counter()
+def _cmd_plot(parser, args, cfg, stderr):
     specs = args.panel if args.panel else list(_DEFAULT_PANELS)
     panels = []
     for idx, text in enumerate(specs):
@@ -450,43 +397,23 @@ def _cmd_plot(parser, args, cfg, stdout, stderr) -> int:
         except NotPositiveDefinite:
             return _pd_failure(chain, stderr)
         panels.append((_panel_label(idx, fam, keys), rescale_levels(levels)))
-    svg = _render_svg(panels, cfg)
-    report = RunReport(
-        command="plot",
-        spec_echo={"n": args.n, "omega": args.omega, "hbar": args.hbar},
-        payload={"panels": [label for label, _ in panels]},
-        residuals=None,
-        wall_ms=1e3 * (time.perf_counter() - t0),
-    )
-    _write_out(svg, args.out, stdout)
-    print(f"wall_ms={report.wall_ms:.3f}", file=stderr)
-    return 0
+    return 0, _render_svg(panels, cfg)
 
 
-def _cmd_export(parser, args, cfg, stdout, stderr) -> int:
+def _cmd_export(parser, args, cfg, stderr):
     chain = _chain_from_args(parser, args)
-    t0 = time.perf_counter()
     try:
         groups = enumerate_levels(chain, args.levels)
     except CombinatorialLimit as exc:
         print(str(exc), file=stderr)
-        return 4
+        return 4, None
     except NotPositiveDefinite:
         return _pd_failure(chain, stderr)
     rows = ["energy,degeneracy,occupations"]
     for g in groups:
         occ = ";".join("|".join(str(k) for k in ks) for ks in g.occupations)
         rows.append(f"{g.energy!r},{g.degeneracy},{occ}")
-    report = RunReport(
-        command="export",
-        spec_echo=_spec_echo(chain),
-        payload={"groups": len(groups)},
-        residuals=None,
-        wall_ms=1e3 * (time.perf_counter() - t0),
-    )
-    _write_out("\n".join(rows) + "\n", args.out, stdout)
-    print(f"wall_ms={report.wall_ms:.3f}", file=stderr)
-    return 0
+    return 0, "\n".join(rows) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -505,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, default=1.0)
         if with_c:
             p.add_argument("--c", type=float, default=0.0)
-        p.add_argument("--mass", type=float, default=1.0)
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", type=str, default=None)
 
@@ -534,6 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command returns (exit code, payload text or None); main writes the
+# payload to stdout or --out and its wall time to stderr.
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "verify": _cmd_verify,
@@ -549,11 +477,20 @@ def main(argv=None) -> int:
     cfg = _load_config(sys.stderr)
     if cfg is None:
         return 2
+    t0 = time.perf_counter()
     try:
-        return _COMMANDS[args.command](parser, args, cfg, sys.stdout, sys.stderr)
+        code, text = _COMMANDS[args.command](parser, args, cfg, sys.stderr)
     except ChainSpectraError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if text is not None:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        print(f"wall_ms={1e3 * (time.perf_counter() - t0):.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

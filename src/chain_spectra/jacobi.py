@@ -7,6 +7,10 @@ the family's bidiagonal factor pair.  Its eigenvalues are exactly the
 recurrence coordinates kappa at the lattice nodes, and its eigenvectors are
 the orthonormal polynomial values.
 
+interaction_spectrum is the one place where the closed-form spectrum of a
+chain's interaction matrix K is written: K = M for the uniform chain and
+K = M - F_0 I for the families whose diagonal is the constant F_0.
+
 The analytic route assembles each eigenvector by a two-sided minimal-solution
 recurrence stitched at the entry of largest weight, which keeps every column
 accurate to machine precision even where a one-sided recurrence diverges.
@@ -23,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NoConvergence
+from .errors import ClosedFormUnavailable, DimensionMismatch, InvalidParams, NoConvergence
 from .polynomials import (
     DualQKrawtchoukParams,
     FamilyParams,
@@ -34,9 +38,6 @@ from .polynomials import (
     lattice,
 )
 
-# Residual scales met by both decomposition routes.
-ORTHO_TOL = 1e-10
-RECON_RTOL = 1e-9
 # Threshold below which a leading eigenvector entry is sign-ambiguous.
 SIGN_TOL = 1e-12
 # Relative tolerance for classifying a diagonal profile.
@@ -124,6 +125,28 @@ def build_jacobi(fam: JacobiFamily) -> SymTridiagonal:
     return SymTridiagonal(diag=diag, offdiag=off)
 
 
+def interaction_spectrum(fam: JacobiFamily) -> tuple[float, ...]:
+    """Closed-form eigenvalues of a chain's interaction matrix K, in family
+    order: 4 sin^2(j pi / (2 (n + 1))), j = 1..n with n = N + 1, for the
+    uniform chain (K = M); x - N/2, x = 0..N, for Krawtchouk p = 1/2 and
+    Hahn alpha = beta; q^(x-N) - q^(-x), x = 0..N, for dual q-Krawtchouk
+    cbar = -1.  Raises ClosedFormUnavailable for every other family."""
+    N = fam.N
+    if isinstance(fam, ConstantParams):
+        n = N + 1
+        return tuple(
+            4.0 * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2 for j in range(1, n + 1)
+        )
+    if (isinstance(fam, KrawtchoukParams) and fam.p == 0.5) or (
+        isinstance(fam, HahnParams) and fam.alpha == fam.beta
+    ):
+        return tuple(x - N / 2.0 for x in range(N + 1))
+    if isinstance(fam, DualQKrawtchoukParams) and fam.cbar == -1.0:
+        q = fam.q
+        return tuple(q ** (x - N) - q ** (-x) for x in range(N + 1))
+    raise ClosedFormUnavailable(f"no closed-form interaction spectrum for {fam}")
+
+
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     for j in range(U.shape[1]):
         col = U[:, j]
@@ -170,12 +193,12 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
     """Closed-form eigendecomposition, eigenvalues in family order."""
     if isinstance(fam, ConstantParams):
         n = fam.N + 1
-        j = np.arange(1, n + 1)
-        eigenvalues = tuple(2.0 - 2.0 * np.cos(j * np.pi / (n + 1)))
         i = np.arange(1, n + 1)
-        U = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, j) * np.pi / (n + 1))
+        U = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, i) * np.pi / (n + 1))
         return SpectralDecomposition(
-            eigenvalues=eigenvalues, vectors=_fix_signs(U), origin=Origin.ANALYTIC
+            eigenvalues=interaction_spectrum(fam),
+            vectors=_fix_signs(U),
+            origin=Origin.ANALYTIC,
         )
     M = build_jacobi(fam)
     F = np.asarray(M.diag)

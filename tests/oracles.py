@@ -1,15 +1,26 @@
-"""Frozen reference values and exact-rational evaluators for the tests.
+"""Frozen reference values, exact-rational evaluators and per-family
+closed forms for the tests.
 
 The exact evaluators recompute series values, weights and norms in Fraction
 arithmetic, independently of the package's float code paths.  The frozen
 literals were produced by separate oracle scripts (exact rational sums and
-an independent eigensolver) and are pinned here as plain constants.
+an independent eigensolver) and are pinned here as plain constants.  The
+per-family closed forms of the squared mode frequencies and the coupling
+bound are written out family by family, in the float operation order whose
+bits the CLI payloads carry.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction as Fr
+
+from chain_spectra.chain import (
+    ConstantInteraction,
+    DualQKrawtchoukInteraction,
+    HahnInteraction,
+    KrawtchoukInteraction,
+)
 
 
 def exact_krawtchouk(i: int, x: int, p: Fr, N: int) -> Fr:
@@ -106,6 +117,43 @@ def exact_dualq_norm(i: int, cbar: Fr, q: Fr, N: int) -> Fr:
     for m in range(1, i + 1):
         h *= (1 - q**m) * cbar * q**-N / (1 - q ** (m - 1 - N))
     return h
+
+
+def closed_squares_reference(chain) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Squared mode frequencies of a built-in chain in family order, with
+    their family indices."""
+    n = chain.n
+    w2 = chain.omega**2
+    c = chain.coupling
+    kind = chain.interaction
+    if isinstance(kind, ConstantInteraction):
+        squares = tuple(
+            w2 + 4.0 * c * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2
+            for j in range(1, n + 1)
+        )
+        return squares, tuple(range(1, n + 1))
+    if isinstance(kind, (KrawtchoukInteraction, HahnInteraction)):
+        squares = tuple(w2 - c * (n - 2 * j + 1) / 2.0 for j in range(1, n + 1))
+        return squares, tuple(range(1, n + 1))
+    assert isinstance(kind, DualQKrawtchoukInteraction)
+    q = kind.q
+    squares = tuple(w2 + c * (q ** (x - n + 1) - q ** (-x)) for x in range(n))
+    return squares, tuple(range(n))
+
+
+def max_coupling_reference(chain) -> float:
+    """Coupling bound of a built-in chain, math.inf when unbounded."""
+    n = chain.n
+    w2 = chain.omega**2
+    kind = chain.interaction
+    if isinstance(kind, ConstantInteraction) or n == 1:
+        return math.inf
+    if isinstance(kind, (KrawtchoukInteraction, HahnInteraction)):
+        return 2.0 * w2 / (n - 1)
+    q = kind.q
+    if q > 1.0:
+        return w2 / (1.0 - q ** (1 - n))
+    return w2 / (q ** (1 - n) - 1.0)
 
 
 # Exact-orthogonality parameter sets: (family, params, N).

@@ -60,8 +60,6 @@ def test_chainspec_validation():
     with pytest.raises(InvalidParams):
         ChainSpec(n=3, omega=1.0, coupling=-0.1, interaction=good)
     with pytest.raises(InvalidParams):
-        ChainSpec(n=3, omega=1.0, coupling=0.1, interaction=good, mass=0.0)
-    with pytest.raises(InvalidParams):
         ChainSpec(n=3, omega=1.0, coupling=0.1, interaction=good, hbar=0.0)
     with pytest.raises(DimensionMismatch):
         _chain(CustomInteraction(gammas=(1.0, 1.0)), 4, 0.1)

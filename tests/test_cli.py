@@ -61,7 +61,6 @@ def test_spectrum_json_roundtrip_matches_api():
         "n": 4,
         "omega": 1.0,
         "coupling": 0.4,
-        "mass": 1.0,
         "hbar": 1.0,
     }
     assert "wall_ms" in proc.stderr
@@ -165,6 +164,7 @@ def test_spectrum_not_positive_definite_exit3():
     assert "maximum admissible coupling" in proc.stderr
     assert "0.666" in proc.stderr
     assert proc.stdout == ""
+    assert "wall_ms" not in proc.stderr
 
 
 # -- verify -------------------------------------------------------------------
@@ -198,6 +198,7 @@ def test_verify_perturbed_matrix_fails():
     )
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+    assert "wall_ms" in proc.stderr
 
 
 def test_verify_custom_rejected():
@@ -399,3 +400,4 @@ def test_export_budget_exit4():
     )
     assert proc.returncode == 4
     assert proc.stdout == ""
+    assert "wall_ms" not in proc.stderr
