@@ -62,6 +62,7 @@ from .jacobi import (
     decomposition_residuals,
     diagonal_profile,
     numeric_decomposition,
+    numeric_eigenvalues,
 )
 from .polynomials import (
     DualQKrawtchoukParams,

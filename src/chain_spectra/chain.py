@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence, Union
@@ -35,7 +37,7 @@ from .jacobi import (
     SymTridiagonal,
     build_jacobi,
     interaction_spectrum,
-    numeric_decomposition,
+    numeric_eigenvalues,
 )
 from .polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams
 
@@ -46,6 +48,8 @@ PD_TOL = 1e-12
 GROUP_RTOL = 1e-9
 # Enumeration budget on the number of occupation states.
 LEVEL_CAP = 10**6
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -99,14 +103,16 @@ class ChainSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise InvalidParams(f"chain length must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InvalidParams(f"chain length must be >= 1, got {self.n}")
-        if not self.omega > 0.0:
-            raise InvalidParams(f"omega must be positive, got {self.omega}")
-        if not self.coupling >= 0.0:
-            raise InvalidParams(f"coupling must be >= 0, got {self.coupling}")
-        if not self.hbar > 0.0:
-            raise InvalidParams(f"hbar must be positive, got {self.hbar}")
+        if not 0.0 < self.omega < math.inf:
+            raise InvalidParams(f"omega must be positive and finite, got {self.omega}")
+        if not 0.0 <= self.coupling < math.inf:
+            raise InvalidParams(f"coupling must be >= 0 and finite, got {self.coupling}")
+        if not 0.0 < self.hbar < math.inf:
+            raise InvalidParams(f"hbar must be positive and finite, got {self.hbar}")
         kind = self.interaction
         if isinstance(kind, CustomInteraction):
             if len(kind.gammas) != self.n - 1:
@@ -114,13 +120,23 @@ class ChainSpec:
                     f"{len(kind.gammas)} coupling magnitudes for a chain of "
                     f"{self.n} sites"
                 )
-            if any(g < 0.0 for g in kind.gammas):
+            if not all(0.0 <= g < math.inf for g in kind.gammas):
                 raise InvalidParams(
-                    "coupling magnitudes must be >= 0 (a sign flip of any "
-                    "gamma_r leaves the spectrum unchanged)"
+                    "coupling magnitudes must be >= 0 and finite (a sign flip "
+                    "of any gamma_r leaves the spectrum unchanged)"
                 )
-        else:
-            _family_params(self)  # parameter range check
+            return
+        _family_params(self)  # parameter range check
+        if isinstance(kind, HahnInteraction) and not math.isfinite(kind.alpha):
+            raise InvalidParams(f"alpha must be finite, got {kind.alpha}")
+        # q^(n-1) and q^-(n-1) both appear in the dual q-Krawtchouk matrix.
+        if isinstance(kind, DualQKrawtchoukInteraction) and not (
+            (self.n - 1) * abs(math.log(kind.q)) < _LOG_FLOAT_MAX
+        ):
+            raise InvalidParams(
+                f"q = {kind.q} with n = {self.n} is out of float range: "
+                f"(n - 1) |ln q| must be below {_LOG_FLOAT_MAX:.6g}"
+            )
 
 
 def _family_params(chain: ChainSpec):
@@ -222,8 +238,8 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         squares, labels = _closed_squares(chain)
         origin = SpectrumOrigin.CLOSED_FORM
     else:
-        dec = numeric_decomposition(assemble_quadratic_form(chain))
-        squares, labels = dec.eigenvalues, tuple(range(chain.n))
+        squares = numeric_eigenvalues(assemble_quadratic_form(chain))
+        labels = tuple(range(chain.n))
         origin = SpectrumOrigin.NUMERIC
     floor = PD_TOL * chain.omega**2
     if min(squares) <= floor:
@@ -243,8 +259,7 @@ def is_positive_definite(chain: ChainSpec) -> bool:
     """Whether the chain's quadratic form is positive definite, judged by
     its smallest squared mode frequency against PD_TOL * omega^2."""
     if isinstance(chain.interaction, CustomInteraction):
-        dec = numeric_decomposition(assemble_quadratic_form(chain))
-        smallest = dec.eigenvalues[0]
+        smallest = numeric_eigenvalues(assemble_quadratic_form(chain))[0]
     else:
         smallest = min(_closed_squares(chain)[0])
     return smallest > PD_TOL * chain.omega**2

@@ -15,7 +15,10 @@ The analytic route assembles each eigenvector by a two-sided minimal-solution
 recurrence stitched at the entry of largest weight, which keeps every column
 accurate to machine precision even where a one-sided recurrence diverges.
 The numeric route is an implicit-shift QL iteration and serves as an
-independent cross-check.
+independent cross-check.  One kernel, _ql, holds its sweep loop:
+numeric_eigenvalues runs it without eigenvectors (mode frequencies and the
+positive-definiteness test need no more), numeric_decomposition runs it
+with U^T, whose rows i and i + 1 each rotation updates.
 """
 
 from __future__ import annotations
@@ -213,20 +216,20 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
     )
 
 
-def numeric_decomposition(
-    M: SymTridiagonal, max_sweeps: int = MAX_SWEEPS
-) -> SpectralDecomposition:
-    """Implicit-shift QL eigendecomposition, eigenvalues ascending.
+def _ql(
+    M: SymTridiagonal, max_sweeps: int, Ut: np.ndarray | None = None
+) -> list[float]:
+    """Implicit-shift QL iteration on M; returns its eigenvalues unsorted.
 
-    Raises NoConvergence with the offending row index when a deflation
-    exceeds the sweep budget.
+    d and e are Python floats, which round exactly as numpy float64
+    scalars do at a fraction of the cost.  When Ut is given, each rotation
+    is applied to its contiguous rows i and i + 1, so Ut accumulates the
+    transposed eigenvector matrix.  Raises NoConvergence with the offending
+    row index when a deflation exceeds the sweep budget.
     """
     n = M.size
-    d = np.asarray(M.diag, dtype=float).copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[: n - 1] = [-x for x in M.offdiag]
-    U = np.eye(n)
+    d = [float(x) for x in M.diag]
+    e = [-float(x) for x in M.offdiag] + [0.0]
     for l in range(n):
         sweeps = 0
         while True:
@@ -262,18 +265,47 @@ def numeric_decomposition(
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col = U[:, i + 1].copy()
-                U[:, i + 1] = s * U[:, i] + c * col
-                U[:, i] = c * U[:, i] - s * col
+                if Ut is not None:
+                    # (lo, hi) <- (c lo - s hi, s lo + c hi), in place.
+                    lo, hi = Ut[i], Ut[i + 1]
+                    rotated = s * lo
+                    rotated += c * hi
+                    lo *= c
+                    lo -= s * hi
+                    hi[:] = rotated
                 i -= 1
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+    return d
+
+
+def numeric_eigenvalues(
+    M: SymTridiagonal, max_sweeps: int = MAX_SWEEPS
+) -> tuple[float, ...]:
+    """Eigenvalues of M, ascending, by the QL iteration without vectors.
+
+    Raises NoConvergence with the offending row index when a deflation
+    exceeds the sweep budget.
+    """
+    return tuple(sorted(_ql(M, max_sweeps)))
+
+
+def numeric_decomposition(
+    M: SymTridiagonal, max_sweeps: int = MAX_SWEEPS
+) -> SpectralDecomposition:
+    """Implicit-shift QL eigendecomposition, eigenvalues ascending.
+
+    Raises NoConvergence with the offending row index when a deflation
+    exceeds the sweep budget.
+    """
+    Ut = np.eye(M.size)
+    d = _ql(M, max_sweeps, Ut)
     order = np.argsort(d, kind="stable")
     return SpectralDecomposition(
-        eigenvalues=tuple(d[order]),
-        vectors=_fix_signs(U[:, order]),
+        eigenvalues=tuple(d[k] for k in order),
+        vectors=_fix_signs(Ut[order].T),
         origin=Origin.NUMERIC,
     )
 

@@ -7,7 +7,9 @@ literals were produced by separate oracle scripts (exact rational sums and
 an independent eigensolver) and are pinned here as plain constants.  The
 per-family closed forms of the squared mode frequencies and the coupling
 bound are written out family by family, in the float operation order whose
-bits the CLI payloads carry.
+bits the CLI payloads carry.  column_ql_reference is the QL eigensolver as it
+was first written (numpy-scalar d and e, rotations on columns of U), kept
+to pin the package's QL bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +17,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
+
 from chain_spectra.chain import (
     ConstantInteraction,
     DualQKrawtchoukInteraction,
     HahnInteraction,
     KrawtchoukInteraction,
 )
+from chain_spectra.errors import NoConvergence
+from chain_spectra.jacobi import SIGN_TOL
+
+_EPS = float(np.finfo(float).eps)
 
 
 def exact_krawtchouk(i: int, x: int, p: Fr, N: int) -> Fr:
@@ -154,6 +162,68 @@ def max_coupling_reference(chain) -> float:
     if q > 1.0:
         return w2 / (1.0 - q ** (1 - n))
     return w2 / (q ** (1 - n) - 1.0)
+
+
+def column_ql_reference(M, max_sweeps: int = 64) -> tuple[tuple, np.ndarray]:
+    """Implicit-shift QL eigendecomposition of a SymTridiagonal, frozen in
+    its first layout: eigenvalues ascending and eigenvector columns with
+    their first entry above SIGN_TOL made positive."""
+    n = M.size
+    d = np.asarray(M.diag, dtype=float).copy()
+    e = np.zeros(n)
+    if n > 1:
+        e[: n - 1] = [-x for x in M.offdiag]
+    U = np.eye(n)
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m < n - 1:
+                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweeps >= max_sweeps:
+                raise NoConvergence(l)
+            sweeps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            i = m - 1
+            while i >= l:
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                col = U[:, i + 1].copy()
+                U[:, i + 1] = s * U[:, i] + c * col
+                U[:, i] = c * U[:, i] - s * col
+                i -= 1
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    order = np.argsort(d, kind="stable")
+    U = U[:, order]
+    for j in range(n):
+        lead = np.nonzero(np.abs(U[:, j]) > SIGN_TOL)[0]
+        if lead.size and U[lead[0], j] < 0.0:
+            U[:, j] = -U[:, j]
+    return tuple(d[order]), U
 
 
 # Exact-orthogonality parameter sets: (family, params, N).

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,46 @@ def test_chainspec_validation():
     # operations are the ones that refuse it
     bad = _chain(KrawtchoukInteraction(), 4, 0.7)
     assert not is_positive_definite(bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"coupling": math.inf},
+        {"coupling": math.nan},
+        {"omega": math.inf},
+        {"omega": math.nan},
+        {"hbar": math.inf},
+        {"n": True},
+        {"n": 2.5},
+        {"n": 3.0},
+        {"interaction": CustomInteraction(gammas=(1.0, math.nan))},
+        {"interaction": CustomInteraction(gammas=(math.inf, 1.0))},
+        {"interaction": HahnInteraction(alpha=math.inf)},
+        {"interaction": DualQKrawtchoukInteraction(q=math.inf)},
+    ],
+)
+def test_chainspec_rejects_non_finite_and_non_integer_inputs(kwargs):
+    spec = {"n": 3, "omega": 1.0, "coupling": 0.1, "interaction": KrawtchoukInteraction()}
+    spec.update(kwargs)
+    with pytest.raises(InvalidParams):
+        ChainSpec(**spec)
+
+
+def test_chainspec_accepts_numpy_integer_length():
+    chain = _chain(KrawtchoukInteraction(), np.int64(4), 0.1)
+    assert mode_frequencies(chain) == mode_frequencies(_chain(KrawtchoukInteraction(), 4, 0.1))
+
+
+def test_chainspec_rejects_dual_q_out_of_float_range():
+    # q^(n-1) overflows once (n - 1) |ln q| reaches ln(float max) = 1024 ln 2
+    for q in (0.5, 2.0):
+        with pytest.raises(InvalidParams):
+            _chain(DualQKrawtchoukInteraction(q=q), 1025, 0.0)
+        chain = _chain(DualQKrawtchoukInteraction(q=q), 1024, 0.0)
+        assert max_coupling(chain) > 0.0
+    with pytest.raises(InvalidParams):
+        _chain(DualQKrawtchoukInteraction(q=0.001), 200, 0.0)
 
 
 # -- coupling coefficients ------------------------------------------------------

@@ -232,6 +232,22 @@ def test_bound_values():
 # -- flag validation ----------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--family", "qkrawtchouk", "--q", "0.001", "--n", "200", "--c", "0"],
+        ["bound", "--family", "qkrawtchouk", "--q", "0.001", "--n", "200"],
+        ["spectrum", "--family", "krawtchouk", "--n", "4", "--c", "inf"],
+        ["spectrum", "--family", "custom", "--n", "3", "--gamma", "1,nan"],
+    ],
+)
+def test_out_of_range_chains_exit2_without_traceback(argv):
+    proc = _run(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_flag_errors_exit2():
     assert _run(["spectrum", "--family", "krawtchouk", "--n", "4", "--frob", "1"]).returncode == 2
     assert _run(["spectrum", "--family", "hahn", "--n", "4"]).returncode == 2

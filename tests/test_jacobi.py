@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import oracles
+from chain_spectra.chain import ChainSpec, CustomInteraction, assemble_quadratic_form
 from chain_spectra.errors import DimensionMismatch, InvalidParams, NoConvergence
 from chain_spectra.jacobi import (
     AlmostConstantHead,
@@ -21,6 +24,7 @@ from chain_spectra.jacobi import (
     decomposition_residuals,
     diagonal_profile,
     numeric_decomposition,
+    numeric_eigenvalues,
 )
 from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
@@ -278,9 +282,76 @@ def test_numeric_sign_convention():
 
 def test_numeric_no_convergence():
     m = SymTridiagonal(diag=(1.0, 2.0), offdiag=(0.5,))
-    with pytest.raises(NoConvergence) as info:
-        numeric_decomposition(m, max_sweeps=0)
-    assert info.value.row == 0
+    for solve in (numeric_decomposition, numeric_eigenvalues):
+        with pytest.raises(NoConvergence) as info:
+            solve(m, max_sweeps=0)
+        assert info.value.row == 0
+
+
+# Tiny entries make a rotation underflow to r == 0, the QL's split branch.
+_SPLIT_EXAMPLE = SymTridiagonal(
+    diag=(0.0, 0.0, 1e-200, 1e-200), offdiag=(1e-200, 2.0, 3.0)
+)
+
+
+def _custom_quadratic_forms():
+    rng = np.random.default_rng(20261018)
+    forms = []
+    for n in (1, 2, 8, 33, 64):
+        gammas = rng.uniform(0.0, 2.0, n - 1)
+        gammas[rng.uniform(size=n - 1) < 0.2] = 0.0
+        chain = ChainSpec(
+            n=n, omega=1.0, coupling=0.3, interaction=CustomInteraction(tuple(gammas))
+        )
+        forms.append(assemble_quadratic_form(chain))
+    return forms
+
+
+def test_numeric_decomposition_equals_column_ql_reference():
+    mats = [build_jacobi(fam) for fam in _grid((0, 1, 9, 31))]
+    mats += _custom_quadratic_forms() + [_SPLIT_EXAMPLE]
+    for m in mats:
+        values, vectors = oracles.column_ql_reference(m)
+        dec = numeric_decomposition(m)
+        assert dec.eigenvalues == values, m
+        assert np.array_equal(dec.vectors, vectors), m
+        assert numeric_eigenvalues(m) == values, m
+
+
+def _ql_outcome(solve, m):
+    try:
+        values = solve(m)
+    except NoConvergence as exc:
+        return ("NoConvergence", exc.row)
+    return tuple(float(v).hex() for v in values)
+
+
+_DIAG_ENTRIES = st.one_of(
+    st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 1e-200)),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+_OFFDIAG_ENTRIES = st.one_of(
+    st.sampled_from((0.0, 1e-300, 1e-200, 1e-170, 0.5, 1.0, 2.0)),
+    st.floats(min_value=0.0, max_value=1e3),
+)
+
+
+@st.composite
+def _sym_tridiagonals(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    diag = draw(st.lists(_DIAG_ENTRIES, min_size=n, max_size=n))
+    off = draw(st.lists(_OFFDIAG_ENTRIES, min_size=n - 1, max_size=n - 1))
+    return SymTridiagonal(diag=tuple(diag), offdiag=tuple(off))
+
+
+@given(_sym_tridiagonals())
+@example(_SPLIT_EXAMPLE)
+@settings(max_examples=150, deadline=None)
+def test_property_eigenvalue_only_ql_matches_decomposition(m):
+    # bit for bit, signed zeros included
+    assert _ql_outcome(numeric_eigenvalues, m) == _ql_outcome(
+        lambda mat: numeric_decomposition(mat).eigenvalues, m
+    )
 
 
 # -- cross-path equivalence ------------------------------------------------------
