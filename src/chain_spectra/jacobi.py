@@ -80,6 +80,8 @@ class SymTridiagonal:
                 f"offdiag length {len(self.offdiag)} does not match "
                 f"diag length {len(self.diag)}"
             )
+        if not all(map(math.isfinite, self.diag + self.offdiag)):
+            raise InvalidParams("matrix entries must be finite")
         if any(e < 0.0 for e in self.offdiag):
             raise InvalidParams("offdiag magnitudes must be >= 0")
 

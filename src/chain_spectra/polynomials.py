@@ -17,6 +17,7 @@ overflow on all valid parameter branches.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -26,6 +27,8 @@ from .errors import (
     InvalidParams,
     NonTerminating,
 )
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,8 @@ class HahnParams:
         if self.N < 0:
             raise InvalidParams(f"lattice size N must be >= 0, got {self.N}")
         a, b = self.alpha, self.beta
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidParams(f"(alpha, beta) = ({a}, {b}) must be finite")
         positive = a > -1.0 and b > -1.0
         negative = a < -self.N and b < -self.N
         if not (positive or negative):
@@ -78,10 +83,16 @@ class DualQKrawtchoukParams:
     def __post_init__(self):
         if self.N < 0:
             raise InvalidParams(f"lattice size N must be >= 0, got {self.N}")
-        if not self.cbar < 0.0:
-            raise InvalidParams(f"cbar must be negative, got {self.cbar}")
-        if not (self.q > 0.0 and self.q != 1.0):
-            raise InvalidParams(f"q must be positive and != 1, got {self.q}")
+        if not -math.inf < self.cbar < 0.0:
+            raise InvalidParams(f"cbar must be negative and finite, got {self.cbar}")
+        if not (0.0 < self.q < math.inf and self.q != 1.0):
+            raise InvalidParams(f"q must be positive, finite and != 1, got {self.q}")
+        # q^N and q^-N both appear in the lattice and the bidiagonal pair.
+        if self.N * abs(math.log(self.q)) >= _LOG_FLOAT_MAX:
+            raise InvalidParams(
+                f"q = {self.q} with N = {self.N} is out of float range: "
+                f"N |ln q| must be below {_LOG_FLOAT_MAX:.6g}"
+            )
 
 
 FamilyParams = Union[KrawtchoukParams, HahnParams, DualQKrawtchoukParams]

@@ -63,6 +63,11 @@ def test_symtridiagonal_validation():
         SymTridiagonal(diag=(1.0, 1.0), offdiag=(0.5, 0.5))
     with pytest.raises(InvalidParams):
         SymTridiagonal(diag=(1.0, 1.0), offdiag=(-0.5,))
+    # Non-finite entries are rejected before the QL can divide by them.
+    for diag, off in (((math.nan, 1.0), (0.0,)), ((1.0, 1.0), (math.inf,)),
+                      ((-math.inf, 1.0), (0.5,))):
+        with pytest.raises(InvalidParams):
+            SymTridiagonal(diag=diag, offdiag=off)
     m = SymTridiagonal(diag=(2.0, 3.0), offdiag=(0.5,))
     assert m.size == 2
     dense = m.dense()

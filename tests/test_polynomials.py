@@ -164,6 +164,22 @@ def test_invalid_params():
         DualQKrawtchoukParams(N=2, cbar=-1.0, q=1.0)
     with pytest.raises(InvalidParams):
         DualQKrawtchoukParams(N=2, cbar=-1.0, q=0.0)
+    for bad in (
+        lambda: HahnParams(N=3, alpha=math.inf, beta=math.inf),
+        lambda: HahnParams(N=3, alpha=0.5, beta=math.nan),
+        lambda: HahnParams(N=3, alpha=-math.inf, beta=-math.inf),
+        lambda: DualQKrawtchoukParams(N=2, cbar=-math.inf, q=2.0),
+        lambda: DualQKrawtchoukParams(N=0, cbar=-1.0, q=math.inf),
+        lambda: DualQKrawtchoukParams(N=2, cbar=-1.0, q=math.nan),
+        # q^N leaves the float range once N |ln q| reaches ln(float max)
+        lambda: DualQKrawtchoukParams(N=199, cbar=-1.0, q=0.001),
+        lambda: DualQKrawtchoukParams(N=1024, cbar=-1.0, q=2.0),
+        lambda: DualQKrawtchoukParams(N=1024, cbar=-1.0, q=0.5),
+    ):
+        with pytest.raises(InvalidParams):
+            bad()
+    DualQKrawtchoukParams(N=1023, cbar=-1.0, q=2.0)
+    DualQKrawtchoukParams(N=1023, cbar=-1.0, q=0.5)
     # single-point lattice is allowed
     assert lattice(KrawtchoukParams(N=0, p=0.5)) == (lattice_point(KrawtchoukParams(N=0, p=0.5), 0),)
 
