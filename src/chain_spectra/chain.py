@@ -17,9 +17,12 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import islice
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import (
     ClosedFormUnavailable,
@@ -43,10 +46,15 @@ from .polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams
 # A chain counts as positive definite when its smallest squared mode
 # frequency exceeds PD_TOL * omega^2.
 PD_TOL = 1e-12
+# Largest omega whose square is a finite float (about 1.34e154).
+_OMEGA_MAX = math.sqrt(sys.float_info.max)
 # Levels within GROUP_RTOL * hbar * omega of each other form one group.
 GROUP_RTOL = 1e-9
 # Enumeration budget on the number of occupation states.
 LEVEL_CAP = 10**6
+# Occupation states are turned into Python tuples this many at a time, so
+# the numpy temporaries of the conversion stay small.
+_TUPLE_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -104,8 +112,11 @@ class ChainSpec:
             raise InvalidParams(f"chain length must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InvalidParams(f"chain length must be >= 1, got {self.n}")
-        if not 0.0 < self.omega < math.inf:
-            raise InvalidParams(f"omega must be positive and finite, got {self.omega}")
+        if not 0.0 < self.omega <= _OMEGA_MAX:
+            raise InvalidParams(
+                f"omega must be positive with a finite square (at most "
+                f"{_OMEGA_MAX:.4g}), got {self.omega}"
+            )
         if not 0.0 <= self.coupling < math.inf:
             raise InvalidParams(f"coupling must be >= 0 and finite, got {self.coupling}")
         if not 0.0 < self.hbar < math.inf:
@@ -156,6 +167,10 @@ def assemble_quadratic_form(chain: ChainSpec) -> SymTridiagonal:
     magnitudes (c / 2) gamma_r."""
     w2 = chain.omega**2
     c = chain.coupling
+    if c == 0.0:
+        # Every coupling term vanishes, so the family's Jacobi matrix (which
+        # can overflow, as for dual q-Krawtchouk with small q) is not built.
+        return SymTridiagonal(diag=(w2,) * chain.n, offdiag=(0.0,) * (chain.n - 1))
     if isinstance(chain.interaction, ConstantInteraction):
         diag = (w2 + 2.0 * c,) * chain.n
     else:
@@ -297,8 +312,10 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
     """All energy levels from occupation vectors with at most max_total
     phonons, grouped within GROUP_RTOL * hbar * omega and sorted ascending.
 
-    Raises CombinatorialLimit when the state count C(n + K, K) exceeds
-    LEVEL_CAP.
+    Each level's energy is that of its lowest member, E_0 + hbar * sum_j
+    omega_j k_j with the products added in ascending mode order; the members
+    of a level are in lexicographic order.  Raises CombinatorialLimit when
+    the state count C(n + K, K) exceeds LEVEL_CAP.
     """
     if max_total < 0:
         raise InvalidParams(f"max_total must be >= 0, got {max_total}")
@@ -310,32 +327,68 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
         )
     spectrum = mode_frequencies(chain)
     ground = ground_energy(chain, spectrum)
-    states = []
-    for total in range(max_total + 1):
-        for modes in combinations_with_replacement(range(n), total):
-            k = [0] * n
-            for m in modes:
-                k[m] += 1
-            energy = ground + chain.hbar * sum(
-                w * kj for w, kj in zip(spectrum.omegas, k)
-            )
-            states.append((energy, tuple(k)))
-    states.sort()
+    # Each array is dropped once used up: numpy temporaries left in the
+    # heap add to the peak memory of the Python objects built at the end.
+    occupations = _occupation_columns(n, int(max_total))
+    # Added mode by mode in ascending order: the rounding sequence of a
+    # left-to-right sum of the products omega_j * k_j.
+    total = np.zeros(count)
+    for w, column in zip(spectrum.omegas, occupations):
+        total += w * column
+    energy = ground + chain.hbar * total
+    del total
+    order = np.argsort(energy, kind="stable")
+    energy = energy[order]
     tol = GROUP_RTOL * chain.hbar * chain.omega
-    groups: list[LevelGroup] = []
-    start = 0
-    for t in range(1, len(states) + 1):
-        if t == len(states) or states[t][0] - states[t - 1][0] > tol:
-            members = sorted(k for _, k in states[start:t])
-            groups.append(
-                LevelGroup(
-                    energy=states[start][0],
-                    degeneracy=t - start,
-                    occupations=tuple(members),
-                )
-            )
-            start = t
-    return tuple(groups)
+    cuts = np.flatnonzero(np.diff(energy) > tol) + 1
+    energies = energy[np.concatenate(([0], cuts))].tolist()
+    degeneracies = np.diff(cuts, prepend=0, append=count).tolist()
+    del energy
+    # States are numbered in lexicographic order, so sorting the keys
+    # group * count + state puts each group's members in that order.  The
+    # keys arrive nearly sorted, which the stable sort exploits.
+    members = np.zeros(count, dtype=np.int64)
+    members[cuts] = count
+    np.cumsum(members, out=members)
+    members += order
+    del order, cuts
+    members.sort(kind="stable")
+    members %= count
+    rows = []
+    for lo in range(0, count, _TUPLE_SLICE):
+        picked = members[lo : lo + _TUPLE_SLICE]
+        rows.extend(zip(*(column[picked].tolist() for column in occupations)))
+    del members, occupations
+    remaining = iter(rows)
+    grouped = (tuple(islice(remaining, d)) for d in degeneracies)
+    return tuple(map(LevelGroup, energies, degeneracies, grouped))
+
+
+def _occupation_columns(n: int, max_total: int) -> list[np.ndarray]:
+    """The C(n + K, K) occupation vectors with at most K = max_total
+    phonons, in lexicographic order, as one column per mode.
+
+    Mode j extends each prefix that has used u phonons by k_j = 0..K - u,
+    so a row is found by following its parent links back from the last
+    mode."""
+    dtype = np.min_scalar_type(max_total)
+    used = np.zeros(1, dtype=np.int32)
+    links = []
+    for _ in range(n):
+        width = max_total + 1 - used
+        parent = np.repeat(np.arange(used.size, dtype=np.int32), width)
+        k = np.arange(parent.size, dtype=np.int32)
+        k -= (np.cumsum(width, dtype=np.int32) - width)[parent]
+        used = used[parent] + k
+        links.append((parent, k.astype(dtype)))
+    columns = []
+    row = np.arange(used.size, dtype=np.int32)
+    while links:
+        parent, k = links.pop()
+        columns.append(k[row])
+        row = parent[row]
+    columns.reverse()
+    return columns
 
 
 class SpacingProfile(enum.Enum):

@@ -9,21 +9,28 @@ per-family closed forms of the squared mode frequencies and the coupling
 bound are written out family by family, in the float operation order whose
 bits the CLI payloads carry.  column_ql_reference is the QL eigensolver as it
 was first written (numpy-scalar d and e, rotations on columns of U), kept
-to pin the package's QL bit for bit.
+to pin the package's QL bit for bit.  enumerate_levels_reference is the
+level enumeration as first written (one occupation tuple at a time, sorted
+as (energy, tuple) pairs), kept to pin the array enumeration bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction as Fr
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from chain_spectra.chain import (
+    GROUP_RTOL,
     ConstantInteraction,
     DualQKrawtchoukInteraction,
     HahnInteraction,
     KrawtchoukInteraction,
+    LevelGroup,
+    ground_energy,
+    mode_frequencies,
 )
 from chain_spectra.errors import NoConvergence
 from chain_spectra.jacobi import SIGN_TOL
@@ -293,3 +300,39 @@ FLIP_DUALQ_Q16_N12 = 1.0057168383497683
 
 # Hahn alpha -> infinity approach to the Krawtchouk chain (n = 12, c = 0.18).
 HAHN_1E6_VS_KRAWTCHOUK_REL = 2.5e-06
+
+
+def enumerate_levels_reference(chain, max_total: int) -> tuple:
+    """Levels of all occupation vectors with at most max_total phonons,
+    enumerated one tuple at a time.  The energy sum is an explicit
+    left-to-right loop: from Python 3.12 the built-in sum() of floats is
+    compensated and no longer gives these bits."""
+    n = chain.n
+    spectrum = mode_frequencies(chain)
+    ground = ground_energy(chain, spectrum)
+    states = []
+    for total in range(max_total + 1):
+        for modes in combinations_with_replacement(range(n), total):
+            k = [0] * n
+            for m in modes:
+                k[m] += 1
+            acc = 0.0
+            for w, kj in zip(spectrum.omegas, k):
+                acc += w * kj
+            states.append((ground + chain.hbar * acc, tuple(k)))
+    states.sort()
+    tol = GROUP_RTOL * chain.hbar * chain.omega
+    groups = []
+    start = 0
+    for t in range(1, len(states) + 1):
+        if t == len(states) or states[t][0] - states[t - 1][0] > tol:
+            members = sorted(k for _, k in states[start:t])
+            groups.append(
+                LevelGroup(
+                    energy=states[start][0],
+                    degeneracy=t - start,
+                    occupations=tuple(members),
+                )
+            )
+            start = t
+    return tuple(groups)

@@ -85,6 +85,7 @@ def test_chainspec_validation():
         {"coupling": math.nan},
         {"omega": math.inf},
         {"omega": math.nan},
+        {"omega": 1.35e154},  # omega**2 overflows
         {"hbar": math.inf},
         {"n": True},
         {"n": 2.5},
@@ -475,6 +476,49 @@ def test_enumerate_levels_degenerate_grouping():
     assert [g.degeneracy for g in groups] == [1, 3, 6]
     assert [g.energy for g in groups] == pytest.approx([1.5, 2.5, 3.5], rel=1e-14)
     assert groups[1].occupations == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def _grid_couplings(interaction, n, omega):
+    """c = 0, a small coupling and one near the chain's coupling bound (the
+    uniform chain has none, so a large one)."""
+    if isinstance(interaction, CustomInteraction):
+        G = np.diag(interaction.gammas, 1)
+        top = max(np.linalg.eigvalsh(G + G.T)) if n > 1 else 0.0
+        bound = 2.0 * omega**2 / top if top > 0.0 else math.inf
+    else:
+        bound = max_coupling(_chain(interaction, n, 0.0, omega=omega))
+    if math.isinf(bound):
+        return (0.0, 0.05, 10.0)
+    return (0.0, 0.05 * bound, 0.98 * bound)
+
+
+def _grid_interactions(n):
+    yield ConstantInteraction()
+    yield KrawtchoukInteraction()
+    yield HahnInteraction(alpha=0.5)
+    yield DualQKrawtchoukInteraction(q=1.6)
+    yield CustomInteraction(gammas=tuple(1.0 + 0.37 * (r % 3) for r in range(n - 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_levels_equals_scalar_reference(n):
+    # Bit for bit against the one-tuple-at-a-time enumeration, including
+    # exact ties (every Krawtchouk and Hahn mode equals omega at c = 0).
+    for interaction in _grid_interactions(n):
+        for omega, hbar in ((1.0, 1.0), (1.3, 0.7)):
+            for c in _grid_couplings(interaction, n, omega):
+                chain = _chain(interaction, n, c, omega=omega, hbar=hbar)
+                for K in range(6):
+                    got = enumerate_levels(chain, K)
+                    want = oracles.enumerate_levels_reference(chain, K)
+                    where = (interaction, n, c, omega, hbar, K)
+                    assert [g.energy.hex() for g in got] == [
+                        g.energy.hex() for g in want
+                    ], where
+                    assert [(g.degeneracy, g.occupations) for g in got] == [
+                        (g.degeneracy, g.occupations) for g in want
+                    ], where
+                    assert type(got[-1].occupations[0][0]) is int
 
 
 def test_enumerate_levels_budget_and_validation():

@@ -239,6 +239,10 @@ def test_bound_values():
         ["bound", "--family", "qkrawtchouk", "--q", "0.001", "--n", "200"],
         ["spectrum", "--family", "krawtchouk", "--n", "4", "--c", "inf"],
         ["spectrum", "--family", "custom", "--n", "3", "--gamma", "1,nan"],
+        ["spectrum", "--family", "krawtchouk", "--n", "4", "--c", "0.1", "--omega", "1e155"],
+        ["bound", "--family", "krawtchouk", "--n", "4", "--c", "0.1", "--omega", "1e155"],
+        ["export", "--family", "krawtchouk", "--n", "4", "--c", "0.1", "--omega", "1e155",
+         "--levels", "2"],
     ],
 )
 def test_out_of_range_chains_exit2_without_traceback(argv):
@@ -246,6 +250,17 @@ def test_out_of_range_chains_exit2_without_traceback(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_uncoupled_chain_needs_no_jacobi_matrix():
+    # At c = 0 every mode is omega, although this family's Jacobi matrix
+    # overflows float range.
+    argv = ["--family", "qkrawtchouk", "--q", "0.01", "--n", "100", "--c", "0", "--omega", "1.3"]
+    proc = _run(["spectrum", *argv])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["omegas_closed"] == [1.3] * 100
+    assert payload["omegas_numeric"] == [1.3] * 100
 
 
 def test_flag_errors_exit2():

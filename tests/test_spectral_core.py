@@ -2,6 +2,7 @@
 QL eigensolver, the chain layer against the per-family closed forms it
 replaced, and CLI payloads against frozen goldens."""
 
+import hashlib
 import json
 import pathlib
 
@@ -36,11 +37,11 @@ from chain_spectra.polynomials import (
     KrawtchoukParams,
 )
 
-GOLDENS = json.loads(
-    (pathlib.Path(__file__).parent / "goldens" / "cli_payloads.json").read_text(
-        encoding="utf-8"
-    )
-)
+GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
+GOLDENS = json.loads((GOLDEN_DIR / "cli_payloads.json").read_text(encoding="utf-8"))
+# sha256 of export payloads too large to store: thousands of singleton
+# levels (Hahn) and a few large degenerate groups (Krawtchouk at c = 0).
+EXPORT_SHA256 = json.loads((GOLDEN_DIR / "export_sha256.json").read_text(encoding="utf-8"))
 
 
 # -- interaction_spectrum against QL ------------------------------------------
@@ -137,3 +138,10 @@ def test_cli_payload_golden(name, capsys, tmp_path):
     got = out_path.read_text(encoding="utf-8") if argv[0] == "plot" else captured.out
     assert got == GOLDENS[name]["payload"]
     assert "wall_ms=" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_cli_export_sha256_golden(name, capsys):
+    assert cli.main(list(EXPORT_SHA256[name]["argv"])) == 0
+    payload = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == EXPORT_SHA256[name]["sha256"]
