@@ -46,7 +46,9 @@ from .polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams
 # A chain counts as positive definite when its smallest squared mode
 # frequency exceeds PD_TOL * omega^2.
 PD_TOL = 1e-12
-# Largest omega whose square is a finite float (about 1.34e154).
+# Smallest and largest omega whose square is a normal, finite float (about
+# 1.49e-154 and 1.34e154).
+_OMEGA_MIN = math.sqrt(sys.float_info.min)
 _OMEGA_MAX = math.sqrt(sys.float_info.max)
 # Levels within GROUP_RTOL * hbar * omega of each other form one group.
 GROUP_RTOL = 1e-9
@@ -112,10 +114,10 @@ class ChainSpec:
             raise InvalidParams(f"chain length must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InvalidParams(f"chain length must be >= 1, got {self.n}")
-        if not 0.0 < self.omega <= _OMEGA_MAX:
+        if not _OMEGA_MIN <= self.omega <= _OMEGA_MAX:
             raise InvalidParams(
-                f"omega must be positive with a finite square (at most "
-                f"{_OMEGA_MAX:.4g}), got {self.omega}"
+                f"omega must be positive with a normal, finite square (from "
+                f"{_OMEGA_MIN:.4g} to {_OMEGA_MAX:.4g}), got {self.omega}"
             )
         if not 0.0 <= self.coupling < math.inf:
             raise InvalidParams(f"coupling must be >= 0 and finite, got {self.coupling}")
@@ -202,6 +204,11 @@ def _closed_squares(chain: ChainSpec) -> tuple[tuple[float, ...], tuple[int, ...
     w2 = chain.omega**2
     c = chain.coupling
     squares = tuple(w2 + c * mu for mu in interaction_spectrum(_family_params(chain)))
+    if not all(map(math.isfinite, squares)):
+        raise InvalidParams(
+            f"squared mode frequencies omega^2 + c mu overflow float range "
+            f"(omega = {chain.omega}, c = {c})"
+        )
     first = _FIRST_LABEL.get(type(chain.interaction), 1)
     return squares, tuple(range(first, first + chain.n))
 
@@ -231,7 +238,8 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     method 'closed' uses the family's closed form (ClosedFormUnavailable
     for custom interactions), 'numeric' diagonalizes the assembled
     quadratic form, 'auto' prefers closed.  Raises NotPositiveDefinite when
-    the smallest squared frequency is not above PD_TOL * omega^2.
+    the smallest squared frequency is not above PD_TOL * omega^2, and
+    InvalidParams when a closed-form squared frequency overflows.
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidParams(f"unknown method {method!r}")
@@ -269,7 +277,8 @@ def is_positive_definite(chain: ChainSpec) -> bool:
 
 def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
     """Energy hbar * sum_j omega_j (k_j + 1/2) of an occupation vector,
-    indexed against the ascending mode frequencies."""
+    indexed against the ascending mode frequencies.  Raises InvalidParams
+    when it overflows."""
     if len(occupations) != chain.n:
         raise DimensionMismatch(
             f"{len(occupations)} occupation numbers for {chain.n} modes"
@@ -277,25 +286,41 @@ def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
     if any(k < 0 or k != int(k) for k in occupations):
         raise InvalidParams("occupation numbers must be non-negative integers")
     spectrum = mode_frequencies(chain)
-    return chain.hbar * sum(
-        w * (k + 0.5) for w, k in zip(spectrum.omegas, occupations)
-    )
+    terms = (w * (k + 0.5) for w, k in zip(spectrum.omegas, occupations))
+    return _finite_energy(chain.hbar * _left_sum(terms))
+
+
+def _left_sum(values) -> float:
+    """Left-to-right float sum: the rounding every energy payload pins.  The
+    built-in sum() compensates floats from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _finite_energy(energy: float) -> float:
+    if not math.isfinite(energy):
+        raise InvalidParams("energies overflow float range")
+    return energy
 
 
 def ground_energy(chain: ChainSpec, spectrum: ModeSpectrum) -> float:
     """Zero-point energy E_0 = (hbar / 2) * sum_j omega_j of a mode spectrum
-    of the chain."""
-    return 0.5 * chain.hbar * sum(spectrum.omegas)
+    of the chain.  Raises InvalidParams when it overflows."""
+    return _finite_energy(0.5 * chain.hbar * _left_sum(spectrum.omegas))
 
 
 def single_phonon_levels(
     chain: ChainSpec, spectrum: ModeSpectrum | None = None
 ) -> tuple[float, ...]:
     """The n single-phonon energies E_0 + hbar * omega_j, ascending, of the
-    given mode spectrum (by default mode_frequencies(chain))."""
+    given mode spectrum (by default mode_frequencies(chain)).  Raises
+    InvalidParams when the highest overflows."""
     if spectrum is None:
         spectrum = mode_frequencies(chain)
     ground = ground_energy(chain, spectrum)
+    _finite_energy(ground + chain.hbar * spectrum.omegas[-1])
     return tuple(ground + chain.hbar * w for w in spectrum.omegas)
 
 
@@ -315,7 +340,8 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
     Each level's energy is that of its lowest member, E_0 + hbar * sum_j
     omega_j k_j with the products added in ascending mode order; the members
     of a level are in lexicographic order.  Raises CombinatorialLimit when
-    the state count C(n + K, K) exceeds LEVEL_CAP.
+    the state count C(n + K, K) exceeds LEVEL_CAP, and InvalidParams when
+    the highest energy overflows.
     """
     if max_total < 0:
         raise InvalidParams(f"max_total must be >= 0, got {max_total}")
@@ -327,6 +353,8 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
         )
     spectrum = mode_frequencies(chain)
     ground = ground_energy(chain, spectrum)
+    # The largest energy is that of max_total phonons in the top mode.
+    _finite_energy(ground + chain.hbar * (spectrum.omegas[-1] * max_total))
     # Each array is dropped once used up: numpy temporaries left in the
     # heap add to the peak memory of the Python objects built at the end.
     occupations = _occupation_columns(n, int(max_total))

@@ -7,16 +7,21 @@ Subcommands:
   plot      SVG level diagram, one column per panel
   export    CSV of enumerated energy levels with degeneracies
 
+Each family takes at most one parameter flag: --alpha (hahn), --q
+(qkrawtchouk) or --gamma (custom).  A family's flag is required for it and
+rejected for every other family.
+
 Exit codes: 0 success, 1 failed verification, 2 invalid flags or
-unsupported family/operation combinations, 3 chain not positive definite,
-4 enumeration over budget.
+unsupported family/operation combinations (also an unwritable --out, an
+out-of-range config value, and frequencies or energies outside float
+range), 3 chain not positive definite, 4 enumeration over budget.
 
 Diagnostics (including wall-clock time) go to stderr; payloads go to
 stdout or --out, byte-deterministic for fixed inputs.  The environment
 variable CHAIN_SPECTRA_CONFIG may point to a key=value config file (one
 pair per line, # comments allowed) overriding geometry and tolerances:
 svg_width, svg_height, svg_margin, verify_ortho_tol, verify_recon_tol,
-verify_eig_tol.
+verify_eig_tol, each a finite, non-negative number.
 """
 
 from __future__ import annotations
@@ -66,10 +71,18 @@ _CONFIG_DEFAULTS = {
     "verify_eig_tol": 1e-8,
 }
 
-_FAMILIES = ("constant", "krawtchouk", "hahn", "qkrawtchouk", "custom")
+# Each family's interaction class and the flag carrying its parameter, or
+# None; the flag is also the family's key in a plot panel.
+_FAMILIES = {
+    "constant": (ConstantInteraction, None),
+    "krawtchouk": (KrawtchoukInteraction, None),
+    "hahn": (HahnInteraction, "alpha"),
+    "qkrawtchouk": (DualQKrawtchoukInteraction, "q"),
+    "custom": (CustomInteraction, "gamma"),
+}
 
 
-def _load_config(stderr) -> dict | None:
+def _load_config() -> dict | None:
     cfg = dict(_CONFIG_DEFAULTS)
     path = os.environ.get("CHAIN_SPECTRA_CONFIG", "").strip()
     if not path:
@@ -78,19 +91,19 @@ def _load_config(stderr) -> dict | None:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
     except OSError as exc:
-        print(f"cannot read config file {path!r}: {exc}", file=stderr)
+        print(f"cannot read config file {path!r}: {exc}", file=sys.stderr)
         return None
     for lineno, line in enumerate(raw_lines, start=1):
         item = line.strip()
         if not item or item.startswith("#"):
             continue
         if "=" not in item:
-            print(f"{path}:{lineno}: {item!r} is not key=value", file=stderr)
+            print(f"{path}:{lineno}: {item!r} is not key=value", file=sys.stderr)
             return None
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in cfg:
-            print(f"{path}:{lineno}: unknown config key {key!r}", file=stderr)
+            print(f"{path}:{lineno}: unknown config key {key!r}", file=sys.stderr)
             return None
         try:
             cfg[key] = float(value)
@@ -98,48 +111,30 @@ def _load_config(stderr) -> dict | None:
             print(
                 f"{path}:{lineno}: value for {key!r} is not a number: "
                 f"{value.strip()!r}",
-                file=stderr,
+                file=sys.stderr,
+            )
+            return None
+        if not 0.0 <= cfg[key] < math.inf:
+            print(
+                f"{path}:{lineno}: value for {key!r} must be finite and "
+                f"non-negative, got {value.strip()!r}",
+                file=sys.stderr,
             )
             return None
     return cfg
 
 
-def _interaction_from_args(parser: argparse.ArgumentParser, args):
-    fam = args.family
-    if fam == "hahn":
-        if args.alpha is None:
-            parser.error("--alpha is required for the hahn family")
-        return HahnInteraction(alpha=args.alpha)
-    if args.alpha is not None:
-        parser.error("--alpha only applies to the hahn family")
-    if fam == "qkrawtchouk":
-        if args.q is None:
-            parser.error("--q is required for the qkrawtchouk family")
-        return DualQKrawtchoukInteraction(q=args.q)
-    if args.q is not None:
-        parser.error("--q only applies to the qkrawtchouk family")
-    if fam == "custom":
-        if args.gamma is None:
-            parser.error("--gamma is required for the custom family")
-        try:
-            gammas = tuple(float(g) for g in args.gamma.split(","))
-        except ValueError:
-            parser.error(f"--gamma must be a comma-separated float list, got {args.gamma!r}")
-        return CustomInteraction(gammas=gammas)
-    if args.gamma is not None:
-        parser.error("--gamma only applies to the custom family")
-    if fam == "constant":
-        return ConstantInteraction()
-    return KrawtchoukInteraction()
-
-
-def _chain_from_args(parser: argparse.ArgumentParser, args) -> ChainSpec:
-    interaction = _interaction_from_args(parser, args)
+def _build_chain(parser, args, family: str, param, coupling: float) -> ChainSpec:
+    """The chain of a family, given the value of its parameter flag, with
+    args.n, args.omega and args.hbar; a usage error when the library
+    refuses it."""
+    kind, flag = _FAMILIES[family]
     try:
+        interaction = kind() if flag is None else kind(param)
         return ChainSpec(
             n=args.n,
             omega=args.omega,
-            coupling=args.c,
+            coupling=coupling,
             interaction=interaction,
             hbar=args.hbar,
         )
@@ -147,50 +142,60 @@ def _chain_from_args(parser: argparse.ArgumentParser, args) -> ChainSpec:
         parser.error(str(exc))
 
 
-def _spec_echo(chain: ChainSpec) -> dict:
+def _chain_from_args(parser: argparse.ArgumentParser, args) -> ChainSpec:
+    param = None
+    for family, (_, flag) in _FAMILIES.items():
+        value = None if flag is None else getattr(args, flag)
+        if family == args.family:
+            if flag is not None and value is None:
+                parser.error(f"--{flag} is required for the {family} family")
+            param = value
+        elif value is not None:
+            parser.error(f"--{flag} only applies to the {family} family")
+    if args.family == "custom":
+        try:
+            param = tuple(float(g) for g in param.split(","))
+        except ValueError:
+            parser.error(f"--gamma must be a comma-separated float list, got {param!r}")
+    return _build_chain(parser, args, args.family, param, args.c)
+
+
+def _spec_echo(family: str, chain: ChainSpec) -> dict:
     echo = {
-        "family": {
-            ConstantInteraction: "constant",
-            KrawtchoukInteraction: "krawtchouk",
-            HahnInteraction: "hahn",
-            DualQKrawtchoukInteraction: "qkrawtchouk",
-            CustomInteraction: "custom",
-        }[type(chain.interaction)],
+        "family": family,
         "n": chain.n,
         "omega": chain.omega,
         "coupling": chain.coupling,
         "hbar": chain.hbar,
     }
-    if isinstance(chain.interaction, HahnInteraction):
-        echo["alpha"] = chain.interaction.alpha
-    if isinstance(chain.interaction, DualQKrawtchoukInteraction):
-        echo["q"] = chain.interaction.q
-    if isinstance(chain.interaction, CustomInteraction):
-        echo["gamma"] = list(chain.interaction.gammas)
+    flag = _FAMILIES[family][1]
+    if flag is not None:
+        (param,) = vars(chain.interaction).values()  # its only field
+        echo[flag] = list(param) if isinstance(param, tuple) else param
     return echo
 
 
-def _pd_failure(chain: ChainSpec, stderr) -> tuple[int, None]:
+def _pd_failure(chain: ChainSpec) -> tuple[int, None]:
     try:
         bound = max_coupling(chain)
         hint = "unbounded" if math.isinf(bound) else repr(bound)
         print(
             f"chain is not positive definite; maximum admissible coupling: {hint}",
-            file=stderr,
+            file=sys.stderr,
         )
     except UnsupportedFamily:
-        print("chain is not positive definite", file=stderr)
+        print("chain is not positive definite", file=sys.stderr)
     return 3, None
 
 
-def _cmd_spectrum(parser, args, cfg, stderr):
+def _cmd_spectrum(parser, args, cfg):
     chain = _chain_from_args(parser, args)
     custom = isinstance(chain.interaction, CustomInteraction)
     try:
         numeric = mode_frequencies(chain, method="numeric")
         closed = None if custom else mode_frequencies(chain, method="closed")
     except NotPositiveDefinite:
-        return _pd_failure(chain, stderr)
+        return _pd_failure(chain)
     residual = None
     if closed is not None:
         residual = max(
@@ -202,7 +207,7 @@ def _cmd_spectrum(parser, args, cfg, stderr):
     ground = ground_energy(chain, spectrum)
     levels = single_phonon_levels(chain, spectrum)
     payload = {
-        "spec": _spec_echo(chain),
+        "spec": _spec_echo(args.family, chain),
         "omegas_closed": None if closed is None else list(closed.omegas),
         "omegas_numeric": list(numeric.omegas),
         "ground_energy": ground,
@@ -234,7 +239,7 @@ def _cmd_spectrum(parser, args, cfg, stderr):
     return 0, text
 
 
-def _cmd_verify(parser, args, cfg, stderr):
+def _cmd_verify(parser, args, cfg):
     chain = _chain_from_args(parser, args)
     if isinstance(chain.interaction, CustomInteraction):
         parser.error("closed form unavailable for custom interactions")
@@ -270,7 +275,7 @@ def _cmd_verify(parser, args, cfg, stderr):
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def _cmd_bound(parser, args, cfg, stderr):
+def _cmd_bound(parser, args, cfg):
     chain = _chain_from_args(parser, args)
     try:
         bound = max_coupling(chain)
@@ -289,7 +294,7 @@ _DEFAULT_PANELS = (
 
 def _parse_panel(parser, text: str):
     fam, _, rest = text.partition(":")
-    if fam not in ("constant", "krawtchouk", "hahn", "qkrawtchouk"):
+    if fam not in _FAMILIES or fam == "custom":
         parser.error(f"unknown panel family {fam!r}")
     keys = {}
     if rest:
@@ -303,28 +308,13 @@ def _parse_panel(parser, text: str):
                 parser.error(f"panel value for {key!r} is not a number")
     if "c" not in keys:
         parser.error(f"panel {text!r} must set c")
-    allowed = {"constant": {"c"}, "krawtchouk": {"c"},
-               "hahn": {"c", "alpha"}, "qkrawtchouk": {"c", "q"}}[fam]
-    extra = set(keys) - allowed
+    flag = _FAMILIES[fam][1]
+    extra = set(keys) - {"c", flag}
     if extra:
         parser.error(f"panel keys {sorted(extra)} not valid for {fam}")
-    if fam == "hahn" and "alpha" not in keys:
-        parser.error("hahn panels must set alpha")
-    if fam == "qkrawtchouk" and "q" not in keys:
-        parser.error("qkrawtchouk panels must set q")
+    if flag is not None and flag not in keys:
+        parser.error(f"{fam} panels must set {flag}")
     return fam, keys
-
-
-def _panel_chain(fam: str, keys: dict, n: int, omega: float, hbar: float) -> ChainSpec:
-    interaction = {
-        "constant": lambda: ConstantInteraction(),
-        "krawtchouk": lambda: KrawtchoukInteraction(),
-        "hahn": lambda: HahnInteraction(alpha=keys["alpha"]),
-        "qkrawtchouk": lambda: DualQKrawtchoukInteraction(q=keys["q"]),
-    }[fam]()
-    return ChainSpec(
-        n=n, omega=omega, coupling=keys["c"], interaction=interaction, hbar=hbar
-    )
 
 
 def _panel_label(idx: int, fam: str, keys: dict) -> str:
@@ -383,32 +373,30 @@ def _render_svg(panels, cfg) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_plot(parser, args, cfg, stderr):
+def _cmd_plot(parser, args, cfg):
     specs = args.panel if args.panel else list(_DEFAULT_PANELS)
     panels = []
     for idx, text in enumerate(specs):
         fam, keys = _parse_panel(parser, text)
-        try:
-            chain = _panel_chain(fam, keys, args.n, args.omega, args.hbar)
-        except ChainSpectraError as exc:
-            parser.error(str(exc))
+        param = keys.get(_FAMILIES[fam][1])
+        chain = _build_chain(parser, args, fam, param, keys["c"])
         try:
             levels = single_phonon_levels(chain)
         except NotPositiveDefinite:
-            return _pd_failure(chain, stderr)
+            return _pd_failure(chain)
         panels.append((_panel_label(idx, fam, keys), rescale_levels(levels)))
     return 0, _render_svg(panels, cfg)
 
 
-def _cmd_export(parser, args, cfg, stderr):
+def _cmd_export(parser, args, cfg):
     chain = _chain_from_args(parser, args)
     try:
         groups = enumerate_levels(chain, args.levels)
     except CombinatorialLimit as exc:
-        print(str(exc), file=stderr)
+        print(str(exc), file=sys.stderr)
         return 4, None
     except NotPositiveDefinite:
-        return _pd_failure(chain, stderr)
+        return _pd_failure(chain)
     rows = ["energy,degeneracy,occupations"]
     for g in groups:
         occ = ";".join("|".join(str(k) for k in ks) for ks in g.occupations)
@@ -423,15 +411,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_chain_flags(p, with_c=True):
+    def add_chain_flags(p):
         p.add_argument("--family", required=True, choices=_FAMILIES)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--q", type=float, default=None)
         p.add_argument("--gamma", type=str, default=None)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--omega", type=float, default=1.0)
-        if with_c:
-            p.add_argument("--c", type=float, default=0.0)
+        p.add_argument("--c", type=float, default=0.0)
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", type=str, default=None)
 
@@ -474,12 +461,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _load_config(sys.stderr)
+    cfg = _load_config()
     if cfg is None:
         return 2
     t0 = time.perf_counter()
     try:
-        code, text = _COMMANDS[args.command](parser, args, cfg, sys.stderr)
+        code, text = _COMMANDS[args.command](parser, args, cfg)
     except ChainSpectraError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -487,8 +474,13 @@ def main(argv=None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                reason = exc.strerror or exc
+                print(f"cannot write {args.out}: {reason}", file=sys.stderr)
+                return 2
         print(f"wall_ms={1e3 * (time.perf_counter() - t0):.3f}", file=sys.stderr)
     return code
 

@@ -305,9 +305,10 @@ def bidiagonal_split(fp: FamilyParams) -> tuple[tuple[float, ...], tuple[float, 
         for i in range(N + 1):
             # Endpoint forms are the interior formulas with their vanishing
             # factor cancelled; they bypass removable 0/0 points such as
-            # alpha + beta + 1 = 0.
+            # alpha + beta + 1 = 0.  At N = 0 the single lattice point has
+            # B_0 = 0, also where alpha + beta + 2 = 0.
             if i == 0:
-                B.append((a + 1.0) * N / (a + b + 2.0))
+                B.append((a + 1.0) * N / (a + b + 2.0) if N else 0.0)
                 D.append(0.0)
             elif i == N:
                 B.append(0.0)

@@ -1,6 +1,7 @@
 """Tests for the oscillator chain: couplings, bounds, spectra and levels."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from chain_spectra.chain import (
     assemble_quadratic_form,
     coupling_coefficients,
     enumerate_levels,
+    ground_energy,
     is_positive_definite,
     max_coupling,
     mode_frequencies,
@@ -41,6 +43,7 @@ from chain_spectra.errors import (
     UnsupportedFamily,
 )
 from chain_spectra.jacobi import build_jacobi, numeric_decomposition
+from chain_spectra.polynomials import HahnParams
 
 CLOSED_VS_NUMERIC_RTOL = 1e-9
 
@@ -86,6 +89,8 @@ def test_chainspec_validation():
         {"omega": math.inf},
         {"omega": math.nan},
         {"omega": 1.35e154},  # omega**2 overflows
+        {"omega": 1.49e-154},  # omega**2 is subnormal
+        {"omega": 1e-200},  # omega**2 underflows to 0
         {"hbar": math.inf},
         {"n": True},
         {"n": 2.5},
@@ -101,6 +106,56 @@ def test_chainspec_rejects_non_finite_and_non_integer_inputs(kwargs):
     spec.update(kwargs)
     with pytest.raises(InvalidParams):
         ChainSpec(**spec)
+
+
+def test_chainspec_accepts_omega_range_ends():
+    for omega in (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)):
+        (w,) = mode_frequencies(_chain(KrawtchoukInteraction(), 1, 0.0, omega=omega)).omegas
+        assert w == omega
+
+
+def test_frequencies_and_energies_outside_float_range():
+    # omega^2 + c mu overflows: refused by the closed form as by the numeric path
+    huge = _chain(ConstantInteraction(), 1, 1e308)
+    for call in (mode_frequencies, is_positive_definite, single_phonon_levels):
+        with pytest.raises(InvalidParams):
+            call(huge)
+    with pytest.raises(InvalidParams):
+        enumerate_levels(huge, 2)
+    # the levels overflow, the zero-point energy does not
+    chain = _chain(KrawtchoukInteraction(), 3, 0.1, hbar=1e308)
+    assert ground_energy(chain, mode_frequencies(chain)) < math.inf
+    with pytest.raises(InvalidParams):
+        single_phonon_levels(chain)
+    with pytest.raises(InvalidParams):
+        state_energy(chain, (0, 0, 1))
+    with pytest.raises(InvalidParams):
+        enumerate_levels(chain, 1)
+    with pytest.raises(InvalidParams):
+        ground_energy(_chain(KrawtchoukInteraction(), 9, 0.1, hbar=1e308),
+                      mode_frequencies(_chain(KrawtchoukInteraction(), 9, 0.1)))
+    # a single oscillator at hbar = 7e307: 3.5 hbar overflows, 1.5 hbar does not
+    single = _chain(ConstantInteraction(), 1, 0.0, hbar=7e307)
+    assert [g.energy for g in enumerate_levels(single, 1)] == [3.5e307, 1.05e308]
+    with pytest.raises(InvalidParams):
+        enumerate_levels(single, 3)
+
+
+def test_energies_are_left_to_right_sums():
+    # A compensated sum (built-in sum() from Python 3.12 on) gives 1e16 + 2.
+    chain = _chain(KrawtchoukInteraction(), 3, 0.1)
+    spectrum = ModeSpectrum(
+        omegas=(1e16, 1.0, 1.0), origin=SpectrumOrigin.NUMERIC, family_index=(0, 1, 2)
+    )
+    assert ground_energy(chain, spectrum) == 0.5e16
+
+
+def test_single_site_hahn_chain_at_alpha_minus_one():
+    # N = 0, alpha = beta = -1: B_0 = (alpha + 1) N / (alpha + beta + 2) is 0/0
+    assert build_jacobi(HahnParams(N=0, alpha=-1.0, beta=-1.0)).diag == (0.0,)
+    chain = _chain(HahnInteraction(alpha=-1.0), 1, 0.3)
+    assert mode_frequencies(chain).omegas == (1.0,)
+    assert mode_frequencies(chain, method="numeric").omegas == (1.0,)
 
 
 def test_chainspec_accepts_numpy_integer_length():
@@ -406,7 +461,7 @@ def test_state_energy_values_and_errors():
             ground + omegas[j], rel=1e-14
         )
     with pytest.raises(DimensionMismatch):
-        state_energy(chain, (0, 0, 0))
+        state_energy(chain, (0, 0, 1))
     with pytest.raises(InvalidParams):
         state_energy(chain, (0, -1, 0, 0))
     with pytest.raises(InvalidParams):

@@ -1,15 +1,23 @@
-"""End-to-end tests for the command-line interface via subprocess."""
+"""End-to-end tests for the command-line interface, via subprocess and (for
+the argv grammar property) in process."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from chain_spectra import cli
 from chain_spectra.chain import (
     ChainSpec,
     KrawtchoukInteraction,
@@ -243,13 +251,23 @@ def test_bound_values():
         ["bound", "--family", "krawtchouk", "--n", "4", "--c", "0.1", "--omega", "1e155"],
         ["export", "--family", "krawtchouk", "--n", "4", "--c", "0.1", "--omega", "1e155",
          "--levels", "2"],
+        ["spectrum", "--family", "constant", "--n", "12", "--out", "/nonexistent-dir/x.out"],
+        ["plot", "--out", "/nonexistent-dir/p.svg"],
+        ["spectrum", "--family", "krawtchouk", "--n", "3", "--c", "0", "--omega", "1e-200"],
+        ["bound", "--family", "krawtchouk", "--n", "3", "--c", "0", "--omega", "1e-200"],
+        ["export", "--family", "constant", "--n", "1", "--c", "1e308", "--levels", "2"],
+        ["plot", "--panel", "constant:c=1e308", "--n", "3", "--out", "{tmp}/p.svg"],
+        ["spectrum", "--family", "krawtchouk", "--n", "3", "--c", "0.1", "--hbar", "1e308"],
+        ["export", "--family", "krawtchouk", "--n", "3", "--c", "0.1", "--hbar", "1e308",
+         "--levels", "2"],
     ],
 )
-def test_out_of_range_chains_exit2_without_traceback(argv):
-    proc = _run(argv)
+def test_out_of_range_chains_exit2_without_traceback(argv, tmp_path):
+    proc = _run([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_uncoupled_chain_needs_no_jacobi_matrix():
@@ -291,6 +309,113 @@ def test_flag_errors_exit2():
         ).returncode
         == 2
     )
+    # A family's parameter flag is refused for every other family.
+    for argv, flag, family in (
+        (["--family", "hahn", "--alpha", "0.5", "--q", "2"], "--q", "qkrawtchouk"),
+        (["--family", "hahn", "--alpha", "0.5", "--gamma", "1,2,3"], "--gamma", "custom"),
+        (["--family", "qkrawtchouk", "--q", "1.6", "--gamma", "1"], "--gamma", "custom"),
+    ):
+        proc = _run(["spectrum", *argv, "--n", "4"])
+        assert proc.returncode == 2
+        assert f"{flag} only applies to the {family} family" in proc.stderr
+
+
+# -- argv grammar -------------------------------------------------------------
+
+# Values that probe the edges of float range and of argparse's types.
+_EDGE_VALUES = ("nan", "inf", "1e308", "1e-200", "zap", "0", "-1")
+# Typical values of each family parameter, keyed by flag and panel key.
+_PARAMS = {
+    "alpha": ("0.5", "2", "-0.5"),
+    "q": ("1.6", "0.7", "3"),
+    "gamma": ("1", "1,2", "1,1.5,1,2", "0.5,1,1,1,2,1,1,3"),
+}
+_FAMILY_PARAM = {"constant": None, "krawtchouk": None, "hahn": "alpha",
+                 "qkrawtchouk": "q", "custom": "gamma"}
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 7)) == 0
+
+
+@st.composite
+def _value(draw, typical):
+    """Mostly one of the typical values, sometimes an edge value."""
+    return draw(st.sampled_from(_EDGE_VALUES if _rarely(draw) else typical))
+
+
+@st.composite
+def _panel(draw):
+    family = draw(st.sampled_from((*_FAMILY_PARAM, "sine")))
+    keys = ["c", _FAMILY_PARAM.get(family)]
+    if _rarely(draw):
+        keys = draw(st.lists(st.sampled_from(("c", *_PARAMS)), unique=True))
+    typical = dict(_PARAMS, c=("0.05", "0.1", "0.3"))
+    items = [f"{k}={draw(_value(typical[k]))}" for k in keys if k is not None]
+    return family + ":" + ",".join(items)
+
+
+@st.composite
+def _argv(draw):
+    """A mostly valid argv of any subcommand, with stray flags and edge
+    values, and the --out name (None, a file or a file in a missing
+    directory)."""
+    sub = draw(st.sampled_from(("spectrum", "verify", "bound", "plot", "export")))
+    argv = [sub]
+    if sub == "plot":
+        for _ in range(draw(st.integers(0, 3))):
+            argv += ["--panel", draw(_panel())]
+        argv += ["--n", draw(_value(("3", "6", "9")))]
+    else:
+        family = draw(st.sampled_from(tuple(_FAMILY_PARAM)))
+        n = draw(st.integers(1, 9))
+        argv += ["--family", family, "--n", draw(_value((str(n),)))]
+        own = _FAMILY_PARAM[family]
+        # The family's own flag is mostly given, a foreign flag rarely.
+        for key, typical in _PARAMS.items():
+            if key == own and _rarely(draw) or key != own and not _rarely(draw):
+                continue
+            if key == "gamma" and not _rarely(draw):
+                typical = (",".join(["1.5"] * (n - 1)),)
+            argv += [f"--{key}", draw(_value(typical))]
+        argv += ["--c", draw(_value(("0", "0.05", "0.1", "0.3")))]
+        if sub == "spectrum":
+            argv += ["--format", draw(st.sampled_from(("json", "csv", "text")))]
+        if sub == "verify" and draw(st.booleans()):
+            argv.append("--perturb")
+        if sub == "export":
+            argv += ["--levels", draw(_value(("0", "1", "2", "3")))]
+    for flag in ("--omega", "--hbar"):
+        if draw(st.booleans()):
+            argv += [flag, draw(_value(("1", "0.7", "1.3")))]
+    out = draw(st.sampled_from((None, "payload.out", "missing/payload.out")))
+    if sub == "plot" and out is None:
+        out = "payload.svg"
+    return argv, out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_argv_grammar_exit_codes_and_payloads(case):
+    argv, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if out is not None:
+            out = os.path.join(tmp, out)
+            argv = argv + ["--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        payload = stdout.getvalue()
+        if out is not None and os.path.exists(out):
+            with open(out, encoding="utf-8") as fh:
+                payload += fh.read()
+    assert code in (0, 1, 2, 3, 4), (argv, stderr.getvalue())
+    assert code != 1 or argv[0] == "verify", (argv, stderr.getvalue())
+    if code == 0:
+        assert not re.search(r"(?i)\b(inf|infinity|nan)\b", payload), (argv, payload)
 
 
 # -- plot ---------------------------------------------------------------------
@@ -357,6 +482,13 @@ def test_config_file_errors(tmp_path):
     bad_value = tmp_path / "bad_value.cfg"
     bad_value.write_text("svg_width=broad\n")
     assert _run(["plot", "--out", str(out)], config=str(bad_value)).returncode == 2
+    for line in ("verify_ortho_tol=nan", "svg_width=inf", "svg_margin=-1"):
+        cfg = tmp_path / "out_of_range.cfg"
+        cfg.write_text(f"# range check\n{line}\n")
+        proc = _run(["verify", "--family", "krawtchouk", "--n", "4"], config=str(cfg))
+        assert proc.returncode == 2
+        assert f"{cfg}:2: value for" in proc.stderr
+        assert proc.stdout == ""
     missing = tmp_path / "nowhere.cfg"
     proc = _run(["plot", "--out", str(out)], config=str(missing))
     assert proc.returncode == 2
