@@ -140,7 +140,8 @@ class ChainSpec:
 
 
 def _family_params(chain: ChainSpec):
-    """Jacobi family backing the interaction, or None for custom."""
+    """Jacobi family backing the interaction.  Raises ClosedFormUnavailable
+    for custom interactions, which have none."""
     N = chain.n - 1
     kind = chain.interaction
     if isinstance(kind, ConstantInteraction):
@@ -151,33 +152,38 @@ def _family_params(chain: ChainSpec):
         return HahnParams(N=N, alpha=kind.alpha, beta=kind.alpha)
     if isinstance(kind, DualQKrawtchoukInteraction):
         return DualQKrawtchoukParams(N=N, cbar=-1.0, q=kind.q)
-    return None
+    raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
 
 
 def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
     """Interaction magnitudes gamma_1 .. gamma_{n-1}; for the built-in
-    families gamma_r = 2 E_r with E_r the Jacobi off-diagonal."""
+    families gamma_r = 2 E_r with E_r the Jacobi off-diagonal.  Raises
+    InvalidParams when 2 E_r overflows."""
     if isinstance(chain.interaction, CustomInteraction):
         return chain.interaction.gammas
-    fam = _family_params(chain)
-    return tuple(2.0 * e for e in build_jacobi(fam).offdiag)
+    gammas = tuple(2.0 * e for e in build_jacobi(_family_params(chain)).offdiag)
+    if not all(map(math.isfinite, gammas)):
+        raise InvalidParams("coupling magnitudes 2 E_r overflow float range")
+    return gammas
 
 
 def assemble_quadratic_form(chain: ChainSpec) -> SymTridiagonal:
     """Quadratic form A of the chain: diagonal omega^2 (polynomial and
     custom couplings) or omega^2 + 2c (uniform coupling), off-diagonal
-    magnitudes (c / 2) gamma_r."""
+    magnitudes (c / 2) gamma_r, which is c E_r for the built-in families."""
     w2 = chain.omega**2
     c = chain.coupling
-    if c == 0.0:
-        # Every coupling term vanishes, so the family's Jacobi matrix (which
-        # can overflow, as for dual q-Krawtchouk with small q) is not built.
-        return SymTridiagonal(diag=(w2,) * chain.n, offdiag=(0.0,) * (chain.n - 1))
-    if isinstance(chain.interaction, ConstantInteraction):
+    kind = chain.interaction
+    if isinstance(kind, ConstantInteraction):
         diag = (w2 + 2.0 * c,) * chain.n
     else:
         diag = (w2,) * chain.n
-    off = tuple(0.5 * c * g for g in coupling_coefficients(chain))
+    if isinstance(kind, CustomInteraction):
+        off = tuple(0.5 * c * g for g in kind.gammas)
+    else:
+        # c E_r rounds as (c / 2)(2 E_r) does, and stays finite near the
+        # dual q-Krawtchouk range limit, where 2 E_r overflows.
+        off = tuple(c * e for e in build_jacobi(_family_params(chain)).offdiag)
     return SymTridiagonal(diag=diag, offdiag=off)
 
 
@@ -199,8 +205,6 @@ _FIRST_LABEL = {DualQKrawtchoukInteraction: 0}
 def _closed_squares(chain: ChainSpec) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Squared mode frequencies omega^2 + c mu in family order, with their
     family indices."""
-    if isinstance(chain.interaction, CustomInteraction):
-        raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
     w2 = chain.omega**2
     c = chain.coupling
     squares = tuple(w2 + c * mu for mu in interaction_spectrum(_family_params(chain)))
@@ -276,9 +280,10 @@ def is_positive_definite(chain: ChainSpec) -> bool:
 
 
 def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
-    """Energy hbar * sum_j omega_j (k_j + 1/2) of an occupation vector,
-    indexed against the ascending mode frequencies.  Raises InvalidParams
-    when it overflows."""
+    """Energy E_0 + hbar * sum_j omega_j k_j of an occupation vector, indexed
+    against the ascending mode frequencies, with the rounding of
+    enumerate_levels and single_phonon_levels.  Raises InvalidParams when it
+    overflows."""
     if len(occupations) != chain.n:
         raise DimensionMismatch(
             f"{len(occupations)} occupation numbers for {chain.n} modes"
@@ -286,8 +291,8 @@ def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
     if any(k < 0 or k != int(k) for k in occupations):
         raise InvalidParams("occupation numbers must be non-negative integers")
     spectrum = mode_frequencies(chain)
-    terms = (w * (k + 0.5) for w, k in zip(spectrum.omegas, occupations))
-    return _finite_energy(chain.hbar * _left_sum(terms))
+    phonons = _left_sum(w * k for w, k in zip(spectrum.omegas, occupations))
+    return _finite_energy(ground_energy(chain, spectrum) + chain.hbar * phonons)
 
 
 def _left_sum(values) -> float:

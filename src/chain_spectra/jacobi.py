@@ -16,9 +16,10 @@ recurrence stitched at the entry of largest weight, which keeps every column
 accurate to machine precision even where a one-sided recurrence diverges.
 The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweep loop:
-numeric_eigenvalues runs it without eigenvectors (mode frequencies and the
-positive-definiteness test need no more), numeric_decomposition runs it
-with U^T, whose rows i and i + 1 each rotation updates.
+numeric_eigenvalues runs it without eigenvectors (mode frequencies, the
+positive-definiteness test and the CLI's verify need no more),
+numeric_decomposition runs it with U^T, whose rows i and i + 1 each
+rotation updates.
 """
 
 from __future__ import annotations
@@ -126,7 +127,13 @@ def build_jacobi(fam: JacobiFamily) -> SymTridiagonal:
         return SymTridiagonal(diag=(2.0,) * n, offdiag=(1.0,) * (n - 1))
     B, D = bidiagonal_split(fam)
     diag = tuple(b + d for b, d in zip(B, D))
-    off = tuple(math.sqrt(B[i - 1] * D[i]) for i in range(1, fam.N + 1))
+    # Where B_{i-1} D_i overflows (dual q-Krawtchouk with small q or large
+    # N), the square roots of its factors do not.
+    off = tuple(
+        math.sqrt(bd) if (bd := b * d) < math.inf
+        else math.sqrt(abs(b)) * math.sqrt(abs(d))
+        for b, d in zip(B, D[1:])
+    )
     return SymTridiagonal(diag=diag, offdiag=off)
 
 
@@ -161,12 +168,10 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _stitched_vector(F: np.ndarray, E: np.ndarray, lam: float) -> np.ndarray:
-    """Unit eigenvector of tridiag(-E, F, -E) for eigenvalue lam.
-
-    Forward and backward recurrences each follow their stable direction;
-    the halves are joined at the index of largest combined magnitude.
-    """
+def _forward_recurrence(F: np.ndarray, E: np.ndarray, lam: float) -> np.ndarray:
+    """Solution of the three-term recurrence of tridiag(-E, F, -E) - lam I
+    from u_0 = 1, rescaled whenever an entry passes _RESCALE_LIMIT.  On the
+    reversed F and E it is the backward recurrence from the last entry."""
     n = len(F)
     u = np.zeros(n)
     u[0] = 1.0
@@ -176,14 +181,18 @@ def _stitched_vector(F: np.ndarray, E: np.ndarray, lam: float) -> np.ndarray:
         u[i + 1] = ((F[i] - lam) * u[i] - E[i - 1] * u[i - 1]) / E[i]
         if abs(u[i + 1]) > _RESCALE_LIMIT:
             u[: i + 2] /= abs(u[i + 1])
-    v = np.zeros(n)
-    v[n - 1] = 1.0
-    if n > 1:
-        v[n - 2] = (F[n - 1] - lam) / E[n - 2]
-    for i in range(n - 2, 0, -1):
-        v[i - 1] = ((F[i] - lam) * v[i] - E[i] * v[i + 1]) / E[i - 1]
-        if abs(v[i - 1]) > _RESCALE_LIMIT:
-            v[i - 1 :] /= abs(v[i - 1])
+    return u
+
+
+def _stitched_vector(F: np.ndarray, E: np.ndarray, lam: float) -> np.ndarray:
+    """Unit eigenvector of tridiag(-E, F, -E) for eigenvalue lam.
+
+    Forward and backward recurrences each follow their stable direction;
+    the halves are joined at the index of largest combined magnitude.
+    """
+    n = len(F)
+    u = _forward_recurrence(F, E, lam)
+    v = _forward_recurrence(F[::-1], E[::-1], lam)[::-1]
     stitch = np.abs(u) * np.abs(v)
     k = int(np.argmax(stitch))
     if stitch[k] == 0.0:
@@ -191,7 +200,14 @@ def _stitched_vector(F: np.ndarray, E: np.ndarray, lam: float) -> np.ndarray:
     vec = np.empty(n)
     vec[: k + 1] = u[: k + 1] * v[k]
     vec[k + 1 :] = v[k + 1 :] * u[k]
-    return vec / np.linalg.norm(vec)
+    # Entries up to _RESCALE_LIMIT can overflow the sum of squares; the
+    # norm is then taken again of the column scaled to max |entry| = 1.
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not 0.0 < norm < math.inf:
+        vec /= np.max(np.abs(vec))
+        norm = np.linalg.norm(vec)
+    return vec / norm
 
 
 def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
@@ -200,10 +216,9 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
         n = fam.N + 1
         i = np.arange(1, n + 1)
         U = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, i) * np.pi / (n + 1))
+        # Every first entry sqrt(2 / (n + 1)) sin(j pi / (n + 1)) is positive.
         return SpectralDecomposition(
-            eigenvalues=interaction_spectrum(fam),
-            vectors=_fix_signs(U),
-            origin=Origin.ANALYTIC,
+            eigenvalues=interaction_spectrum(fam), vectors=U, origin=Origin.ANALYTIC
         )
     M = build_jacobi(fam)
     F = np.asarray(M.diag)

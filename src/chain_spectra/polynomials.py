@@ -359,10 +359,27 @@ def _hahn_branch_sign(fp: HahnParams) -> float:
     return 1.0
 
 
+def _in_float_range(name: str, compute, fp: FamilyParams, index: int) -> float:
+    """compute(fp, index), or InvalidParams where the result leaves float
+    range: as a raw OverflowError of an integer factor, or as inf or nan."""
+    try:
+        value = compute(fp, index)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParams(f"{name} of {fp} at {index} is outside float range")
+    return value
+
+
 def weight(fp: FamilyParams, x: int) -> float:
-    """Orthogonality weight w(x) > 0 at lattice node x."""
+    """Orthogonality weight w(x) > 0 at lattice node x.  Raises
+    InvalidParams where it leaves float range."""
     if not 0 <= x <= fp.N:
         raise DegreeOutOfRange(f"lattice node {x} outside 0..{fp.N}")
+    return _in_float_range("weight", _weight, fp, x)
+
+
+def _weight(fp: FamilyParams, x: int) -> float:
     N = fp.N
     if isinstance(fp, KrawtchoukParams):
         p = fp.p
@@ -387,8 +404,13 @@ def weight(fp: FamilyParams, x: int) -> float:
 
 def norm(fp: FamilyParams, i: int) -> float:
     """Squared norm h_i > 0 of the degree-i polynomial:
-    sum_x w(x) P_i(x)^2 = h_i."""
+    sum_x w(x) P_i(x)^2 = h_i.  Raises InvalidParams where it leaves float
+    range."""
     _check_degree(fp, i)
+    return _in_float_range("norm", _norm, fp, i)
+
+
+def _norm(fp: FamilyParams, i: int) -> float:
     N = fp.N
     if isinstance(fp, KrawtchoukParams):
         p = fp.p

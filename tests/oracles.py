@@ -7,9 +7,12 @@ literals were produced by separate oracle scripts (exact rational sums and
 an independent eigensolver) and are pinned here as plain constants.  The
 per-family closed forms of the squared mode frequencies and the coupling
 bound are written out family by family, in the float operation order whose
-bits the CLI payloads carry.  column_ql_reference is the QL eigensolver as it
-was first written (numpy-scalar d and e, rotations on columns of U), kept
-to pin the package's QL bit for bit.  enumerate_levels_reference is the
+bits the CLI payloads carry.  stitched_decomposition_reference is the
+analytic eigenvector recurrence as first written (a forward and a mirrored
+backward loop), kept to pin the one-loop recurrence bit for bit.  column_ql_reference is
+the QL eigensolver as it was first written (numpy-scalar d and e, rotations
+on columns of U), kept to pin the package's QL bit for bit.
+enumerate_levels_reference is the
 level enumeration as first written (one occupation tuple at a time, sorted
 as (energy, tuple) pairs), kept to pin the array enumeration bit for bit.
 """
@@ -33,7 +36,8 @@ from chain_spectra.chain import (
     mode_frequencies,
 )
 from chain_spectra.errors import NoConvergence
-from chain_spectra.jacobi import SIGN_TOL
+from chain_spectra.jacobi import SIGN_TOL, ConstantParams, build_jacobi
+from chain_spectra.polynomials import _kappa, lattice
 
 _EPS = float(np.finfo(float).eps)
 
@@ -231,6 +235,62 @@ def column_ql_reference(M, max_sweeps: int = 64) -> tuple[tuple, np.ndarray]:
         if lead.size and U[lead[0], j] < 0.0:
             U[:, j] = -U[:, j]
     return tuple(d[order]), U
+
+
+def _two_loop_stitched_vector(F, E, lam) -> tuple[np.ndarray, float]:
+    n = len(F)
+    u = np.zeros(n)
+    u[0] = 1.0
+    if n > 1:
+        u[1] = (F[0] - lam) / E[0]
+    for i in range(1, n - 1):
+        u[i + 1] = ((F[i] - lam) * u[i] - E[i - 1] * u[i - 1]) / E[i]
+        if abs(u[i + 1]) > 1e250:
+            u[: i + 2] /= abs(u[i + 1])
+    v = np.zeros(n)
+    v[n - 1] = 1.0
+    if n > 1:
+        v[n - 2] = (F[n - 1] - lam) / E[n - 2]
+    for i in range(n - 2, 0, -1):
+        v[i - 1] = ((F[i] - lam) * v[i] - E[i] * v[i + 1]) / E[i - 1]
+        if abs(v[i - 1]) > 1e250:
+            v[i - 1 :] /= abs(v[i - 1])
+    stitch = np.abs(u) * np.abs(v)
+    k = int(np.argmax(stitch))
+    if stitch[k] == 0.0:
+        k = n - 1
+    vec = np.empty(n)
+    vec[: k + 1] = u[: k + 1] * v[k]
+    vec[k + 1 :] = v[k + 1 :] * u[k]
+    norm = float(np.linalg.norm(vec))
+    return vec / norm, norm
+
+
+def stitched_decomposition_reference(fam) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic eigenvectors as first written: the two-sided recurrence with
+    a forward and a mirrored backward loop, each column divided by its norm
+    (the uniform chain by its sine formula instead), then every column's
+    first entry above SIGN_TOL made positive.  Returns the vectors and the
+    norms the columns were divided by (1 for the sine formula)."""
+    if isinstance(fam, ConstantParams):
+        n = fam.N + 1
+        i = np.arange(1, n + 1)
+        U = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, i) * np.pi / (n + 1))
+        norms = np.ones(n)
+    else:
+        M = build_jacobi(fam)
+        F = np.asarray(M.diag)
+        E = np.asarray(M.offdiag)
+        U = np.empty((M.size, M.size))
+        norms = np.empty(M.size)
+        with np.errstate(all="ignore"):
+            for j, pt in enumerate(lattice(fam)):
+                U[:, j], norms[j] = _two_loop_stitched_vector(F, E, _kappa(fam, pt))
+    for j in range(U.shape[1]):
+        lead = np.nonzero(np.abs(U[:, j]) > SIGN_TOL)[0]
+        if lead.size and U[lead[0], j] < 0.0:
+            U[:, j] = -U[:, j]
+    return U, norms
 
 
 # Exact-orthogonality parameter sets: (family, params, N).

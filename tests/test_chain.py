@@ -449,17 +449,13 @@ def test_custom_interaction_paths():
 
 def test_state_energy_values_and_errors():
     chain = _chain(KrawtchoukInteraction(), 4, 0.4)
-    assert state_energy(chain, (0, 0, 0, 0)) == pytest.approx(
-        oracles.GROUND_KRAWTCHOUK_N4_C04, rel=1e-15
-    )
+    assert state_energy(chain, (0, 0, 0, 0)) == oracles.GROUND_KRAWTCHOUK_N4_C04
     omegas = mode_frequencies(chain).omegas
     ground = state_energy(chain, (0, 0, 0, 0))
     for j in range(4):
         occ = [0, 0, 0, 0]
         occ[j] = 1
-        assert state_energy(chain, occ) == pytest.approx(
-            ground + omegas[j], rel=1e-14
-        )
+        assert state_energy(chain, occ) == ground + omegas[j]
     with pytest.raises(DimensionMismatch):
         state_energy(chain, (0, 0, 1))
     with pytest.raises(InvalidParams):
@@ -485,7 +481,7 @@ def test_single_phonon_levels_structure():
     for j, level in enumerate(levels):
         occ = [0] * 4
         occ[j] = 1
-        assert level == pytest.approx(state_energy(chain, occ), rel=1e-15)
+        assert level == state_energy(chain, occ)
 
 
 def test_single_oscillator_levels():
@@ -574,6 +570,23 @@ def test_enumerate_levels_equals_scalar_reference(n):
                         (g.degeneracy, g.occupations) for g in want
                     ], where
                     assert type(got[-1].occupations[0][0]) is int
+
+
+def test_state_energy_equals_level_and_single_phonon_energies():
+    # One formula, E_0 + hbar * sum_j omega_j k_j summed left to right, for
+    # a state's energy, its level's energy and the single-phonon levels.
+    n = 5
+    for interaction in _grid_interactions(n):
+        for c in _grid_couplings(interaction, n, 1.0)[1:]:
+            for hbar in (1.0, 0.7):
+                chain = _chain(interaction, n, c, hbar=hbar)
+                where = (interaction, c, hbar)
+                for group in enumerate_levels(chain, 3):
+                    assert state_energy(chain, group.occupations[0]) == group.energy, where
+                for j, level in enumerate(single_phonon_levels(chain)):
+                    occ = [0] * n
+                    occ[j] = 1
+                    assert state_energy(chain, occ) == level, where
 
 
 def test_enumerate_levels_budget_and_validation():

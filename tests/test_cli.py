@@ -193,11 +193,12 @@ def test_verify_reports_integer_lattice():
 
 
 def test_verify_qkrawtchouk_passes():
-    proc = _run(
-        ["verify", "--family", "qkrawtchouk", "--q", "1.6", "--n", "12"]
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("eigenvalues 0 ")
+    # At q = 2, n = 49 the sum of squares of some stitched columns
+    # overflows before they are normalised.
+    for q, n in (("1.6", "12"), ("2", "49")):
+        proc = _run(["verify", "--family", "qkrawtchouk", "--q", q, "--n", n])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("eigenvalues 0 ")
 
 
 def test_verify_perturbed_matrix_fails():
@@ -214,7 +215,7 @@ def test_verify_custom_rejected():
         ["verify", "--family", "custom", "--gamma", "1.0", "--n", "2"]
     )
     assert proc.returncode == 2
-    assert "custom" in proc.stderr
+    assert proc.stderr == "custom interactions have no closed-form spectrum\n"
 
 
 # -- bound --------------------------------------------------------------------
@@ -235,6 +236,7 @@ def test_bound_values():
     )
     proc = _run(["bound", "--family", "custom", "--gamma", "1.0,1.0", "--n", "3"])
     assert proc.returncode == 2
+    assert proc.stderr == "no closed-form coupling bound for custom gammas\n"
 
 
 # -- flag validation ----------------------------------------------------------
@@ -270,15 +272,30 @@ def test_out_of_range_chains_exit2_without_traceback(argv, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_uncoupled_chain_needs_no_jacobi_matrix():
-    # At c = 0 every mode is omega, although this family's Jacobi matrix
-    # overflows float range.
-    argv = ["--family", "qkrawtchouk", "--q", "0.01", "--n", "100", "--c", "0", "--omega", "1.3"]
-    proc = _run(["spectrum", *argv])
+def test_small_q_chain_where_jacobi_products_overflow():
+    # (n - 1) |ln q| = 455.9 is past ln(float max) / 2, so the products
+    # B_{i-1} D_i behind this family's Jacobi matrix overflow float range.
+    argv = ["spectrum", "--family", "qkrawtchouk", "--q", "0.01", "--n", "100"]
+    proc = _run([*argv, "--c", "0", "--omega", "1.3"])
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["omegas_closed"] == [1.3] * 100
     assert payload["omegas_numeric"] == [1.3] * 100
+    proc = _run([*argv, "--c", "1e-300"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["omegas_closed"] == payload["omegas_numeric"]
+
+
+def test_single_site_custom_chain_takes_empty_gamma():
+    proc = _run(["spectrum", "--family", "custom", "--n", "1", "--gamma", "", "--omega", "2"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["spec"]["gamma"] == []
+    assert payload["omegas_numeric"] == [2.0]
+    proc = _run(["spectrum", "--family", "custom", "--n", "3", "--gamma", ""])
+    assert proc.returncode == 2
+    assert "0 coupling magnitudes for a chain of 3 sites" in proc.stderr
 
 
 def test_flag_errors_exit2():

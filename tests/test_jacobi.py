@@ -225,6 +225,58 @@ def test_analytic_residuals_over_grids():
         assert recon <= RECON_RTOL * scale, (fam, recon, scale)
 
 
+def test_analytic_decomposition_equals_two_loop_reference():
+    # Bit for bit against the forward-and-mirrored-backward recurrence,
+    # wherever that gave a column of finite, positive norm.
+    fams = []
+    for N in (0, 1, 2, 5, 12, 31, 47, 63):
+        fams += [
+            ConstantParams(N=N),
+            KrawtchoukParams(N=N, p=0.5),
+            KrawtchoukParams(N=N, p=0.3),
+            HahnParams(N=N, alpha=0.5, beta=0.5),
+            HahnParams(N=N, alpha=2.0, beta=-0.5),
+            HahnParams(N=N, alpha=-N - 2.5, beta=-N - 1.5),
+            DualQKrawtchoukParams(N=N, cbar=-1.0, q=1.6),
+            DualQKrawtchoukParams(N=N, cbar=-1.0, q=0.7),
+            DualQKrawtchoukParams(N=N, cbar=-2.5, q=2.0),
+        ]
+    compared = 0
+    for fam in fams:
+        got = analytic_decomposition(fam).vectors
+        want, norms = oracles.stitched_decomposition_reference(fam)
+        for j in np.flatnonzero((norms > 0.0) & (norms < math.inf)):
+            assert got[:, j].tobytes() == want[:, j].tobytes(), (fam, j)
+            compared += 1
+    assert compared > 0.95 * sum(fam.N + 1 for fam in fams)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        KrawtchoukParams(N=300, p=0.02),
+        KrawtchoukParams(N=150, p=0.001),
+        DualQKrawtchoukParams(N=48, cbar=-1.0, q=2.0),
+    ],
+)
+def test_analytic_columns_stay_unit_where_sum_of_squares_overflows(fam):
+    # Stitched entries reach 1e250, so their sum of squares overflows and a
+    # plain division by the norm gives a zero column.
+    ortho, _ = decomposition_residuals(build_jacobi(fam), analytic_decomposition(fam))
+    assert ortho <= 1e-12
+
+
+@pytest.mark.parametrize("q, N", [(0.01, 99), (0.5, 600)])
+def test_dualq_offdiagonals_under_q_to_one_over_q(q, N):
+    # E_i at q is q^-N times E_{N-1-i} at 1/q; for q = 0.01 the products
+    # B_{i-1} D_i behind these entries overflow float range.
+    off = build_jacobi(DualQKrawtchoukParams(N=N, cbar=-1.0, q=q)).offdiag
+    mirror = build_jacobi(DualQKrawtchoukParams(N=N, cbar=-1.0, q=1.0 / q)).offdiag
+    assert all(map(math.isfinite, off))
+    for e, m in zip(off, reversed(mirror)):
+        assert math.log(e) == pytest.approx(math.log(m) - N * math.log(q), rel=1e-14)
+
+
 # -- numeric decomposition -----------------------------------------------------
 
 

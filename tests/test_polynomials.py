@@ -309,6 +309,23 @@ def test_positivity_on_float_grids():
             assert norm(fp, i) > 0.0
 
 
+@pytest.mark.parametrize(
+    "measure, fp, index",
+    [
+        (weight, KrawtchoukParams(N=2000, p=0.5), 1000),
+        (norm, KrawtchoukParams(N=2000, p=0.5), 1000),
+        (weight, HahnParams(N=400, alpha=0.5, beta=0.5), 200),
+        (weight, DualQKrawtchoukParams(N=400, cbar=-1.0, q=1.6), 200),
+        (norm, DualQKrawtchoukParams(N=400, cbar=-1.0, q=1.6), 200),
+    ],
+)
+def test_weight_and_norm_outside_float_range_raise_invalid_params(measure, fp, index):
+    # The first three overflow in integer binomials and factorials, the
+    # dual q-Krawtchouk products reach inf.
+    with pytest.raises(InvalidParams, match="outside float range"):
+        measure(fp, index)
+
+
 def test_norm_equals_brute_force_orthogonality_sum():
     fps = (
         KrawtchoukParams(N=8, p=0.3),
