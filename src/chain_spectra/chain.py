@@ -288,8 +288,12 @@ def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
         raise DimensionMismatch(
             f"{len(occupations)} occupation numbers for {chain.n} modes"
         )
-    if any(k < 0 or k != int(k) for k in occupations):
-        raise InvalidParams("occupation numbers must be non-negative integers")
+    # The range test comes first: it is False for nan, and int() of inf
+    # raises, as does float arithmetic on an int above float range.
+    if any(not 0 <= k <= sys.float_info.max or k != int(k) for k in occupations):
+        raise InvalidParams(
+            "occupation numbers must be non-negative integers in float range"
+        )
     spectrum = mode_frequencies(chain)
     phonons = _left_sum(w * k for w, k in zip(spectrum.omegas, occupations))
     return _finite_energy(ground_energy(chain, spectrum) + chain.hbar * phonons)

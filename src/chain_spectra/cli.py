@@ -12,16 +12,12 @@ Each family takes at most one parameter flag: --alpha (hahn), --q
 rejected for every other family.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid flags or
-unsupported family/operation combinations (also an unwritable --out, an
-out-of-range config value, and frequencies or energies outside float
-range), 3 chain not positive definite, 4 enumeration over budget.
+unsupported family/operation combinations (also an unwritable --out, and
+frequencies or energies outside float range), 3 chain not positive
+definite, 4 enumeration over budget.
 
 Diagnostics (including wall-clock time) go to stderr; payloads go to
-stdout or --out, byte-deterministic for fixed inputs.  The environment
-variable CHAIN_SPECTRA_CONFIG may point to a key=value config file (one
-pair per line, # comments allowed) overriding geometry and tolerances:
-svg_width, svg_height, svg_margin, verify_ortho_tol, verify_recon_tol,
-verify_eig_tol, each a finite, non-negative number.
+stdout or --out, byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -62,14 +57,16 @@ from .jacobi import (
     numeric_eigenvalues,
 )
 
-_CONFIG_DEFAULTS = {
-    "svg_width": 840.0,
-    "svg_height": 420.0,
-    "svg_margin": 42.0,
-    "verify_ortho_tol": 1e-10,
-    "verify_recon_tol": 1e-9,
-    "verify_eig_tol": 1e-8,
-}
+# verify's thresholds: orthogonality is absolute; reconstruction and the
+# closed-vs-numeric eigenvalue deviation are relative to 1 + max |M_ij|.
+_ORTHO_TOL = 1e-10
+_RECON_TOL = 1e-9
+_EIG_TOL = 1e-8
+
+# SVG canvas, in px.
+_SVG_WIDTH = 840.0
+_SVG_HEIGHT = 420.0
+_SVG_MARGIN = 42.0
 
 # Each family's interaction class and the flag carrying its parameter, or
 # None; the flag is also the family's key in a plot panel.
@@ -80,48 +77,6 @@ _FAMILIES = {
     "qkrawtchouk": (DualQKrawtchoukInteraction, "q"),
     "custom": (CustomInteraction, "gamma"),
 }
-
-
-def _load_config() -> dict | None:
-    cfg = dict(_CONFIG_DEFAULTS)
-    path = os.environ.get("CHAIN_SPECTRA_CONFIG", "").strip()
-    if not path:
-        return cfg
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        print(f"cannot read config file {path!r}: {exc}", file=sys.stderr)
-        return None
-    for lineno, line in enumerate(raw_lines, start=1):
-        item = line.strip()
-        if not item or item.startswith("#"):
-            continue
-        if "=" not in item:
-            print(f"{path}:{lineno}: {item!r} is not key=value", file=sys.stderr)
-            return None
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in cfg:
-            print(f"{path}:{lineno}: unknown config key {key!r}", file=sys.stderr)
-            return None
-        try:
-            cfg[key] = float(value)
-        except ValueError:
-            print(
-                f"{path}:{lineno}: value for {key!r} is not a number: "
-                f"{value.strip()!r}",
-                file=sys.stderr,
-            )
-            return None
-        if not 0.0 <= cfg[key] < math.inf:
-            print(
-                f"{path}:{lineno}: value for {key!r} must be finite and "
-                f"non-negative, got {value.strip()!r}",
-                file=sys.stderr,
-            )
-            return None
-    return cfg
 
 
 def _build_chain(parser, args, family: str, param, coupling: float) -> ChainSpec:
@@ -188,7 +143,7 @@ def _pd_failure(chain: ChainSpec) -> tuple[int, None]:
     return 3, None
 
 
-def _cmd_spectrum(parser, args, cfg):
+def _cmd_spectrum(parser, args):
     chain = _chain_from_args(parser, args)
     custom = isinstance(chain.interaction, CustomInteraction)
     try:
@@ -239,7 +194,7 @@ def _cmd_spectrum(parser, args, cfg):
     return 0, text
 
 
-def _cmd_verify(parser, args, cfg):
+def _cmd_verify(parser, args):
     chain = _chain_from_args(parser, args)
     fam = _family_params(chain)
     M = build_jacobi(fam)
@@ -253,9 +208,9 @@ def _cmd_verify(parser, args, cfg):
     scale = 1.0 + max(abs(x) for x in M.diag + M.offdiag)
     eig_dev = max(abs(a - b) for a, b in zip(eigenvalues, numeric_eigenvalues(M)))
     checks = [
-        ("orthogonality", ortho, cfg["verify_ortho_tol"]),
-        ("reconstruction", recon, cfg["verify_recon_tol"] * scale),
-        ("closed_vs_numeric_eigenvalues", eig_dev, cfg["verify_eig_tol"] * scale),
+        ("orthogonality", ortho, _ORTHO_TOL),
+        ("reconstruction", recon, _RECON_TOL * scale),
+        ("closed_vs_numeric_eigenvalues", eig_dev, _EIG_TOL * scale),
     ]
     lines = [
         "eigenvalues " + " ".join(format(v, ".6g") for v in eigenvalues),
@@ -269,7 +224,7 @@ def _cmd_verify(parser, args, cfg):
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def _cmd_bound(parser, args, cfg):
+def _cmd_bound(parser, args):
     bound = max_coupling(_chain_from_args(parser, args))
     return 0, ("unbounded" if math.isinf(bound) else repr(bound)) + "\n"
 
@@ -312,10 +267,8 @@ def _panel_label(idx: int, fam: str, keys: dict) -> str:
     return f"({chr(ord('a') + idx)}) {fam} " + " ".join(parts)
 
 
-def _render_svg(panels, cfg) -> str:
-    width = cfg["svg_width"]
-    height = cfg["svg_height"]
-    margin = cfg["svg_margin"]
+def _render_svg(panels) -> str:
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     band = (width - 2 * margin) / max(len(panels), 1)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -363,7 +316,7 @@ def _render_svg(panels, cfg) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_plot(parser, args, cfg):
+def _cmd_plot(parser, args):
     specs = args.panel if args.panel else list(_DEFAULT_PANELS)
     panels = []
     for idx, text in enumerate(specs):
@@ -375,10 +328,10 @@ def _cmd_plot(parser, args, cfg):
         except NotPositiveDefinite:
             return _pd_failure(chain)
         panels.append((_panel_label(idx, fam, keys), rescale_levels(levels)))
-    return 0, _render_svg(panels, cfg)
+    return 0, _render_svg(panels)
 
 
-def _cmd_export(parser, args, cfg):
+def _cmd_export(parser, args):
     chain = _chain_from_args(parser, args)
     try:
         groups = enumerate_levels(chain, args.levels)
@@ -451,12 +404,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _load_config()
-    if cfg is None:
-        return 2
     t0 = time.perf_counter()
     try:
-        code, text = _COMMANDS[args.command](parser, args, cfg)
+        code, text = _COMMANDS[args.command](parser, args)
     except ChainSpectraError as exc:
         print(str(exc), file=sys.stderr)
         return 2

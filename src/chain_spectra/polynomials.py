@@ -288,9 +288,12 @@ def bidiagonal_split(fp: FamilyParams) -> tuple[tuple[float, ...], tuple[float, 
 
         B_i P_{i+1} = (B_i + D_i - kappa(x)) P_i - D_i P_{i-1}
 
-    with B_N = D_0 = 0, B_i > 0 for i < N and D_i > 0 for i > 0 on every
-    valid parameter branch.  kappa is the node x for Krawtchouk and Hahn and
-    mu(x) = (1 - q^-x)(1 - cbar q^(x-N)) for dual q-Krawtchouk.
+    with B_N = D_0 = 0 and B_{i-1} D_i > 0 for 0 < i <= N on every valid
+    parameter branch, so the Jacobi off-diagonals sqrt(B_{i-1} D_i) are
+    real.  The signs themselves vary: for dual q-Krawtchouk with q < 1 both
+    B_i (i < N) and D_i (i > 0) are negative.  kappa is the node x for
+    Krawtchouk and Hahn and mu(x) = (1 - q^-x)(1 - cbar q^(x-N)) for dual
+    q-Krawtchouk.
     """
     N = fp.N
     if isinstance(fp, KrawtchoukParams):
@@ -405,9 +408,12 @@ def _weight(fp: FamilyParams, x: int) -> float:
 def norm(fp: FamilyParams, i: int) -> float:
     """Squared norm h_i > 0 of the degree-i polynomial:
     sum_x w(x) P_i(x)^2 = h_i.  Raises InvalidParams where it leaves float
-    range."""
+    range, including an underflow to 0 (orthonormal_eval divides by it)."""
     _check_degree(fp, i)
-    return _in_float_range("norm", _norm, fp, i)
+    h = _in_float_range("norm", _norm, fp, i)
+    if not h > 0.0:
+        raise InvalidParams(f"norm of {fp} at {i} is outside float range")
+    return h
 
 
 def _norm(fp: FamilyParams, i: int) -> float:

@@ -462,6 +462,11 @@ def test_state_energy_values_and_errors():
         state_energy(chain, (0, -1, 0, 0))
     with pytest.raises(InvalidParams):
         state_energy(chain, (0, 0.5, 0, 0))
+    # Occupations above float range or not a number.
+    two = _chain(KrawtchoukInteraction(), 2, 0.4)
+    for k in (10**400, math.inf, math.nan):
+        with pytest.raises(InvalidParams):
+            state_energy(two, (k, 0))
 
 
 def test_state_energy_hbar_scaling():

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface, via subprocess and (for
 the argv grammar property) in process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -27,11 +28,7 @@ from chain_spectra.chain import (
 )
 
 
-def _run(argv, config=None):
-    env = dict(os.environ)
-    env.pop("CHAIN_SPECTRA_CONFIG", None)
-    if config is not None:
-        env["CHAIN_SPECTRA_CONFIG"] = config
+def _run(argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "chain_spectra.cli", *argv],
         capture_output=True,
@@ -478,38 +475,86 @@ def test_plot_custom_panels_and_flags(tmp_path):
     assert _run(["plot", "--panel", "constant:c=0.1,q=2", "--out", str(out)]).returncode == 2
 
 
-def test_plot_config_file_changes_geometry(tmp_path):
-    out_default = tmp_path / "default.svg"
-    out_wide = tmp_path / "wide.svg"
-    cfg = tmp_path / "chain.cfg"
-    cfg.write_text("# wider canvas\nsvg_width=900\n")
-    assert _run(["plot", "--out", str(out_default)]).returncode == 0
-    assert _run(["plot", "--out", str(out_wide)], config=str(cfg)).returncode == 0
-    assert out_default.read_bytes() != out_wide.read_bytes()
-    assert 'width="900.00"' in out_wide.read_text()
+# -- inputs -------------------------------------------------------------------
 
 
-def test_config_file_errors(tmp_path):
-    out = tmp_path / "x.svg"
-    bad_key = tmp_path / "bad_key.cfg"
-    bad_key.write_text("svg_girth=900\n")
-    proc = _run(["plot", "--out", str(out)], config=str(bad_key))
-    assert proc.returncode == 2
-    assert "unknown config key" in proc.stderr
-    bad_value = tmp_path / "bad_value.cfg"
-    bad_value.write_text("svg_width=broad\n")
-    assert _run(["plot", "--out", str(out)], config=str(bad_value)).returncode == 2
-    for line in ("verify_ortho_tol=nan", "svg_width=inf", "svg_margin=-1"):
-        cfg = tmp_path / "out_of_range.cfg"
-        cfg.write_text(f"# range check\n{line}\n")
-        proc = _run(["verify", "--family", "krawtchouk", "--n", "4"], config=str(cfg))
-        assert proc.returncode == 2
-        assert f"{cfg}:2: value for" in proc.stderr
-        assert proc.stdout == ""
-    missing = tmp_path / "nowhere.cfg"
-    proc = _run(["plot", "--out", str(out)], config=str(missing))
-    assert proc.returncode == 2
-    assert "cannot read config file" in proc.stderr
+def test_output_depends_on_argv_alone(tmp_path):
+    # The payload and exit code depend on argv alone: a config file that
+    # would loosen verify's thresholds and widen the SVG, or a path that does
+    # not exist, changes no command.
+    loose = tmp_path / "loose.cfg"
+    loose.write_text(
+        "verify_ortho_tol=1\nverify_recon_tol=1\nverify_eig_tol=1\nsvg_width=900\n"
+    )
+    unset = {k: v for k, v in os.environ.items() if k != "CHAIN_SPECTRA_CONFIG"}
+    svg = tmp_path / "levels.svg"
+    commands = (
+        ["spectrum", "--family", "krawtchouk", "--n", "4", "--c", "0.4"],
+        ["bound", "--family", "krawtchouk", "--n", "12"],
+        ["verify", "--family", "krawtchouk", "--n", "12"],
+        ["verify", "--family", "krawtchouk", "--n", "12", "--perturb"],
+        ["plot", "--out", str(svg)],
+    )
+
+    def observe(argv, env):
+        svg.unlink(missing_ok=True)
+        proc = _run(argv, env=env)
+        return proc.returncode, proc.stdout, svg.read_bytes() if svg.exists() else None
+
+    expected = [observe(argv, unset) for argv in commands]
+    assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0]
+    for setting in (loose, tmp_path / "nowhere.cfg"):
+        env = dict(unset, CHAIN_SPECTRA_CONFIG=str(setting))
+        assert [observe(argv, env) for argv in commands] == expected, setting
+
+
+# Every subcommand's options: option -> (required, choices, default).
+_CHAIN_FLAGS = {
+    "--family": (True, ("constant", "krawtchouk", "hahn", "qkrawtchouk", "custom"), None),
+    "--alpha": (False, None, None),
+    "--q": (False, None, None),
+    "--gamma": (False, None, None),
+    "--n": (True, None, None),
+    "--omega": (False, None, 1.0),
+    "--c": (False, None, 0.0),
+    "--hbar": (False, None, 1.0),
+    "--out": (False, None, None),
+}
+_CLI_SURFACE = {
+    "spectrum": {**_CHAIN_FLAGS, "--format": (False, ("json", "csv", "text"), "json")},
+    "verify": {**_CHAIN_FLAGS, "--perturb": (False, None, False)},
+    "bound": _CHAIN_FLAGS,
+    "plot": {
+        "--panel": (False, None, None),
+        "--n": (False, None, 12),
+        "--omega": (False, None, 1.0),
+        "--hbar": (False, None, 1.0),
+        "--out": (True, None, None),
+    },
+    "export": {**_CHAIN_FLAGS, "--levels": (True, None, None)},
+}
+
+
+def test_cli_surface_is_pinned():
+    # A change to any subcommand's options shows up here, on purpose.
+    parser = cli._build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    observed = {
+        name: [
+            (
+                " ".join(a.option_strings),
+                (a.required, None if a.choices is None else tuple(a.choices), a.default),
+            )
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert list(observed) == list(_CLI_SURFACE)
+    for name, options in _CLI_SURFACE.items():
+        assert observed[name] == list(options.items()), name
 
 
 # -- export -------------------------------------------------------------------

@@ -317,11 +317,17 @@ def test_positivity_on_float_grids():
         (weight, HahnParams(N=400, alpha=0.5, beta=0.5), 200),
         (weight, DualQKrawtchoukParams(N=400, cbar=-1.0, q=1.6), 200),
         (norm, DualQKrawtchoukParams(N=400, cbar=-1.0, q=1.6), 200),
+        (
+            lambda fp, i: orthonormal_eval(fp, i, lattice_point(fp, 10)),
+            KrawtchoukParams(N=300, p=0.999),
+            200,
+        ),
     ],
 )
 def test_weight_and_norm_outside_float_range_raise_invalid_params(measure, fp, index):
     # The first three overflow in integer binomials and factorials, the
-    # dual q-Krawtchouk products reach inf.
+    # dual q-Krawtchouk products reach inf, and the last norm,
+    # ((1 - p)/p)^200 / C(300, 200), underflows to 0.
     with pytest.raises(InvalidParams, match="outside float range"):
         measure(fp, index)
 
