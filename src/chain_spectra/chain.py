@@ -463,8 +463,13 @@ def spacing_profile(levels: Sequence[float]) -> SpacingProfile:
 def rescale_levels(
     levels: Sequence[float], lo: float = 0.0, hi: float = 1.0
 ) -> tuple[float, ...]:
-    """Affinely map levels so min -> lo and max -> hi.  Raises
+    """Affinely map levels so min -> lo and max -> hi.  Raises TooFewLevels
+    for no levels, InvalidParams for a level that is not finite and
     DegenerateRange when all levels coincide."""
+    if len(levels) == 0:
+        raise TooFewLevels("need at least 1 level to rescale, got 0")
+    if not all(map(math.isfinite, levels)):
+        raise InvalidParams("levels must be finite")
     lowest = min(levels)
     span = max(levels) - lowest
     if span == 0.0:

@@ -18,14 +18,18 @@ The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweep loop:
 numeric_eigenvalues runs it without eigenvectors (mode frequencies, the
 positive-definiteness test and the CLI's verify need no more),
-numeric_decomposition runs it with U^T, whose rows i and i + 1 each
-rotation updates.
+numeric_decomposition runs it with U^T.  There each rotation of rows i and
+i + 1 is recorded, and _apply_rotations applies the recorded sequence in
+waves of rotations that share no row, each wave to strided views of U^T;
+every entry sees the operations of a rotation applied on its own, so the
+vectors are bit for bit those of one rotation at a time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Union
 
@@ -51,6 +55,9 @@ MAX_SWEEPS = 64
 
 _EPS = float(np.finfo(float).eps)
 _RESCALE_LIMIT = 1e250
+# The QL records at most this many rotations before it applies them to U^T,
+# which bounds the memory of the record.
+_ROTATION_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -160,11 +167,14 @@ def interaction_spectrum(fam: JacobiFamily) -> tuple[float, ...]:
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        lead = np.nonzero(np.abs(col) > SIGN_TOL)[0]
-        if lead.size and col[lead[0]] < 0.0:
-            U[:, j] = -col
+    """Negate, in place, each column whose first entry of magnitude above
+    SIGN_TOL is negative.  A column without such an entry has lead 0, whose
+    entry is then not below -SIGN_TOL either."""
+    if U.shape[0]:
+        cols = np.arange(U.shape[1])
+        lead = np.argmax(np.abs(U) > SIGN_TOL, axis=0)
+        flip = U[lead, cols] < -SIGN_TOL
+        U[:, flip] = -U[:, flip]
     return U
 
 
@@ -240,13 +250,15 @@ def _ql(
 
     d and e are Python floats, which round exactly as numpy float64
     scalars do at a fraction of the cost.  When Ut is given, each rotation
-    is applied to its contiguous rows i and i + 1, so Ut accumulates the
-    transposed eigenvector matrix.  Raises NoConvergence with the offending
-    row index when a deflation exceeds the sweep budget.
+    (i, c, s) of rows i and i + 1 is recorded and Ut accumulates the
+    transposed eigenvector matrix: _apply_rotations applies the record every
+    _ROTATION_CHUNK rotations and once at the end.  Raises NoConvergence
+    with the offending row index when a deflation exceeds the sweep budget.
     """
     n = M.size
     d = [float(x) for x in M.diag]
     e = [-float(x) for x in M.offdiag] + [0.0]
+    rows, cs, ss = array("q"), array("d"), array("d")
     for l in range(n):
         sweeps = 0
         while True:
@@ -283,19 +295,73 @@ def _ql(
                 d[i + 1] = g + p
                 g = c * r - b
                 if Ut is not None:
-                    # (lo, hi) <- (c lo - s hi, s lo + c hi), in place.
-                    lo, hi = Ut[i], Ut[i + 1]
-                    rotated = s * lo
-                    rotated += c * hi
-                    lo *= c
-                    lo -= s * hi
-                    hi[:] = rotated
+                    rows.append(i)
+                    cs.append(c)
+                    ss.append(s)
+                    if len(rows) == _ROTATION_CHUNK:
+                        _apply_rotations(Ut, rows, cs, ss)
+                        del rows[:], cs[:], ss[:]
                 i -= 1
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+    if Ut is not None:
+        _apply_rotations(Ut, rows, cs, ss)
     return d
+
+
+def _apply_rotations(Ut: np.ndarray, rows: array, cs: array, ss: array) -> None:
+    """Apply the rotations (rows[k], cs[k], ss[k]) in order to Ut, in place:
+    (Ut[i], Ut[i + 1]) <- (c Ut[i] - s Ut[i + 1], s Ut[i] + c Ut[i + 1]).
+
+    Each rotation joins wave max(ready[i], ready[i + 1]), which comes after
+    the wave of every earlier rotation that shares a row with it.  So the
+    rotations of one wave touch disjoint rows and commute, and applying the
+    waves in turn gives the product of the sequence.  A wave is applied run
+    by run, a run being rotations of rows i0, i0 + 2, ..., to the strided
+    views of their lo and hi rows, with the operations of one rotation in
+    their order: every entry of Ut gets the same bits as by one rotation at
+    a time.
+    """
+    if not rows:
+        return
+    n = Ut.shape[0]
+    ready = [0] * n
+    waves = array("q")
+    for i in rows:
+        t = ready[i] if ready[i] > ready[i + 1] else ready[i + 1]
+        ready[i] = ready[i + 1] = t + 1
+        waves.append(t)
+    # Sorted by key = wave (n + 1) + row, a run is a stretch of keys that
+    # step by 2, and a new wave steps the key by 3 or more.  The keys are
+    # distinct, so the stable sort gives the one order.  Each index array is
+    # dropped once used: the chunk's peak memory stays near its record's.
+    row = np.array(rows, dtype=np.int64)
+    key = np.array(waves, dtype=np.int64) * (n + 1) + row
+    del waves
+    order = np.argsort(key, kind="stable")
+    row, key = row[order], key[order]
+    c = np.array(cs)[order, None]
+    s = np.array(ss)[order, None]
+    del order
+    cuts = (np.flatnonzero(np.diff(key) - 2) + 1).tolist()
+    del key
+    starts = [0, *cuts]
+    ends = [*cuts, len(row)]
+    width = max(b - a for a, b in zip(starts, ends))
+    rotated, product = np.empty((width, n)), np.empty((width, n))
+    for a, b, i in zip(starts, ends, row[starts].tolist()):
+        k = b - a
+        lo, hi = Ut[i : i + 2 * k : 2], Ut[i + 1 : i + 2 * k + 1 : 2]
+        rot, tmp = rotated[:k], product[:k]
+        np.multiply(s[a:b], lo, out=rot)
+        np.multiply(c[a:b], hi, out=tmp)
+        rot += tmp
+        lo *= c[a:b]
+        np.multiply(s[a:b], hi, out=tmp)
+        lo -= tmp
+        hi[...] = rot
 
 
 def numeric_eigenvalues(
@@ -332,7 +398,9 @@ def decomposition_residuals(
 ) -> tuple[float, float]:
     """Max-norm residuals (orthogonality, reconstruction):
 
-        || U^T U - I ||_max  and  || M U - U diag(lambda) ||_max.
+        || U^T U - I ||_max  and  || M U - U diag(lambda) ||_max,
+
+    both 0.0 for a 0 x 0 matrix.
     """
     n = M.size
     U = dec.vectors
@@ -340,8 +408,10 @@ def decomposition_residuals(
         raise DimensionMismatch(
             f"decomposition of shape {U.shape} against matrix of size {n}"
         )
-    ortho = float(np.max(np.abs(U.T @ U - np.eye(n))))
-    recon = float(np.max(np.abs(M.dense() @ U - U * np.asarray(dec.eigenvalues))))
+    ortho = float(np.max(np.abs(U.T @ U - np.eye(n)), initial=0.0))
+    recon = float(
+        np.max(np.abs(M.dense() @ U - U * np.asarray(dec.eigenvalues)), initial=0.0)
+    )
     return ortho, recon
 
 

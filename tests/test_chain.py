@@ -644,6 +644,11 @@ def test_rescale_levels():
     assert shifted == pytest.approx((2.0, 3.0, 4.0), rel=1e-15)
     with pytest.raises(DegenerateRange):
         rescale_levels((1.0, 1.0, 1.0))
+    with pytest.raises(TooFewLevels):
+        rescale_levels(())
+    for bad in ((1.0, math.inf), (math.nan, 0.0, 1.0), (-math.inf, 2.0)):
+        with pytest.raises(InvalidParams):
+            rescale_levels(bad)
 
 
 # -- property-based checks -----------------------------------------------------------

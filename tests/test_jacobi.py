@@ -1,6 +1,7 @@
 """Tests for Jacobi matrix assembly and the two eigendecomposition paths."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import oracles
+from chain_spectra import jacobi
 from chain_spectra.chain import ChainSpec, CustomInteraction, assemble_quadratic_form
 from chain_spectra.errors import DimensionMismatch, InvalidParams, NoConvergence
 from chain_spectra.jacobi import (
@@ -364,15 +366,60 @@ def _custom_quadratic_forms():
     return forms
 
 
-def test_numeric_decomposition_equals_column_ql_reference():
+def test_numeric_decomposition_equals_column_ql_reference(monkeypatch):
+    chunks = []
+
+    def recording(Ut, rows, cs, ss):
+        chunks.append(len(rows))
+        apply_rotations(Ut, rows, cs, ss)
+
+    apply_rotations = jacobi._apply_rotations
+    monkeypatch.setattr(jacobi, "_apply_rotations", recording)
+    # Exact zeros in the middle split the QL into blocks that end at m < n - 1.
+    split = build_jacobi(HahnParams(N=40, alpha=1.7, beta=1.7))
+    split = SymTridiagonal(
+        diag=split.diag,
+        offdiag=tuple(0.0 if i in (9, 25) else x for i, x in enumerate(split.offdiag)),
+    )
     mats = [build_jacobi(fam) for fam in _grid((0, 1, 9, 31))]
-    mats += _custom_quadratic_forms() + [_SPLIT_EXAMPLE]
-    for m in mats:
+    mats += _custom_quadratic_forms() + [_SPLIT_EXAMPLE, split, SymTridiagonal((), ())]
+    # More than 2^14 rotations at n = 128: U^T gets them in several chunks.
+    large = [
+        build_jacobi(HahnParams(N=127, alpha=1.7, beta=1.7)),
+        build_jacobi(DualQKrawtchoukParams(N=127, cbar=-1.0, q=0.7)),
+    ]
+    flushes = []
+    for m in mats + large:
         values, vectors = oracles.column_ql_reference(m)
+        chunks.clear()
         dec = numeric_decomposition(m)
         assert dec.eigenvalues == values, m
         assert np.array_equal(dec.vectors, vectors), m
         assert numeric_eigenvalues(m) == values, m
+        assert chunks[:-1] == [jacobi._ROTATION_CHUNK] * (len(chunks) - 1)
+        flushes.append(len(chunks))
+    assert min(flushes[-len(large):]) > 1
+
+
+def test_apply_rotations_equals_one_at_a_time():
+    # Rows in any order, not only the descending sweeps the QL records.
+    rng = np.random.default_rng(20261018)
+    for n, count in ((2, 5), (7, 40), (16, 300), (33, 2000)):
+        rows = rng.integers(0, n - 1, count)
+        angles = rng.uniform(-math.pi, math.pi, count)
+        cs, ss = np.cos(angles), np.sin(angles)
+        start = rng.normal(size=(n, n))
+        expected = start.copy()
+        for i, c, s in zip(rows.tolist(), cs.tolist(), ss.tolist()):
+            lo, hi = expected[i], expected[i + 1]
+            rotated = s * lo
+            rotated += c * hi
+            lo *= c
+            lo -= s * hi
+            hi[:] = rotated
+        Ut = start.copy()
+        jacobi._apply_rotations(Ut, array("q", rows.tolist()), array("d", cs), array("d", ss))
+        assert np.array_equal(Ut, expected), n
 
 
 def _ql_outcome(solve, m):
@@ -453,6 +500,8 @@ def test_decomposition_residuals_errors_and_negative_control():
     mismatched = numeric_decomposition(build_jacobi(ConstantParams(N=8)))
     _, recon = decomposition_residuals(m, mismatched)
     assert recon > 0.1
+    empty = SymTridiagonal(diag=(), offdiag=())
+    assert decomposition_residuals(empty, numeric_decomposition(empty)) == (0.0, 0.0)
 
 
 # -- diagonal classification -----------------------------------------------------
