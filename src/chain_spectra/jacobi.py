@@ -14,6 +14,11 @@ K = M - F_0 I for the families whose diagonal is the constant F_0.
 The analytic route assembles each eigenvector by a two-sided minimal-solution
 recurrence stitched at the entry of largest weight, which keeps every column
 accurate to machine precision even where a one-sided recurrence diverges.
+_recurrence_sweep runs the recurrence for all eigenvalues at once, row by
+row over an n x n array with a column per eigenvalue, forward and on the
+reversed matrix; _stitched_vectors joins and norms the columns.  Each
+column gets the floating-point operations of its own scalar recurrence, so
+the vectors are bit for bit those of one eigenvalue at a time.
 The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweep loop:
 numeric_eigenvalues runs it without eigenvectors (mode frequencies, the
@@ -178,46 +183,65 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _forward_recurrence(F: np.ndarray, E: np.ndarray, lam: float) -> np.ndarray:
-    """Solution of the three-term recurrence of tridiag(-E, F, -E) - lam I
-    from u_0 = 1, rescaled whenever an entry passes _RESCALE_LIMIT.  On the
-    reversed F and E it is the backward recurrence from the last entry."""
+def _recurrence_sweep(F: np.ndarray, E: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Solutions of the three-term recurrences of tridiag(-E, F, -E) - lam_j I
+    from u_0 = 1, one column per lam_j, found row by row for all columns at
+    once.  A column is rescaled, its prefix divided by |u_{i+1}|, whenever
+    its entry u_{i+1} passes _RESCALE_LIMIT.  On the reversed F and E it
+    gives the backward recurrences from the last entry."""
     n = len(F)
-    u = np.zeros(n)
+    u = np.empty((n, len(lam)))
     u[0] = 1.0
     if n > 1:
         u[1] = (F[0] - lam) / E[0]
     for i in range(1, n - 1):
         u[i + 1] = ((F[i] - lam) * u[i] - E[i - 1] * u[i - 1]) / E[i]
-        if abs(u[i + 1]) > _RESCALE_LIMIT:
-            u[: i + 2] /= abs(u[i + 1])
+        big = np.flatnonzero(np.abs(u[i + 1]) > _RESCALE_LIMIT)
+        if big.size:
+            u[: i + 2, big] /= np.abs(u[i + 1, big])
     return u
 
 
-def _stitched_vector(F: np.ndarray, E: np.ndarray, lam: float) -> np.ndarray:
-    """Unit eigenvector of tridiag(-E, F, -E) for eigenvalue lam.
+def _stitched_vectors(F: np.ndarray, E: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of tridiag(-E, F, -E), column j for eigenvalue lam_j.
 
     Forward and backward recurrences each follow their stable direction;
-    the halves are joined at the index of largest combined magnitude.
+    each column's halves are joined at the index k of largest combined
+    magnitude (the last index where every product is 0): u v_k on rows up
+    to k and v u_k below.  The join is written in place into the forward
+    array, so the peak memory stays near three n x n arrays.
     """
-    n = len(F)
-    u = _forward_recurrence(F, E, lam)
-    v = _forward_recurrence(F[::-1], E[::-1], lam)[::-1]
-    stitch = np.abs(u) * np.abs(v)
-    k = int(np.argmax(stitch))
-    if stitch[k] == 0.0:
-        k = n - 1
-    vec = np.empty(n)
-    vec[: k + 1] = u[: k + 1] * v[k]
-    vec[k + 1 :] = v[k + 1 :] * u[k]
-    # Entries up to _RESCALE_LIMIT can overflow the sum of squares; the
-    # norm is then taken again of the column scaled to max |entry| = 1.
+    n, cols = len(F), np.arange(len(lam))
+    U = _recurrence_sweep(F, E, lam)
+    V = _recurrence_sweep(F[::-1], E[::-1], lam)[::-1]
+    # |u| |v| with a row per eigenvalue, so that argmax reduces contiguous
+    # rows without a transposed copy; filled row by row, without an n x n
+    # temporary.
+    stitch = np.abs(U.T, order="C")
+    for j in cols:
+        stitch[j] *= np.abs(V[:, j])
+    k = np.argmax(stitch, axis=1)
+    k[stitch[cols, k] == 0.0] = n - 1
+    del stitch
+    uk, vk = U[k, cols], V[k, cols]
+    head = np.arange(n)[:, None] <= k
+    # Only the products of each half are formed: the others can overflow.
+    np.multiply(U, vk, out=U, where=head)
+    np.multiply(V, uk, out=U, where=~head)
+    del V, head
+    # Each eigenvector is normed as a contiguous row, where np.linalg.norm
+    # is one dot product.  Entries up to _RESCALE_LIMIT can overflow the sum
+    # of squares; the norm is then taken again of the vector scaled to
+    # max |entry| = 1.
+    vecs = U.T.copy()
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vec)
-    if not 0.0 < norm < math.inf:
-        vec /= np.max(np.abs(vec))
-        norm = np.linalg.norm(vec)
-    return vec / norm
+        norms = np.array([np.linalg.norm(vec) for vec in vecs])
+    for j in np.flatnonzero(~((0.0 < norms) & (norms < math.inf))):
+        vecs[j] /= np.max(np.abs(vecs[j]))
+        norms[j] = np.linalg.norm(vecs[j])
+    vecs /= norms[:, None]
+    U[...] = vecs.T
+    return U
 
 
 def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
@@ -235,9 +259,7 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
     E = np.asarray(M.offdiag)
     points = lattice(fam)
     eigenvalues = tuple(_kappa(fam, pt) for pt in points)
-    U = np.empty((M.size, M.size))
-    for j, lam in enumerate(eigenvalues):
-        U[:, j] = _stitched_vector(F, E, lam)
+    U = _stitched_vectors(F, E, np.array(eigenvalues))
     return SpectralDecomposition(
         eigenvalues=eigenvalues, vectors=_fix_signs(U), origin=Origin.ANALYTIC
     )

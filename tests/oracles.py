@@ -9,7 +9,11 @@ per-family closed forms of the squared mode frequencies and the coupling
 bound are written out family by family, in the float operation order whose
 bits the CLI payloads carry.  stitched_decomposition_reference is the
 analytic eigenvector recurrence as first written (a forward and a mirrored
-backward loop), kept to pin the one-loop recurrence bit for bit.  column_ql_reference is
+backward loop), kept to pin the one-loop recurrence bit for bit.
+stitched_vectors_reference is the one-loop recurrence run one eigenvalue at
+a time, with the norm taken again of the max-scaled column where the sum of
+squares overflows, kept to pin the all-eigenvalues-at-once kernel bit for
+bit, NaN columns included.  column_ql_reference is
 the QL eigensolver as it was first written (numpy-scalar d and e, rotations
 on columns of U), kept to pin the package's QL bit for bit.
 enumerate_levels_reference is the
@@ -229,12 +233,17 @@ def column_ql_reference(M, max_sweeps: int = 64) -> tuple[tuple, np.ndarray]:
                 e[l] = g
                 e[m] = 0.0
     order = np.argsort(d, kind="stable")
-    U = U[:, order]
-    for j in range(n):
+    return tuple(d[order]), _first_entry_positive(U[:, order])
+
+
+def _first_entry_positive(U: np.ndarray) -> np.ndarray:
+    """Negate, in place, each column whose first entry above SIGN_TOL in
+    magnitude is negative."""
+    for j in range(U.shape[1]):
         lead = np.nonzero(np.abs(U[:, j]) > SIGN_TOL)[0]
         if lead.size and U[lead[0], j] < 0.0:
             U[:, j] = -U[:, j]
-    return tuple(d[order]), U
+    return U
 
 
 def _two_loop_stitched_vector(F, E, lam) -> tuple[np.ndarray, float]:
@@ -286,11 +295,54 @@ def stitched_decomposition_reference(fam) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(all="ignore"):
             for j, pt in enumerate(lattice(fam)):
                 U[:, j], norms[j] = _two_loop_stitched_vector(F, E, _kappa(fam, pt))
-    for j in range(U.shape[1]):
-        lead = np.nonzero(np.abs(U[:, j]) > SIGN_TOL)[0]
-        if lead.size and U[lead[0], j] < 0.0:
-            U[:, j] = -U[:, j]
-    return U, norms
+    return _first_entry_positive(U), norms
+
+
+def _forward_recurrence_reference(F, E, lam) -> np.ndarray:
+    n = len(F)
+    u = np.zeros(n)
+    u[0] = 1.0
+    if n > 1:
+        u[1] = (F[0] - lam) / E[0]
+    for i in range(1, n - 1):
+        u[i + 1] = ((F[i] - lam) * u[i] - E[i - 1] * u[i - 1]) / E[i]
+        if abs(u[i + 1]) > 1e250:
+            u[: i + 2] /= abs(u[i + 1])
+    return u
+
+
+def _stitched_vector_reference(F, E, lam) -> np.ndarray:
+    n = len(F)
+    u = _forward_recurrence_reference(F, E, lam)
+    v = _forward_recurrence_reference(F[::-1], E[::-1], lam)[::-1]
+    stitch = np.abs(u) * np.abs(v)
+    k = int(np.argmax(stitch))
+    if stitch[k] == 0.0:
+        k = n - 1
+    vec = np.empty(n)
+    vec[: k + 1] = u[: k + 1] * v[k]
+    vec[k + 1 :] = v[k + 1 :] * u[k]
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not 0.0 < norm < math.inf:
+        vec /= np.max(np.abs(vec))
+        norm = np.linalg.norm(vec)
+    return vec / norm
+
+
+def stitched_vectors_reference(fam) -> np.ndarray:
+    """Analytic eigenvectors of a family other than the uniform chain, one
+    eigenvalue at a time: each column of the one-loop two-sided recurrence
+    is joined, divided by its norm (taken again of the column scaled to
+    max |entry| = 1 where the sum of squares overflows) and has its first
+    entry above SIGN_TOL made positive."""
+    M = build_jacobi(fam)
+    F = np.asarray(M.diag)
+    E = np.asarray(M.offdiag)
+    U = np.empty((M.size, M.size))
+    for j, pt in enumerate(lattice(fam)):
+        U[:, j] = _stitched_vector_reference(F, E, _kappa(fam, pt))
+    return _first_entry_positive(U)
 
 
 # Exact-orthogonality parameter sets: (family, params, N).

@@ -1,6 +1,8 @@
 """Tests for Jacobi matrix assembly and the two eigendecomposition paths."""
 
 import math
+import tracemalloc
+import warnings
 from array import array
 
 import numpy as np
@@ -227,22 +229,27 @@ def test_analytic_residuals_over_grids():
         assert recon <= RECON_RTOL * scale, (fam, recon, scale)
 
 
+def _stitched_kinds(N):
+    # Eight kinds whose analytic vectors come from the stitched recurrence
+    # (the uniform chain's come from the sine form).
+    return [
+        KrawtchoukParams(N=N, p=0.5),
+        KrawtchoukParams(N=N, p=0.3),
+        HahnParams(N=N, alpha=0.5, beta=0.5),
+        HahnParams(N=N, alpha=2.0, beta=-0.5),
+        HahnParams(N=N, alpha=-N - 2.5, beta=-N - 1.5),
+        DualQKrawtchoukParams(N=N, cbar=-1.0, q=1.6),
+        DualQKrawtchoukParams(N=N, cbar=-1.0, q=0.7),
+        DualQKrawtchoukParams(N=N, cbar=-2.5, q=2.0),
+    ]
+
+
 def test_analytic_decomposition_equals_two_loop_reference():
     # Bit for bit against the forward-and-mirrored-backward recurrence,
     # wherever that gave a column of finite, positive norm.
     fams = []
     for N in (0, 1, 2, 5, 12, 31, 47, 63):
-        fams += [
-            ConstantParams(N=N),
-            KrawtchoukParams(N=N, p=0.5),
-            KrawtchoukParams(N=N, p=0.3),
-            HahnParams(N=N, alpha=0.5, beta=0.5),
-            HahnParams(N=N, alpha=2.0, beta=-0.5),
-            HahnParams(N=N, alpha=-N - 2.5, beta=-N - 1.5),
-            DualQKrawtchoukParams(N=N, cbar=-1.0, q=1.6),
-            DualQKrawtchoukParams(N=N, cbar=-1.0, q=0.7),
-            DualQKrawtchoukParams(N=N, cbar=-2.5, q=2.0),
-        ]
+        fams += [ConstantParams(N=N), *_stitched_kinds(N)]
     compared = 0
     for fam in fams:
         got = analytic_decomposition(fam).vectors
@@ -253,19 +260,96 @@ def test_analytic_decomposition_equals_two_loop_reference():
     assert compared > 0.95 * sum(fam.N + 1 for fam in fams)
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [
-        KrawtchoukParams(N=300, p=0.02),
-        KrawtchoukParams(N=150, p=0.001),
-        DualQKrawtchoukParams(N=48, cbar=-1.0, q=2.0),
-    ],
-)
+# Families whose recurrences rescale and whose stitched columns' sum of
+# squares overflows.
+_OVERFLOWING = [
+    KrawtchoukParams(N=300, p=0.02),
+    KrawtchoukParams(N=150, p=0.001),
+    DualQKrawtchoukParams(N=48, cbar=-1.0, q=2.0),
+]
+
+
+@pytest.mark.parametrize("fam", _OVERFLOWING)
 def test_analytic_columns_stay_unit_where_sum_of_squares_overflows(fam):
     # Stitched entries reach 1e250, so their sum of squares overflows and a
     # plain division by the norm gives a zero column.
     ortho, _ = decomposition_residuals(build_jacobi(fam), analytic_decomposition(fam))
     assert ortho <= 1e-12
+
+
+_LARGE = _stitched_kinds(127) + _stitched_kinds(255)
+# At these sizes the dual q-Krawtchouk stitch products of some columns
+# underflow to 0 across the whole column, which then becomes 0/0 = NaN.
+_UNDERFLOWING = [f for f in _LARGE if isinstance(f, DualQKrawtchoukParams)]
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [f for f in _LARGE if f not in _UNDERFLOWING]
+    + [HahnParams(N=511, alpha=0.5, beta=0.5), *_OVERFLOWING],
+    ids=repr,
+)
+def test_analytic_decomposition_equals_one_at_a_time_reference(fam):
+    # Byte for byte against the recurrence run one eigenvalue at a time,
+    # rescales and the max-scaled norm included.
+    got = analytic_decomposition(fam).vectors
+    want = oracles.stitched_vectors_reference(fam)
+    assert got.tobytes() == want.tobytes(), np.argwhere(got != want)[:5]
+
+
+@pytest.mark.parametrize("fam", _UNDERFLOWING, ids=repr)
+def test_analytic_underflow_columns_equal_one_at_a_time_reference(fam):
+    # A known defect, pinned as it is: the 0/0 warns, and the NaN columns
+    # match the reference NaN for NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = analytic_decomposition(fam).vectors
+        want = oracles.stitched_vectors_reference(fam)
+    assert np.isnan(want).any()
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()
+
+
+_recurrence_families = st.one_of(
+    st.builds(
+        KrawtchoukParams,
+        N=st.integers(0, 80),
+        p=st.floats(0.001, 0.999),
+    ),
+    st.builds(
+        lambda N, a: HahnParams(N=N, alpha=a, beta=a),
+        st.integers(0, 80),
+        st.floats(-0.5, 3.0, exclude_min=True, exclude_max=True),
+    ),
+    st.builds(
+        lambda N, q: DualQKrawtchoukParams(N=N, cbar=-1.0, q=q),
+        st.integers(0, 80),
+        st.floats(0.6, 0.85) | st.floats(1.3, 2.0),
+    ),
+)
+
+
+@given(_recurrence_families)
+@settings(max_examples=100, deadline=None)
+def test_property_analytic_decomposition_equals_one_at_a_time_reference(fam):
+    got = analytic_decomposition(fam).vectors
+    want = oracles.stitched_vectors_reference(fam)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_analytic_decomposition_peak_memory_within_four_matrices():
+    # All columns are found at once, so the working set is a few n x n
+    # arrays; one call before the measured one leaves one-time costs out.
+    fam = HahnParams(N=255, alpha=0.5, beta=0.5)
+    n = fam.N + 1
+    analytic_decomposition(fam)
+    tracemalloc.start()
+    try:
+        analytic_decomposition(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8, peak / (n * n * 8)
 
 
 @pytest.mark.parametrize("q, N", [(0.01, 99), (0.5, 600)])
