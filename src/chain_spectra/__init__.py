@@ -17,6 +17,7 @@ from .chain import (
     InteractionKind,
     KrawtchoukInteraction,
     LevelGroup,
+    LevelTable,
     ModeSpectrum,
     SpacingProfile,
     SpectrumOrigin,

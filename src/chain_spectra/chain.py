@@ -17,9 +17,10 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 import sys
+from collections import abc
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
@@ -54,9 +55,9 @@ _OMEGA_MAX = math.sqrt(sys.float_info.max)
 GROUP_RTOL = 1e-9
 # Enumeration budget on the number of occupation states.
 LEVEL_CAP = 10**6
-# Occupation states are turned into Python tuples this many at a time, so
-# the numpy temporaries of the conversion stay small.
-_TUPLE_SLICE = 1 << 15
+# Iterating a LevelTable turns whole levels of about this many member rows
+# at a time into Python tuples.
+_READ_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -342,16 +343,87 @@ class LevelGroup:
     occupations: tuple[tuple[int, ...], ...]
 
 
-def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]:
+@dataclass(frozen=True, eq=False)
+class LevelTable(abc.Sequence[LevelGroup]):
+    """Energy levels held as four read-only arrays, read as a sequence of
+    LevelGroup.
+
+    energies (float64) and degeneracies (int64) have one entry per level,
+    offsets (int64) one more, and the rows offsets[i] to offsets[i + 1] of
+    occupations (states x modes) are the members of level i.  A LevelGroup,
+    with Python float, int and tuple fields, is built only when its level is
+    read: by an index (negative ones too), by a slice, which gives a tuple,
+    or by iteration, which converts whole levels of about 2^15 member rows
+    at a time.
+    """
+
+    energies: np.ndarray
+    degeneracies: np.ndarray
+    offsets: np.ndarray
+    occupations: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.energies, self.degeneracies, self.offsets, self.occupations):
+            array.setflags(write=False)
+
+    def __reduce__(self):
+        # Copies and unpickled tables are built through __init__, so that
+        # their arrays are read-only too.
+        arrays = (self.energies, self.degeneracies, self.offsets, self.occupations)
+        return LevelTable, arrays
+
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"level {i} out of range for {len(self)} levels")
+        i %= len(self)
+        lo, hi = self.offsets[i : i + 2].tolist()
+        return LevelGroup(
+            float(self.energies[i]),
+            int(self.degeneracies[i]),
+            tuple(zip(*self.occupations[lo:hi].T.tolist())),
+        )
+
+    def __iter__(self):
+        offsets = self.offsets
+        start = 0
+        while start < len(self):
+            # Whole levels of at most _READ_ROWS members, or one larger level.
+            stop = np.searchsorted(offsets, offsets[start] + _READ_ROWS, "right") - 1
+            stop = max(start + 1, int(stop))
+            bounds = (offsets[start : stop + 1] - offsets[start]).tolist()
+            block = self.occupations[offsets[start] : offsets[stop]]
+            rows = list(zip(*block.T.tolist()))
+            yield from map(
+                LevelGroup,
+                self.energies[start:stop].tolist(),
+                self.degeneracies[start:stop].tolist(),
+                (tuple(rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
+            )
+            start = stop
+
+
+def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
     """All energy levels from occupation vectors with at most max_total
-    phonons, grouped within GROUP_RTOL * hbar * omega and sorted ascending.
+    phonons, grouped within GROUP_RTOL * hbar * omega and sorted ascending,
+    as a LevelTable.
 
     Each level's energy is that of its lowest member, E_0 + hbar * sum_j
     omega_j k_j with the products added in ascending mode order; the members
-    of a level are in lexicographic order.  Raises CombinatorialLimit when
-    the state count C(n + K, K) exceeds LEVEL_CAP, and InvalidParams when
-    the highest energy overflows.
+    of a level are in lexicographic order.  The table holds arrays only; a
+    LevelGroup is built when a level is read.  Raises InvalidParams when
+    max_total is not a non-negative integer or the highest energy overflows,
+    and CombinatorialLimit when the state count C(n + K, K) exceeds
+    LEVEL_CAP.
     """
+    if isinstance(max_total, bool) or not isinstance(max_total, numbers.Integral):
+        raise InvalidParams(f"max_total must be an integer, got {max_total!r}")
+    max_total = int(max_total)
     if max_total < 0:
         raise InvalidParams(f"max_total must be >= 0, got {max_total}")
     n = chain.n
@@ -364,9 +436,8 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
     ground = ground_energy(chain, spectrum)
     # The largest energy is that of max_total phonons in the top mode.
     _finite_energy(ground + chain.hbar * (spectrum.omegas[-1] * max_total))
-    # Each array is dropped once used up: numpy temporaries left in the
-    # heap add to the peak memory of the Python objects built at the end.
-    occupations = _occupation_columns(n, int(max_total))
+    # Each array is dropped once used up, to keep the peak memory down.
+    occupations = _occupation_columns(n, max_total)
     # Added mode by mode in ascending order: the rounding sequence of a
     # left-to-right sum of the products omega_j * k_j.
     total = np.zeros(count)
@@ -378,8 +449,8 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
     energy = energy[order]
     tol = GROUP_RTOL * chain.hbar * chain.omega
     cuts = np.flatnonzero(np.diff(energy) > tol) + 1
-    energies = energy[np.concatenate(([0], cuts))].tolist()
-    degeneracies = np.diff(cuts, prepend=0, append=count).tolist()
+    offsets = np.concatenate(([0], cuts, [count]))
+    energies = energy[offsets[:-1]]
     del energy
     # States are numbered in lexicographic order, so sorting the keys
     # group * count + state puts each group's members in that order.  The
@@ -391,22 +462,20 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> tuple[LevelGroup, ...]
     del order, cuts
     members.sort(kind="stable")
     members %= count
-    rows = []
-    for lo in range(0, count, _TUPLE_SLICE):
-        picked = members[lo : lo + _TUPLE_SLICE]
-        rows.extend(zip(*(column[picked].tolist() for column in occupations)))
-    del members, occupations
-    remaining = iter(rows)
-    grouped = (tuple(islice(remaining, d)) for d in degeneracies)
-    return tuple(map(LevelGroup, energies, degeneracies, grouped))
+    # Permuted in place, one mode at a time: the transpose is the
+    # occupation matrix, with no second copy of it in memory.
+    for column in occupations:
+        column[:] = column[members]
+    return LevelTable(energies, np.diff(offsets), offsets, occupations.T)
 
 
-def _occupation_columns(n: int, max_total: int) -> list[np.ndarray]:
+def _occupation_columns(n: int, max_total: int) -> np.ndarray:
     """The C(n + K, K) occupation vectors with at most K = max_total
-    phonons, in lexicographic order, as one column per mode.
+    phonons, in lexicographic order, as the columns of an n x C(n + K, K)
+    array, whose row j is the column of mode j.
 
     Mode j extends each prefix that has used u phonons by k_j = 0..K - u,
-    so a row is found by following its parent links back from the last
+    so a vector is found by following its parent links back from the last
     mode."""
     dtype = np.min_scalar_type(max_total)
     used = np.zeros(1, dtype=np.int32)
@@ -418,13 +487,12 @@ def _occupation_columns(n: int, max_total: int) -> list[np.ndarray]:
         k -= (np.cumsum(width, dtype=np.int32) - width)[parent]
         used = used[parent] + k
         links.append((parent, k.astype(dtype)))
-    columns = []
+    columns = np.empty((n, used.size), dtype=dtype)
     row = np.arange(used.size, dtype=np.int32)
-    while links:
+    for j in reversed(range(n)):
         parent, k = links.pop()
-        columns.append(k[row])
+        columns[j] = k[row]
         row = parent[row]
-    columns.reverse()
     return columns
 
 

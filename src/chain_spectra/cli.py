@@ -28,6 +28,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from .chain import (
     ChainSpec,
     ConstantInteraction,
@@ -35,6 +37,7 @@ from .chain import (
     DualQKrawtchoukInteraction,
     HahnInteraction,
     KrawtchoukInteraction,
+    LevelTable,
     _family_params,
     enumerate_levels,
     ground_energy,
@@ -56,6 +59,9 @@ from .jacobi import (
     decomposition_residuals,
     numeric_eigenvalues,
 )
+
+# export formats the members of its levels this many rows at a time.
+_CSV_ROWS = 1 << 14
 
 # verify's thresholds: orthogonality is absolute; reconstruction and the
 # closed-vs-numeric eigenvalue deviation are relative to 1 + max |M_ij|.
@@ -334,17 +340,47 @@ def _cmd_plot(parser, args):
 def _cmd_export(parser, args):
     chain = _chain_from_args(parser, args)
     try:
-        groups = enumerate_levels(chain, args.levels)
+        table = enumerate_levels(chain, args.levels)
     except CombinatorialLimit as exc:
         print(str(exc), file=sys.stderr)
         return 4, None
     except NotPositiveDefinite:
         return _pd_failure(chain)
-    rows = ["energy,degeneracy,occupations"]
-    for g in groups:
-        occ = ";".join("|".join(str(k) for k in ks) for ks in g.occupations)
-        rows.append(f"{g.energy!r},{g.degeneracy},{occ}")
-    return 0, "\n".join(rows) + "\n"
+    return 0, _csv_chunks(table, args.levels)
+
+
+def _csv_chunks(table: LevelTable, max_total: int):
+    """The export CSV of a level table, yielded in pieces of _CSV_ROWS
+    member rows, so that the whole text is never held at once.
+
+    Occupation k is written through a lookup row holding "|" and the digits
+    of k, padded with zero bytes to a common width: the rows of a piece are
+    gathered from it as one byte array and the padding dropped.  The "|" before a
+    member's first entry becomes ";" between the members of a level and a
+    line break before a level's first member.  So the lines of a piece's
+    text are the tail of the level it opens in, then the members of each
+    level that starts in it.
+    """
+    width = len(str(max_total)) + 1
+    lookup = np.zeros((max_total + 1, width), dtype=np.uint8)
+    for k in range(max_total + 1):
+        digits = f"|{k}".encode("ascii")
+        lookup[k, : len(digits)] = np.frombuffer(digits, dtype=np.uint8)
+    starts = table.offsets[:-1]
+    yield "energy,degeneracy,occupations"
+    for lo in range(0, len(table.occupations), _CSV_ROWS):
+        chars = lookup[table.occupations[lo : lo + _CSV_ROWS]]
+        chars[:, 0, 0] = ord(";")
+        first, last = np.searchsorted(starts, (lo, lo + _CSV_ROWS)).tolist()
+        chars[starts[first:last] - lo, 0, 0] = ord("\n")
+        tail, *members = chars[chars != 0].tobytes().decode("ascii").split("\n")
+        energies = table.energies[first:last].tolist()
+        degeneracies = table.degeneracies[first:last].tolist()
+        yield tail
+        yield "".join(
+            [f"\n{e!r},{d},{m}" for e, d, m in zip(energies, degeneracies, members)]
+        )
+    yield "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -390,8 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each command returns (exit code, payload text or None); main writes the
-# payload to stdout or --out and its wall time to stderr.
+# Each command returns (exit code, payload or None), the payload as one text
+# or an iterable of texts in order; main writes it to stdout or --out and
+# its wall time to stderr.
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "verify": _cmd_verify,
@@ -411,12 +448,15 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if text is not None:
+        pieces = [text] if isinstance(text, str) else text
         if args.out is None:
-            sys.stdout.write(text)
+            for piece in pieces:
+                sys.stdout.write(piece)
         else:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    for piece in pieces:
+                        fh.write(piece)
             except OSError as exc:
                 reason = exc.strerror or exc
                 print(f"cannot write {args.out}: {reason}", file=sys.stderr)

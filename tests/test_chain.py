@@ -1,7 +1,12 @@
 """Tests for the oscillator chain: couplings, bounds, spectra and levels."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
+import tracemalloc
+from collections import abc
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from chain_spectra import chain as chain_module
 from chain_spectra.chain import (
     ChainSpec,
     ConstantInteraction,
@@ -17,6 +23,7 @@ from chain_spectra.chain import (
     HahnInteraction,
     KrawtchoukInteraction,
     LevelGroup,
+    LevelTable,
     ModeSpectrum,
     SpacingProfile,
     SpectrumOrigin,
@@ -534,15 +541,20 @@ def test_enumerate_levels_degenerate_grouping():
     assert groups[1].occupations == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
-def _grid_couplings(interaction, n, omega):
-    """c = 0, a small coupling and one near the chain's coupling bound (the
-    uniform chain has none, so a large one)."""
+def _coupling_bound(interaction, n, omega):
+    """Supremum of the couplings that keep the chain positive definite,
+    math.inf when there is none (custom chains through LAPACK)."""
     if isinstance(interaction, CustomInteraction):
         G = np.diag(interaction.gammas, 1)
         top = max(np.linalg.eigvalsh(G + G.T)) if n > 1 else 0.0
-        bound = 2.0 * omega**2 / top if top > 0.0 else math.inf
-    else:
-        bound = max_coupling(_chain(interaction, n, 0.0, omega=omega))
+        return 2.0 * omega**2 / top if top > 0.0 else math.inf
+    return max_coupling(_chain(interaction, n, 0.0, omega=omega))
+
+
+def _grid_couplings(interaction, n, omega):
+    """c = 0, a small coupling and one near the chain's coupling bound (the
+    uniform chain has none, so a large one)."""
+    bound = _coupling_bound(interaction, n, omega)
     if math.isinf(bound):
         return (0.0, 0.05, 10.0)
     return (0.0, 0.05 * bound, 0.98 * bound)
@@ -600,6 +612,81 @@ def test_enumerate_levels_budget_and_validation():
         enumerate_levels(chain, 8)
     with pytest.raises(InvalidParams):
         enumerate_levels(chain, -1)
+    # Budgets that are not integers are refused as ChainSpec refuses such
+    # an n: bool included, numpy integers accepted.
+    for bad in (2.5, 2.0, "3", None, True, False, np.float64(2.0)):
+        with pytest.raises(InvalidParams):
+            enumerate_levels(chain, bad)
+    small = _chain(KrawtchoukInteraction(), 3, 0.1)
+    for budget in (np.int64(2), np.uint8(2), np.int32(2)):
+        assert [g.occupations for g in enumerate_levels(small, budget)] == [
+            g.occupations for g in enumerate_levels(small, 2)
+        ]
+
+
+def test_level_table_sequence_protocol():
+    table = enumerate_levels(_chain(KrawtchoukInteraction(), 3, 0.0), 2)
+    assert isinstance(table, LevelTable) and isinstance(table, abc.Sequence)
+    assert len(table) == 3
+    groups = tuple(table)
+    assert [g.degeneracy for g in groups] == [1, 3, 6]
+    for i in range(-3, 3):
+        assert table[i] == groups[i]
+    assert table[np.int64(-1)] == groups[2]
+    assert table[1:] == groups[1:] and type(table[1:]) is tuple
+    assert table[::-2] == groups[::-2]
+    assert table[5:] == ()
+    for i in (3, -4, 10**20):
+        with pytest.raises(IndexError):
+            table[i]
+    with pytest.raises(TypeError):
+        table[1.0]
+    assert list(reversed(table)) == list(groups[::-1])
+    assert table.index(groups[1]) == 1 and groups[2] in table
+    assert table.offsets.tolist() == [0, 1, 4, 10]
+    assert table.occupations.shape == (10, 3)
+    assert table.occupations.dtype == np.uint8
+    for copied in (table, copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert list(copied) == list(groups)
+        for array in (copied.energies, copied.degeneracies, copied.offsets, copied.occupations):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.energies = np.zeros(3)
+
+
+def test_level_table_iteration_spans_conversion_chunks():
+    # Iteration converts whole levels of at most _READ_ROWS members at a
+    # time, or one larger level.  At c = 0 a Krawtchouk chain has K + 1
+    # levels: with n = 12 and K = 8 levels 0-6 fill the first chunk, level
+    # 7 (31,824 members) the second and level 8 (75,582) the third.
+    table = enumerate_levels(_chain(KrawtchoukInteraction(), 12, 0.0), 8)
+    assert [g.degeneracy for g in table] == [math.comb(11 + k, k) for k in range(9)]
+    assert table[-1].degeneracy > chain_module._READ_ROWS
+    assert list(table) == [table[i] for i in range(len(table))]
+    # Singleton levels, over more than two chunks.
+    hahn = enumerate_levels(_chain(HahnInteraction(alpha=0.5), 10, 0.1), 9)
+    assert len(hahn.occupations) > 2 * chain_module._READ_ROWS
+    assert list(hahn) == list(hahn[:])
+
+
+def test_enumerate_levels_peak_memory_per_state():
+    # The table is a few arrays: 52 bytes per state traced at its peak for
+    # Krawtchouk n = 12, K = 9 (293,930 states), against 345 when every
+    # state was a tuple in a LevelGroup.  80 bytes leaves about 50 %
+    # headroom; one 12-int tuple per state alone is 152.
+    chain = _chain(KrawtchoukInteraction(), 12, 0.1)
+    enumerate_levels(chain, 2)
+    tracemalloc.start()
+    try:
+        table = enumerate_levels(chain, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = len(table.occupations)
+    assert states == 293_930
+    assert peak <= 80 * states, peak / states
 
 
 # -- spacing profiles and rescaling ------------------------------------------------
@@ -652,6 +739,48 @@ def test_rescale_levels():
 
 
 # -- property-based checks -----------------------------------------------------------
+
+
+@st.composite
+def _level_chains(draw):
+    """A chain of at most 7 sites of one of the five interactions, at c = 0
+    (where levels are degenerate) or a random fraction of its bound."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    interaction = draw(
+        st.sampled_from(
+            (
+                ConstantInteraction(),
+                KrawtchoukInteraction(),
+                HahnInteraction(alpha=draw(st.floats(0.0, 5.0))),
+                DualQKrawtchoukInteraction(
+                    q=draw(st.one_of(st.floats(0.4, 0.9), st.floats(1.2, 2.5)))
+                ),
+                CustomInteraction(
+                    gammas=tuple(
+                        draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1, max_size=n - 1))
+                    )
+                ),
+            )
+        )
+    )
+    omega = draw(st.sampled_from((1.0, 1.3)))
+    bound = _coupling_bound(interaction, n, omega)
+    fraction = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.95)))
+    c = fraction * (10.0 if math.isinf(bound) else bound)
+    return _chain(interaction, n, c, omega=omega, hbar=draw(st.sampled_from((1.0, 0.7))))
+
+
+@given(chain=_level_chains(), max_total=st.integers(min_value=0, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_property_level_table_equals_scalar_reference(chain, max_total):
+    table = enumerate_levels(chain, max_total)
+    want = [
+        (g.energy.hex(), g.degeneracy, g.occupations)
+        for g in oracles.enumerate_levels_reference(chain, max_total)
+    ]
+    for groups in (list(table), [table[i] for i in range(len(table))]):
+        assert [(g.energy.hex(), g.degeneracy, g.occupations) for g in groups] == want
+        assert all(type(g.energy) is float and type(g.degeneracy) is int for g in groups)
 
 
 @given(

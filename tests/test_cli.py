@@ -22,6 +22,7 @@ from chain_spectra import cli
 from chain_spectra.chain import (
     ChainSpec,
     KrawtchoukInteraction,
+    enumerate_levels,
     mode_frequencies,
     single_phonon_levels,
     state_energy,
@@ -607,6 +608,38 @@ def test_export_degenerate_members_joined():
     assert lines[1].split(",")[2] == "0|0|0"
     assert lines[2].split(",")[1] == "3"
     assert lines[2].split(",")[2] == "0|0|1;0|1|0;1|0|0"
+
+
+@pytest.mark.parametrize(
+    "family, c",
+    [
+        # Ten levels of up to 11,440 members at c = 0, which span the
+        # 2^14-row pieces the CSV is formatted in; singleton levels at c = 0.1.
+        (["--family", "krawtchouk"], "0"),
+        (["--family", "hahn", "--alpha", "0.5"], "0.1"),
+    ],
+)
+def test_export_pieces_join_to_the_level_groups(family, c, capsys, tmp_path):
+    argv = ["export", *family, "--n", "8", "--c", c, "--levels", "9"]
+    assert cli.main(argv) == 0
+    payload = capsys.readouterr().out
+    assert cli.main([*argv, "--out", str(tmp_path / "levels.csv")]) == 0
+    assert (tmp_path / "levels.csv").read_text(encoding="utf-8") == payload
+    interaction = cli._FAMILIES[family[1]][0]
+    chain = ChainSpec(
+        n=8,
+        omega=1.0,
+        coupling=float(c),
+        interaction=interaction(*map(float, family[3:])),
+    )
+    groups = enumerate_levels(chain, 9)
+    assert sum(g.degeneracy for g in groups) == 24_310 > cli._CSV_ROWS
+    rows = [
+        f"{g.energy!r},{g.degeneracy},"
+        + ";".join("|".join(str(k) for k in ks) for ks in g.occupations)
+        for g in groups
+    ]
+    assert payload == "\n".join(["energy,degeneracy,occupations", *rows]) + "\n"
 
 
 def test_export_budget_exit4():
