@@ -9,7 +9,8 @@ omega^2 + 2c), so the squared mode frequencies are omega^2 + c mu with mu
 the spectrum of K.  jacobi.interaction_spectrum is the single source of
 that closed-form spectrum; the coupling bound and the positive-definiteness
 test are read from it too.  Custom coupling patterns are diagonalized
-numerically.
+numerically.  numpy is imported inside the level-table functions on purpose,
+so that mode frequencies and bounds never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import sys
 from collections import abc
 from dataclasses import dataclass
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import (
     ClosedFormUnavailable,
@@ -394,7 +393,7 @@ class LevelTable(abc.Sequence[LevelGroup]):
         start = 0
         while start < len(self):
             # Whole levels of at most _READ_ROWS members, or one larger level.
-            stop = np.searchsorted(offsets, offsets[start] + _READ_ROWS, "right") - 1
+            stop = offsets.searchsorted(offsets[start] + _READ_ROWS, "right") - 1
             stop = max(start + 1, int(stop))
             bounds = (offsets[start : stop + 1] - offsets[start]).tolist()
             block = self.occupations[offsets[start] : offsets[stop]]
@@ -436,6 +435,9 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
     ground = ground_energy(chain, spectrum)
     # The largest energy is that of max_total phonons in the top mode.
     _finite_energy(ground + chain.hbar * (spectrum.omegas[-1] * max_total))
+    # Imported past the checks, so that a refused request never loads numpy.
+    import numpy as np
+
     # Each array is dropped once used up, to keep the peak memory down.
     occupations = _occupation_columns(n, max_total)
     # Added mode by mode in ascending order: the rounding sequence of a
@@ -477,6 +479,7 @@ def _occupation_columns(n: int, max_total: int) -> np.ndarray:
     Mode j extends each prefix that has used u phonons by k_j = 0..K - u,
     so a vector is found by following its parent links back from the last
     mode."""
+    import numpy as np
     dtype = np.min_scalar_type(max_total)
     used = np.zeros(1, dtype=np.int32)
     links = []

@@ -28,8 +28,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from .chain import (
     ChainSpec,
     ConstantInteraction,
@@ -361,6 +359,7 @@ def _csv_chunks(table: LevelTable, max_total: int):
     text are the tail of the level it opens in, then the members of each
     level that starts in it.
     """
+    import numpy as np
     width = len(str(max_total)) + 1
     lookup = np.zeros((max_total + 1, width), dtype=np.uint8)
     for k in range(max_total + 1):

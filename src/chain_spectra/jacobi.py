@@ -28,17 +28,20 @@ i + 1 is recorded, and _apply_rotations applies the recorded sequence in
 waves of rotations that share no row, each wave to strided views of U^T;
 every entry sees the operations of a rotation applied on its own, so the
 vectors are bit for bit those of one rotation at a time.
+
+numpy is imported inside the array functions on purpose: the closed forms
+and the QL eigenvalues run on Python floats, so that callers needing no more,
+such as the CLI's bound, spectrum and plot, never load it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .errors import ClosedFormUnavailable, DimensionMismatch, InvalidParams, NoConvergence
 from .polynomials import (
@@ -58,7 +61,7 @@ PROFILE_RTOL = 1e-12
 # Sweep budget per eigenvalue for the QL iteration.
 MAX_SWEEPS = 64
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _RESCALE_LIMIT = 1e250
 # The QL records at most this many rotations before it applies them to U^T,
 # which bounds the memory of the record.
@@ -103,6 +106,7 @@ class SymTridiagonal:
         return len(self.diag)
 
     def dense(self) -> np.ndarray:
+        import numpy as np
         n = self.size
         M = np.zeros((n, n))
         M[np.arange(n), np.arange(n)] = self.diag
@@ -175,6 +179,7 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Negate, in place, each column whose first entry of magnitude above
     SIGN_TOL is negative.  A column without such an entry has lead 0, whose
     entry is then not below -SIGN_TOL either."""
+    import numpy as np
     if U.shape[0]:
         cols = np.arange(U.shape[1])
         lead = np.argmax(np.abs(U) > SIGN_TOL, axis=0)
@@ -189,6 +194,7 @@ def _recurrence_sweep(F: np.ndarray, E: np.ndarray, lam: np.ndarray) -> np.ndarr
     once.  A column is rescaled, its prefix divided by |u_{i+1}|, whenever
     its entry u_{i+1} passes _RESCALE_LIMIT.  On the reversed F and E it
     gives the backward recurrences from the last entry."""
+    import numpy as np
     n = len(F)
     u = np.empty((n, len(lam)))
     u[0] = 1.0
@@ -211,6 +217,7 @@ def _stitched_vectors(F: np.ndarray, E: np.ndarray, lam: np.ndarray) -> np.ndarr
     to k and v u_k below.  The join is written in place into the forward
     array, so the peak memory stays near three n x n arrays.
     """
+    import numpy as np
     n, cols = len(F), np.arange(len(lam))
     U = _recurrence_sweep(F, E, lam)
     V = _recurrence_sweep(F[::-1], E[::-1], lam)[::-1]
@@ -246,6 +253,7 @@ def _stitched_vectors(F: np.ndarray, E: np.ndarray, lam: np.ndarray) -> np.ndarr
 
 def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
     """Closed-form eigendecomposition, eigenvalues in family order."""
+    import numpy as np
     if isinstance(fam, ConstantParams):
         n = fam.N + 1
         i = np.arange(1, n + 1)
@@ -346,6 +354,7 @@ def _apply_rotations(Ut: np.ndarray, rows: array, cs: array, ss: array) -> None:
     their order: every entry of Ut gets the same bits as by one rotation at
     a time.
     """
+    import numpy as np
     if not rows:
         return
     n = Ut.shape[0]
@@ -405,6 +414,7 @@ def numeric_decomposition(
     Raises NoConvergence with the offending row index when a deflation
     exceeds the sweep budget.
     """
+    import numpy as np
     Ut = np.eye(M.size)
     d = _ql(M, max_sweeps, Ut)
     order = np.argsort(d, kind="stable")
@@ -424,6 +434,7 @@ def decomposition_residuals(
 
     both 0.0 for a 0 x 0 matrix.
     """
+    import numpy as np
     n = M.size
     U = dec.vectors
     if U.shape != (n, n) or len(dec.eigenvalues) != n:

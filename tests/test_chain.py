@@ -10,7 +10,7 @@ from collections import abc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -546,9 +546,18 @@ def _coupling_bound(interaction, n, omega):
     math.inf when there is none (custom chains through LAPACK)."""
     if isinstance(interaction, CustomInteraction):
         G = np.diag(interaction.gammas, 1)
-        top = max(np.linalg.eigvalsh(G + G.T)) if n > 1 else 0.0
+        # A Python float quotient above float range is inf, the supremum
+        # then, where numpy's would warn (a subnormal top eigenvalue).
+        top = float(max(np.linalg.eigvalsh(G + G.T))) if n > 1 else 0.0
         return 2.0 * omega**2 / top if top > 0.0 else math.inf
     return max_coupling(_chain(interaction, n, 0.0, omega=omega))
+
+
+def _fraction_of_bound(interaction, n, omega, fraction):
+    """That fraction of the chain's coupling bound, or of 10 where it has
+    none."""
+    bound = _coupling_bound(interaction, n, omega)
+    return fraction * (10.0 if math.isinf(bound) else bound)
 
 
 def _grid_couplings(interaction, n, omega):
@@ -764,13 +773,20 @@ def _level_chains(draw):
         )
     )
     omega = draw(st.sampled_from((1.0, 1.3)))
-    bound = _coupling_bound(interaction, n, omega)
     fraction = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.95)))
-    c = fraction * (10.0 if math.isinf(bound) else bound)
+    c = _fraction_of_bound(interaction, n, omega, fraction)
     return _chain(interaction, n, c, omega=omega, hbar=draw(st.sampled_from((1.0, 0.7))))
 
 
+# The largest coupling is subnormal: 2 omega^2 / top overflows.
+_SUBNORMAL_TOP = CustomInteraction(gammas=(0.0, 5e-324))
+
+
 @given(chain=_level_chains(), max_total=st.integers(min_value=0, max_value=5))
+@example(
+    chain=_chain(_SUBNORMAL_TOP, 3, _fraction_of_bound(_SUBNORMAL_TOP, 3, 1.0, 0.5)),
+    max_total=3,
+)
 @settings(max_examples=150, deadline=None)
 def test_property_level_table_equals_scalar_reference(chain, max_total):
     table = enumerate_levels(chain, max_total)

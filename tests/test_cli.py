@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -659,3 +660,89 @@ def test_export_budget_exit4():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "wall_ms" not in proc.stderr
+
+
+# -- start-up -----------------------------------------------------------------
+
+_GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "cli_payloads.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+# Runs cli.main on its arguments and reports, as the last stderr line, the
+# exit code and whether numpy was imported.
+_PROBE = """
+import sys
+from chain_spectra import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_numpy_loads_only_for_verify_and_export(tmp_path):
+    svg = tmp_path / "levels.svg"
+    golden = (
+        "bound_krawtchouk",
+        "spectrum_custom_json",
+        "spectrum_hahn_csv",
+        "spectrum_qkrawtchouk_text",
+        "plot_default",
+        "verify_hahn",
+        "export_krawtchouk",
+    )
+    cases = {
+        **{name: _GOLDENS[name]["argv"] for name in golden},
+        "plot_panel": ["plot", "--panel", "hahn:alpha=0.5,c=0.2", "--n", "6"],
+        "usage_error": ["spectrum", "--family", "sine", "--n", "4"],
+        "not_positive_definite": ["spectrum", "--family", "krawtchouk", "--n", "12", "--c", "5"],
+        "over_level_cap": ["export", "--family", "constant", "--n", "50", "--levels", "8"],
+    }
+    observed = {}
+    for name, argv in cases.items():
+        if argv[0] == "plot":
+            argv = [*argv, "--out", str(svg)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROBE, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        code, numpy_loaded = proc.stderr.splitlines()[-1].split()
+        observed[name] = (int(code), numpy_loaded == "True")
+        if name in golden:
+            payload = svg.read_text(encoding="utf-8") if argv[0] == "plot" else proc.stdout
+            assert payload == _GOLDENS[name]["payload"], name
+    # The two numpy loads show that the probe sees one.
+    assert observed == {
+        **{name: (0, name in ("verify_hahn", "export_krawtchouk")) for name in golden},
+        "plot_panel": (0, False),
+        "usage_error": (2, False),
+        "not_positive_definite": (3, False),
+        "over_level_cap": (4, False),
+    }
+
+
+def test_package_import_leaves_numpy_unloaded():
+    probe = """
+import sys
+import chain_spectra
+print("numpy" in sys.modules)
+from chain_spectra import (
+    KrawtchoukParams, LevelTable, SpectralDecomposition, analytic_decomposition,
+    enumerate_levels,
+)
+table = enumerate_levels(chain_spectra.ChainSpec(
+    n=3, omega=1.0, coupling=0.1, interaction=chain_spectra.KrawtchoukInteraction()), 2)
+dec = analytic_decomposition(KrawtchoukParams(N=3, p=0.5))
+assert isinstance(table, LevelTable) and isinstance(dec, SpectralDecomposition)
+print(len(table), sum(table.degeneracies.tolist()), dec.vectors.shape)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["False", "10 10 (4, 4)", ""]
