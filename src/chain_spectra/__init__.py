@@ -48,12 +48,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .jacobi import (
-    AlmostConstantHead,
-    AlmostConstantTail,
-    ConstantDiag,
     ConstantParams,
-    DiagonalProfile,
-    GeneralDiag,
     JacobiFamily,
     Origin,
     SpectralDecomposition,
@@ -61,7 +56,6 @@ from .jacobi import (
     analytic_decomposition,
     build_jacobi,
     decomposition_residuals,
-    diagonal_profile,
     numeric_decomposition,
     numeric_eigenvalues,
 )

@@ -531,12 +531,10 @@ def spacing_profile(levels: Sequence[float]) -> SpacingProfile:
     return SpacingProfile.OTHER
 
 
-def rescale_levels(
-    levels: Sequence[float], lo: float = 0.0, hi: float = 1.0
-) -> tuple[float, ...]:
-    """Affinely map levels so min -> lo and max -> hi.  Raises TooFewLevels
-    for no levels, InvalidParams for a level that is not finite and
-    DegenerateRange when all levels coincide."""
+def rescale_levels(levels: Sequence[float]) -> tuple[float, ...]:
+    """Affinely map levels so min -> 0 and max -> 1.  Raises TooFewLevels
+    for no levels, InvalidParams for a level or a span max - min that is not
+    finite and DegenerateRange when all levels coincide."""
     if len(levels) == 0:
         raise TooFewLevels("need at least 1 level to rescale, got 0")
     if not all(map(math.isfinite, levels)):
@@ -545,4 +543,6 @@ def rescale_levels(
     span = max(levels) - lowest
     if span == 0.0:
         raise DegenerateRange("all levels coincide; no affine rescale exists")
-    return tuple(lo + (e - lowest) * (hi - lo) / span for e in levels)
+    if span == math.inf:
+        raise InvalidParams("the span of the levels overflows float range")
+    return tuple((e - lowest) / span for e in levels)

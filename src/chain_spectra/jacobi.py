@@ -49,15 +49,13 @@ from .polynomials import (
     FamilyParams,
     HahnParams,
     KrawtchoukParams,
+    _check_lattice_size,
     _kappa,
     bidiagonal_split,
-    lattice,
 )
 
 # Threshold below which a leading eigenvector entry is sign-ambiguous.
 SIGN_TOL = 1e-12
-# Relative tolerance for classifying a diagonal profile.
-PROFILE_RTOL = 1e-12
 # Sweep budget per eigenvalue for the QL iteration.
 MAX_SWEEPS = 64
 
@@ -75,8 +73,7 @@ class ConstantParams:
     N: int
 
     def __post_init__(self):
-        if self.N < 0:
-            raise InvalidParams(f"lattice size N must be >= 0, got {self.N}")
+        _check_lattice_size(self.N)
 
 
 JacobiFamily = Union[ConstantParams, FamilyParams]
@@ -265,17 +262,14 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
     M = build_jacobi(fam)
     F = np.asarray(M.diag)
     E = np.asarray(M.offdiag)
-    points = lattice(fam)
-    eigenvalues = tuple(_kappa(fam, pt) for pt in points)
+    eigenvalues = tuple(_kappa(fam, x) for x in range(fam.N + 1))
     U = _stitched_vectors(F, E, np.array(eigenvalues))
     return SpectralDecomposition(
         eigenvalues=eigenvalues, vectors=_fix_signs(U), origin=Origin.ANALYTIC
     )
 
 
-def _ql(
-    M: SymTridiagonal, max_sweeps: int, Ut: np.ndarray | None = None
-) -> list[float]:
+def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     """Implicit-shift QL iteration on M; returns its eigenvalues unsorted.
 
     d and e are Python floats, which round exactly as numpy float64
@@ -283,9 +277,10 @@ def _ql(
     (i, c, s) of rows i and i + 1 is recorded and Ut accumulates the
     transposed eigenvector matrix: _apply_rotations applies the record every
     _ROTATION_CHUNK rotations and once at the end.  Raises NoConvergence
-    with the offending row index when a deflation exceeds the sweep budget.
+    with the offending row index when a deflation exceeds MAX_SWEEPS sweeps.
     """
     n = M.size
+    sweep_budget = MAX_SWEEPS
     d = [float(x) for x in M.diag]
     e = [-float(x) for x in M.offdiag] + [0.0]
     rows, cs, ss = array("q"), array("d"), array("d")
@@ -299,7 +294,7 @@ def _ql(
                 m += 1
             if m == l:
                 break
-            if sweeps >= max_sweeps:
+            if sweeps >= sweep_budget:
                 raise NoConvergence(l)
             sweeps += 1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
@@ -395,20 +390,16 @@ def _apply_rotations(Ut: np.ndarray, rows: array, cs: array, ss: array) -> None:
         hi[...] = rot
 
 
-def numeric_eigenvalues(
-    M: SymTridiagonal, max_sweeps: int = MAX_SWEEPS
-) -> tuple[float, ...]:
+def numeric_eigenvalues(M: SymTridiagonal) -> tuple[float, ...]:
     """Eigenvalues of M, ascending, by the QL iteration without vectors.
 
     Raises NoConvergence with the offending row index when a deflation
     exceeds the sweep budget.
     """
-    return tuple(sorted(_ql(M, max_sweeps)))
+    return tuple(sorted(_ql(M)))
 
 
-def numeric_decomposition(
-    M: SymTridiagonal, max_sweeps: int = MAX_SWEEPS
-) -> SpectralDecomposition:
+def numeric_decomposition(M: SymTridiagonal) -> SpectralDecomposition:
     """Implicit-shift QL eigendecomposition, eigenvalues ascending.
 
     Raises NoConvergence with the offending row index when a deflation
@@ -416,7 +407,7 @@ def numeric_decomposition(
     """
     import numpy as np
     Ut = np.eye(M.size)
-    d = _ql(M, max_sweeps, Ut)
+    d = _ql(M, Ut)
     order = np.argsort(d, kind="stable")
     return SpectralDecomposition(
         eigenvalues=tuple(d[k] for k in order),
@@ -446,46 +437,3 @@ def decomposition_residuals(
         np.max(np.abs(M.dense() @ U - U * np.asarray(dec.eigenvalues)), initial=0.0)
     )
     return ortho, recon
-
-
-@dataclass(frozen=True)
-class ConstantDiag:
-    value: float
-
-
-@dataclass(frozen=True)
-class AlmostConstantHead:
-    head: float
-    value: float
-
-
-@dataclass(frozen=True)
-class AlmostConstantTail:
-    value: float
-    tail: float
-
-
-@dataclass(frozen=True)
-class GeneralDiag:
-    pass
-
-
-DiagonalProfile = Union[ConstantDiag, AlmostConstantHead, AlmostConstantTail, GeneralDiag]
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= PROFILE_RTOL * max(abs(a), abs(b))
-
-
-def diagonal_profile(fam: JacobiFamily) -> DiagonalProfile:
-    """Classify the diagonal of build_jacobi(fam): all entries equal, equal
-    except the first, equal except the last, or general (checked in that
-    order, relative tolerance PROFILE_RTOL)."""
-    d = build_jacobi(fam).diag
-    if all(_close(d[0], x) for x in d):
-        return ConstantDiag(value=d[0])
-    if len(d) >= 2 and all(_close(d[1], x) for x in d[1:]):
-        return AlmostConstantHead(head=d[0], value=d[1])
-    if len(d) >= 2 and all(_close(d[0], x) for x in d[:-1]):
-        return AlmostConstantTail(value=d[0], tail=d[-1])
-    return GeneralDiag()

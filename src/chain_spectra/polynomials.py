@@ -17,6 +17,7 @@ overflow on all valid parameter branches.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -31,6 +32,14 @@ from .errors import (
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _check_lattice_size(N) -> None:
+    """Raise InvalidParams unless N is an integer >= 0 (a bool is not one)."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise InvalidParams(f"lattice size N must be an integer, got {N!r}")
+    if N < 0:
+        raise InvalidParams(f"lattice size N must be >= 0, got {N}")
+
+
 @dataclass(frozen=True)
 class KrawtchoukParams:
     """Krawtchouk family on 0..N with success probability p in (0, 1)."""
@@ -39,8 +48,7 @@ class KrawtchoukParams:
     p: float
 
     def __post_init__(self):
-        if self.N < 0:
-            raise InvalidParams(f"lattice size N must be >= 0, got {self.N}")
+        _check_lattice_size(self.N)
         if not (0.0 < self.p < 1.0):
             raise InvalidParams(f"p must lie in (0, 1), got {self.p}")
 
@@ -58,8 +66,7 @@ class HahnParams:
     beta: float
 
     def __post_init__(self):
-        if self.N < 0:
-            raise InvalidParams(f"lattice size N must be >= 0, got {self.N}")
+        _check_lattice_size(self.N)
         a, b = self.alpha, self.beta
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidParams(f"(alpha, beta) = ({a}, {b}) must be finite")
@@ -81,8 +88,7 @@ class DualQKrawtchoukParams:
     q: float
 
     def __post_init__(self):
-        if self.N < 0:
-            raise InvalidParams(f"lattice size N must be >= 0, got {self.N}")
+        _check_lattice_size(self.N)
         if not -math.inf < self.cbar < 0.0:
             raise InvalidParams(f"cbar must be negative and finite, got {self.cbar}")
         if not (0.0 < self.q < math.inf and self.q != 1.0):
@@ -332,12 +338,12 @@ def bidiagonal_split(fp: FamilyParams) -> tuple[tuple[float, ...], tuple[float, 
     return B, D
 
 
-def _kappa(fp: FamilyParams, point: LatticePoint) -> float:
+def _kappa(fp: FamilyParams, x: int) -> float:
+    """Recurrence coordinate of lattice node x."""
     if isinstance(fp, DualQKrawtchoukParams):
         q, cbar, N = fp.q, fp.cbar, fp.N
-        x = point.x
         return (1.0 - q ** (-x)) * (1.0 - cbar * q ** (x - N))
-    return float(point.x)
+    return float(x)
 
 
 def recurrence_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
@@ -346,7 +352,7 @@ def recurrence_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     _check_degree(fp, i)
     _check_degree(fp, point.x)
     B, D = bidiagonal_split(fp)
-    kap = _kappa(fp, point)
+    kap = _kappa(fp, point.x)
     prev, cur = 0.0, 1.0
     for m in range(i):
         prev, cur = cur, ((B[m] + D[m] - kap) * cur - D[m] * prev) / B[m]

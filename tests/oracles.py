@@ -19,6 +19,9 @@ on columns of U), kept to pin the package's QL bit for bit.
 enumerate_levels_reference is the
 level enumeration as first written (one occupation tuple at a time, sorted
 as (energy, tuple) pairs), kept to pin the array enumeration bit for bit.
+constant_diagonal is the paper's search criterion read off the matrix: a
+chain has a closed-form spectrum when its Jacobi matrix has a constant
+diagonal F_0, so that K = M - F_0 I.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from chain_spectra.chain import (
 )
 from chain_spectra.errors import NoConvergence
 from chain_spectra.jacobi import SIGN_TOL, ConstantParams, build_jacobi
-from chain_spectra.polynomials import _kappa, lattice
+from chain_spectra.polynomials import _kappa
 
 _EPS = float(np.finfo(float).eps)
 
@@ -179,6 +182,15 @@ def max_coupling_reference(chain) -> float:
     return w2 / (q ** (1 - n) - 1.0)
 
 
+def constant_diagonal(M) -> float | None:
+    """F_0 = M.diag[0] when every diagonal entry of M is within 1e-12
+    relative of it, else None."""
+    d0 = M.diag[0]
+    if all(abs(x - d0) <= 1e-12 * max(abs(x), abs(d0)) for x in M.diag):
+        return d0
+    return None
+
+
 def column_ql_reference(M, max_sweeps: int = 64) -> tuple[tuple, np.ndarray]:
     """Implicit-shift QL eigendecomposition of a SymTridiagonal, frozen in
     its first layout: eigenvalues ascending and eigenvector columns with
@@ -293,8 +305,8 @@ def stitched_decomposition_reference(fam) -> tuple[np.ndarray, np.ndarray]:
         U = np.empty((M.size, M.size))
         norms = np.empty(M.size)
         with np.errstate(all="ignore"):
-            for j, pt in enumerate(lattice(fam)):
-                U[:, j], norms[j] = _two_loop_stitched_vector(F, E, _kappa(fam, pt))
+            for j in range(M.size):
+                U[:, j], norms[j] = _two_loop_stitched_vector(F, E, _kappa(fam, j))
     return _first_entry_positive(U), norms
 
 
@@ -340,8 +352,8 @@ def stitched_vectors_reference(fam) -> np.ndarray:
     F = np.asarray(M.diag)
     E = np.asarray(M.offdiag)
     U = np.empty((M.size, M.size))
-    for j, pt in enumerate(lattice(fam)):
-        U[:, j] = _stitched_vector_reference(F, E, _kappa(fam, pt))
+    for j in range(M.size):
+        U[:, j] = _stitched_vector_reference(F, E, _kappa(fam, j))
     return _first_entry_positive(U)
 
 

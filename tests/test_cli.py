@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chain_spectra
 import oracles
 from chain_spectra import cli
 from chain_spectra.chain import (
@@ -557,6 +558,32 @@ def test_cli_surface_is_pinned():
     assert list(observed) == list(_CLI_SURFACE)
     for name, options in _CLI_SURFACE.items():
         assert observed[name] == list(options.items()), name
+
+
+_PUBLIC_NAMES = [
+    "ChainSpec", "ChainSpectraError", "ClosedFormUnavailable", "CombinatorialLimit",
+    "ConstantInteraction", "ConstantParams", "CustomInteraction", "DegenerateRange",
+    "DegreeOutOfRange", "DenominatorPole", "DimensionMismatch",
+    "DualQKrawtchoukInteraction", "DualQKrawtchoukParams", "FamilyParams",
+    "HahnInteraction", "HahnParams", "InteractionKind", "InvalidParams",
+    "JacobiFamily", "KrawtchoukInteraction", "KrawtchoukParams", "LatticePoint",
+    "LevelGroup", "LevelTable", "ModeSpectrum", "NoConvergence", "NonTerminating",
+    "NotPositiveDefinite", "Origin", "SpacingProfile", "SpectralDecomposition",
+    "SpectrumOrigin", "SymTridiagonal", "TooFewLevels", "UnsupportedFamily",
+    "analytic_decomposition", "assemble_quadratic_form", "bidiagonal_split",
+    "build_jacobi", "coupling_coefficients", "decomposition_residuals",
+    "enumerate_levels", "family_eval", "is_positive_definite", "lattice",
+    "lattice_point", "max_coupling", "mode_frequencies", "norm",
+    "numeric_decomposition", "numeric_eigenvalues", "orthonormal_eval",
+    "pochhammer", "q_pochhammer", "recurrence_eval", "rescale_levels",
+    "single_phonon_levels", "spacing_profile", "state_energy",
+    "terminating_basic_hypergeometric", "terminating_hypergeometric", "weight",
+]
+
+
+def test_public_surface_is_pinned():
+    # A name added to or removed from the package shows up here, on purpose.
+    assert sorted(chain_spectra.__all__) == _PUBLIC_NAMES
 
 
 # -- export -------------------------------------------------------------------

@@ -16,17 +16,12 @@ from chain_spectra import jacobi
 from chain_spectra.chain import ChainSpec, CustomInteraction, assemble_quadratic_form
 from chain_spectra.errors import DimensionMismatch, InvalidParams, NoConvergence
 from chain_spectra.jacobi import (
-    AlmostConstantHead,
-    AlmostConstantTail,
-    ConstantDiag,
     ConstantParams,
-    GeneralDiag,
     Origin,
     SymTridiagonal,
     analytic_decomposition,
     build_jacobi,
     decomposition_residuals,
-    diagonal_profile,
     numeric_decomposition,
     numeric_eigenvalues,
 )
@@ -423,11 +418,12 @@ def test_numeric_sign_convention():
         assert col[lead[0]] > 0.0
 
 
-def test_numeric_no_convergence():
+def test_numeric_no_convergence(monkeypatch):
     m = SymTridiagonal(diag=(1.0, 2.0), offdiag=(0.5,))
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     for solve in (numeric_decomposition, numeric_eigenvalues):
         with pytest.raises(NoConvergence) as info:
-            solve(m, max_sweeps=0)
+            solve(m)
         assert info.value.row == 0
 
 
@@ -586,38 +582,3 @@ def test_decomposition_residuals_errors_and_negative_control():
     assert recon > 0.1
     empty = SymTridiagonal(diag=(), offdiag=())
     assert decomposition_residuals(empty, numeric_decomposition(empty)) == (0.0, 0.0)
-
-
-# -- diagonal classification -----------------------------------------------------
-
-
-def test_diagonal_profile_constant_cases():
-    profile = diagonal_profile(KrawtchoukParams(N=9, p=0.5))
-    assert profile == ConstantDiag(value=4.5)
-    profile = diagonal_profile(HahnParams(N=4, alpha=-0.5, beta=-0.5))
-    assert isinstance(profile, ConstantDiag)
-    assert profile.value == pytest.approx(2.0, rel=1e-13)
-    profile = diagonal_profile(DualQKrawtchoukParams(N=4, cbar=-1.0, q=2.0))
-    assert isinstance(profile, ConstantDiag)
-    assert profile.value == pytest.approx(1.0 - 2.0 ** -4, rel=1e-15)
-    assert diagonal_profile(ConstantParams(N=5)) == ConstantDiag(value=2.0)
-    # single-entry diagonal counts as constant
-    assert isinstance(diagonal_profile(KrawtchoukParams(N=0, p=0.3)), ConstantDiag)
-
-
-def test_diagonal_profile_almost_constant_cases():
-    profile = diagonal_profile(HahnParams(N=3, alpha=0.4, beta=-0.4))
-    assert isinstance(profile, AlmostConstantHead)
-    assert profile.head == pytest.approx(2.1, rel=1e-13)
-    assert profile.value == pytest.approx(1.3, rel=1e-13)
-    profile = diagonal_profile(HahnParams(N=3, alpha=-4.5, beta=-3.5))
-    assert isinstance(profile, AlmostConstantTail)
-    assert profile.value == pytest.approx(1.75, rel=1e-13)
-    assert profile.tail == pytest.approx(0.75, rel=1e-13)
-
-
-def test_diagonal_profile_general_and_precedence():
-    assert isinstance(diagonal_profile(KrawtchoukParams(N=5, p=0.3)), GeneralDiag)
-    # two distinct entries: the head classification wins over the tail one
-    profile = diagonal_profile(HahnParams(N=1, alpha=0.4, beta=-0.4))
-    assert isinstance(profile, AlmostConstantHead)

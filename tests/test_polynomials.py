@@ -20,6 +20,7 @@ from chain_spectra.errors import (
     InvalidParams,
     NonTerminating,
 )
+from chain_spectra.jacobi import ConstantParams
 from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
     HahnParams,
@@ -182,6 +183,24 @@ def test_invalid_params():
     DualQKrawtchoukParams(N=1023, cbar=-1.0, q=0.5)
     # single-point lattice is allowed
     assert lattice(KrawtchoukParams(N=0, p=0.5)) == (lattice_point(KrawtchoukParams(N=0, p=0.5), 0),)
+
+
+@pytest.mark.parametrize("N", [2.5, 2.0, True, "3", None, -1])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda N: KrawtchoukParams(N=N, p=0.5),
+        lambda N: HahnParams(N=N, alpha=0.5, beta=0.5),
+        lambda N: DualQKrawtchoukParams(N=N, cbar=-1.0, q=2.0),
+        lambda N: ConstantParams(N=N),
+    ],
+    ids=["krawtchouk", "hahn", "qkrawtchouk", "constant"],
+)
+def test_lattice_size_must_be_an_integer(make, N):
+    # A float, a bool or a string N used to pass, or to raise a raw
+    # TypeError, before the family could be built.
+    with pytest.raises(InvalidParams, match="lattice size N must be"):
+        make(N)
 
 
 def test_degree_and_node_ranges():

@@ -23,11 +23,9 @@ from chain_spectra.chain import (
 )
 from chain_spectra.errors import ClosedFormUnavailable
 from chain_spectra.jacobi import (
-    ConstantDiag,
     ConstantParams,
     SymTridiagonal,
     build_jacobi,
-    diagonal_profile,
     interaction_spectrum,
     numeric_decomposition,
 )
@@ -63,9 +61,8 @@ def test_interaction_spectrum_matches_ql(n):
         if isinstance(fam, ConstantParams):
             shift = 0.0
         else:
-            profile = diagonal_profile(fam)
-            assert isinstance(profile, ConstantDiag), fam
-            shift = profile.value
+            shift = oracles.constant_diagonal(M)
+            assert shift is not None, fam
         K = SymTridiagonal(diag=tuple(d - shift for d in M.diag), offdiag=M.offdiag)
         closed = sorted(interaction_spectrum(fam))
         numeric = numeric_decomposition(K).eigenvalues
@@ -86,6 +83,20 @@ def test_interaction_spectrum_matches_ql(n):
 def test_interaction_spectrum_unavailable(fam):
     with pytest.raises(ClosedFormUnavailable):
         interaction_spectrum(fam)
+    assert oracles.constant_diagonal(build_jacobi(fam)) is None
+
+
+def test_constant_diagonal_values():
+    # F_0 of each family whose K = M - F_0 I has a closed-form spectrum.
+    assert oracles.constant_diagonal(build_jacobi(KrawtchoukParams(N=9, p=0.5))) == 4.5
+    hahn = oracles.constant_diagonal(build_jacobi(HahnParams(N=4, alpha=-0.5, beta=-0.5)))
+    assert hahn == pytest.approx(2.0, rel=1e-13)
+    dualq = build_jacobi(DualQKrawtchoukParams(N=4, cbar=-1.0, q=2.0))
+    assert oracles.constant_diagonal(dualq) == pytest.approx(1.0 - 2.0 ** -4, rel=1e-15)
+    assert oracles.constant_diagonal(build_jacobi(ConstantParams(N=5))) == 2.0
+    # A single-entry diagonal is constant, whatever the family.
+    one = build_jacobi(KrawtchoukParams(N=0, p=0.3))
+    assert oracles.constant_diagonal(one) == one.diag[0]
 
 
 # -- chain layer against the per-family closed forms --------------------------
