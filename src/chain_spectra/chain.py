@@ -9,8 +9,12 @@ omega^2 + 2c), so the squared mode frequencies are omega^2 + c mu with mu
 the spectrum of K.  jacobi.interaction_spectrum is the single source of
 that closed-form spectrum; the coupling bound and the positive-definiteness
 test are read from it too.  Custom coupling patterns are diagonalized
-numerically.  numpy is imported inside the level-table functions on purpose,
-so that mode frequencies and bounds never load it.
+numerically.  Whether A is positive definite without a closed form is
+decided in O(n) by jacobi._all_above, the sign of every LDL^T pivot of
+A - PD_TOL omega^2 I: is_positive_definite on a custom chain runs no QL,
+and numeric mode frequencies run the QL only on a chain that passes.
+numpy is imported inside the level-table functions on purpose, so that
+mode frequencies and bounds never load it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .errors import (
 from .jacobi import (
     ConstantParams,
     SymTridiagonal,
+    _all_above,
     build_jacobi,
     interaction_spectrum,
     numeric_eigenvalues,
@@ -242,20 +247,32 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     method 'closed' uses the family's closed form (ClosedFormUnavailable
     for custom interactions), 'numeric' diagonalizes the assembled
     quadratic form, 'auto' prefers closed.  Raises NotPositiveDefinite when
-    the smallest squared frequency is not above PD_TOL * omega^2, and
-    InvalidParams when a closed-form squared frequency overflows.
+    the smallest squared frequency is not above the floor PD_TOL * omega^2,
+    and InvalidParams when a closed-form squared frequency overflows.
+
+    The numeric method first checks that every LDL^T pivot of A - floor I
+    is positive, an O(n) test, and raises before any QL when one is not.
+    Only a form that passes is diagonalized, and its smallest square is
+    still held against the floor.  Within rounding of the floor the two
+    tests can disagree, so either may raise there; a returned spectrum
+    never has a square at or below the floor.
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidParams(f"unknown method {method!r}")
     custom = isinstance(chain.interaction, CustomInteraction)
+    floor = PD_TOL * chain.omega**2
     if method == "closed" or (method == "auto" and not custom):
         squares, labels = _closed_squares(chain)
         origin = SpectrumOrigin.CLOSED_FORM
     else:
-        squares = numeric_eigenvalues(assemble_quadratic_form(chain))
+        A = assemble_quadratic_form(chain)
+        if not _all_above(A, floor):
+            raise NotPositiveDefinite(
+                f"a squared mode frequency is not above {floor:.6g}"
+            )
+        squares = numeric_eigenvalues(A)
         labels = tuple(range(chain.n))
         origin = SpectrumOrigin.NUMERIC
-    floor = PD_TOL * chain.omega**2
     if min(squares) <= floor:
         raise NotPositiveDefinite(
             f"smallest squared mode frequency {min(squares):.6g} is not "
@@ -270,13 +287,18 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
 
 
 def is_positive_definite(chain: ChainSpec) -> bool:
-    """Whether the chain's quadratic form is positive definite, judged by
-    its smallest squared mode frequency against PD_TOL * omega^2."""
+    """Whether the chain's quadratic form A is positive definite: whether
+    every squared mode frequency is above PD_TOL * omega^2.
+
+    A built-in family reads its smallest square off the closed form.  A
+    custom chain runs no QL: it passes when every LDL^T pivot of
+    A - PD_TOL * omega^2 I is positive, an O(n) test.  Within rounding of
+    that floor it can disagree with the QL's smallest square, which
+    numeric mode frequencies still check."""
+    floor = PD_TOL * chain.omega**2
     if isinstance(chain.interaction, CustomInteraction):
-        smallest = numeric_eigenvalues(assemble_quadratic_form(chain))[0]
-    else:
-        smallest = min(_closed_squares(chain)[0])
-    return smallest > PD_TOL * chain.omega**2
+        return _all_above(assemble_quadratic_form(chain), floor)
+    return min(_closed_squares(chain)[0]) > floor
 
 
 def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:

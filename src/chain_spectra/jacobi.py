@@ -21,13 +21,18 @@ column gets the floating-point operations of its own scalar recurrence, so
 the vectors are bit for bit those of one eigenvalue at a time.
 The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweep loop:
-numeric_eigenvalues runs it without eigenvectors (mode frequencies, the
-positive-definiteness test and the CLI's verify need no more),
-numeric_decomposition runs it with U^T.  There each rotation of rows i and
-i + 1 is recorded, and _apply_rotations applies the recorded sequence in
-waves of rotations that share no row, each wave to strided views of U^T;
+numeric_eigenvalues runs it without eigenvectors (numeric mode frequencies
+and the CLI's verify need no more), numeric_decomposition runs it with
+U^T.  There each rotation of rows i and i + 1 is recorded, and
+_apply_rotations applies the recorded sequence in waves of rotations that
+share no row, each wave to strided views of U^T;
 every entry sees the operations of a rotation applied on its own, so the
 vectors are bit for bit those of one rotation at a time.
+
+Positive definiteness needs no eigenvalue: _all_above decides whether every
+eigenvalue exceeds a shift sigma from the signs of the LDL^T pivots of
+M - sigma I, in O(n) against the QL's O(n^2).  The chain layer asks it
+first, so that the QL runs only on forms that pass.
 
 numpy is imported inside the array functions on purpose: the closed forms
 and the QL eigenvalues run on Python floats, so that callers needing no more,
@@ -334,6 +339,31 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     if Ut is not None:
         _apply_rotations(Ut, rows, cs, ss)
     return d
+
+
+def _all_above(M: SymTridiagonal, sigma: float) -> bool:
+    """Whether every eigenvalue of M exceeds sigma, in O(n): whether every
+    LDL^T pivot d_i = (a_i - sigma) - b_{i-1}^2 / d_{i-1} of M - sigma I is
+    positive (the pivot-sign count of Barth, Martin and Wilkinson, 1967).
+
+    M and sigma are first scaled by one power of two to max |entry| <= 1,
+    which is exact unless an entry underflows.  Then (a_i - sigma) is
+    finite, b (b / d) with b <= 1 overflows only where b / d does, and that
+    inf after a tiny positive pivot makes the next pivot -inf, the right
+    sign.  The scaling also lifts a matrix near the smallest normal float
+    out of the subnormal range, where its pivots would lose digits.  The
+    loop stops at the first pivot <= 0.
+    """
+    ldexp = math.ldexp
+    shift = -math.frexp(max((abs(sigma), *map(abs, M.diag), *M.offdiag)))[1]
+    s = ldexp(sigma, shift)
+    d, b = 1.0, 0.0
+    for a, e in zip(M.diag, M.offdiag + (0.0,)):
+        d = (ldexp(a, shift) - s) - b * (b / d)
+        if not d > 0.0:
+            return False
+        b = ldexp(e, shift)
+    return True
 
 
 def _apply_rotations(Ut: np.ndarray, rows: array, cs: array, ss: array) -> None:

@@ -104,6 +104,18 @@ class DualQKrawtchoukParams:
 FamilyParams = Union[KrawtchoukParams, HahnParams, DualQKrawtchoukParams]
 
 
+def _check_degree(fp: FamilyParams, i: int, what: str = "degree") -> None:
+    """Raise InvalidParams unless i is an integer (a bool is not one) and
+    DegreeOutOfRange unless 0 <= i <= N.  A plain int, the common case,
+    skips the type test."""
+    if type(i) is not int and (
+        isinstance(i, bool) or not isinstance(i, numbers.Integral)
+    ):
+        raise InvalidParams(f"{what} must be an integer, got {i!r}")
+    if not 0 <= i <= fp.N:
+        raise DegreeOutOfRange(f"{what} {i} outside 0..{fp.N}")
+
+
 @dataclass(frozen=True)
 class LatticePoint:
     """A lattice node x together with its real evaluation coordinate.
@@ -117,9 +129,10 @@ class LatticePoint:
 
 
 def lattice_point(fp: FamilyParams, x: int) -> LatticePoint:
-    """Build the lattice point at node x for the given family."""
-    if not 0 <= x <= fp.N:
-        raise DegreeOutOfRange(f"lattice node {x} outside 0..{fp.N}")
+    """Build the lattice point at node x for the given family.  Raises
+    InvalidParams unless x is an integer and DegreeOutOfRange outside
+    0..N, as every evaluator does for its degree and node."""
+    _check_degree(fp, x, "lattice node")
     if isinstance(fp, DualQKrawtchoukParams):
         value = fp.q ** (-x) + fp.cbar * fp.q ** (x - fp.N)
     else:
@@ -258,16 +271,11 @@ def terminating_basic_hypergeometric(
     return _neumaier_sum(terms)
 
 
-def _check_degree(fp: FamilyParams, i: int) -> None:
-    if not 0 <= i <= fp.N:
-        raise DegreeOutOfRange(f"degree {i} outside 0..{fp.N}")
-
-
 def family_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     """Reference value of the degree-i family polynomial at a lattice point,
     computed from its terminating hypergeometric series."""
     _check_degree(fp, i)
-    _check_degree(fp, point.x)
+    _check_degree(fp, point.x, "lattice node")
     x, N = point.x, fp.N
     if isinstance(fp, KrawtchoukParams):
         return terminating_hypergeometric(
@@ -350,7 +358,7 @@ def recurrence_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     """Value of the degree-i family polynomial by upward three-term
     recurrence from degree 0; the P_{-1} coefficient D_0 is zero."""
     _check_degree(fp, i)
-    _check_degree(fp, point.x)
+    _check_degree(fp, point.x, "lattice node")
     B, D = bidiagonal_split(fp)
     kap = _kappa(fp, point.x)
     prev, cur = 0.0, 1.0
@@ -383,8 +391,7 @@ def _in_float_range(name: str, compute, fp: FamilyParams, index: int) -> float:
 def weight(fp: FamilyParams, x: int) -> float:
     """Orthogonality weight w(x) > 0 at lattice node x.  Raises
     InvalidParams where it leaves float range."""
-    if not 0 <= x <= fp.N:
-        raise DegreeOutOfRange(f"lattice node {x} outside 0..{fp.N}")
+    _check_degree(fp, x, "lattice node")
     return _in_float_range("weight", _weight, fp, x)
 
 

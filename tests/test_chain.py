@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from chain_spectra import chain as chain_module
 from chain_spectra.chain import (
+    PD_TOL,
     ChainSpec,
     ConstantInteraction,
     CustomInteraction,
@@ -49,7 +50,13 @@ from chain_spectra.errors import (
     TooFewLevels,
     UnsupportedFamily,
 )
-from chain_spectra.jacobi import build_jacobi, numeric_decomposition
+from chain_spectra.jacobi import (
+    SymTridiagonal,
+    _all_above,
+    build_jacobi,
+    numeric_decomposition,
+    numeric_eigenvalues,
+)
 from chain_spectra.polynomials import HahnParams
 
 CLOSED_VS_NUMERIC_RTOL = 1e-9
@@ -451,6 +458,58 @@ def test_custom_interaction_paths():
     )
 
 
+def test_pivot_test_spares_the_ql(monkeypatch):
+    # The O(n) pivot test decides positive definiteness; the QL runs only
+    # for a numeric spectrum of a chain that passes it.
+    calls = []
+
+    def counting(A):
+        calls.append(A.size)
+        return numeric_eigenvalues(A)
+
+    monkeypatch.setattr(chain_module, "numeric_eigenvalues", counting)
+    custom = CustomInteraction(gammas=(1.0, 2.0, 1.0))
+    below, above = _chain(custom, 4, 0.3), _chain(custom, 4, 3.0)
+    assert is_positive_definite(below)
+    assert not is_positive_definite(above)
+    for chain in (above, _chain(KrawtchoukInteraction(), 4, 0.7)):
+        with pytest.raises(NotPositiveDefinite):
+            mode_frequencies(chain, method="numeric")
+    with pytest.raises(NotPositiveDefinite):
+        single_phonon_levels(above)
+    with pytest.raises(NotPositiveDefinite):
+        enumerate_levels(above, 2)
+    assert calls == []
+    mode_frequencies(below, method="numeric")
+    assert calls == [4]
+
+
+def _ulps(x, k):
+    """x moved by k units in the last place (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@pytest.mark.parametrize("steps", range(-4, 5))
+def test_numeric_spectrum_stays_above_the_floor(steps):
+    # Couplings within a few ulps of the one that puts the smallest square
+    # on the floor PD_TOL * omega^2, where the pivot test and the QL can
+    # disagree: a spectrum is returned only when both pass.
+    reference = _chain(KrawtchoukInteraction(), 8, 0.0)
+    custom = CustomInteraction(gammas=coupling_coefficients(reference))
+    c = _ulps((1.0 - PD_TOL) * max_coupling(reference), steps)
+    chain = _chain(custom, 8, c)
+    A = assemble_quadratic_form(chain)
+    passes = _all_above(A, PD_TOL) and min(numeric_eigenvalues(A)) > PD_TOL
+    try:
+        spectrum = mode_frequencies(chain, method="numeric")
+    except NotPositiveDefinite:
+        assert not passes
+    else:
+        assert passes and len(spectrum.omegas) == 8
+
+
 # -- energies and levels --------------------------------------------------------------
 
 
@@ -817,3 +876,65 @@ def test_property_state_energy_additivity(n, seed_occ, j):
     assert abs(delta - chain.hbar * omega_j) <= 1e-12 * (
         1.0 + abs(state_energy(chain, occ))
     )
+
+
+@st.composite
+def _custom_chains(draw):
+    """A custom chain of 1 to 40 sites, omega at the low end of its range,
+    1 or high, and a coupling from 0 to twice the coupling bound."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    interaction = CustomInteraction(
+        gammas=tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1, max_size=n - 1)))
+    )
+    omega = draw(st.sampled_from((1.5e-154, 1.0, 1e150)))
+    c = _fraction_of_bound(interaction, n, omega, draw(st.floats(0.0, 2.0)))
+    return _chain(interaction, n, c, omega=omega)
+
+
+def _copied_chain(n, omega, steps):
+    """Krawtchouk's gammas as a custom chain, steps ulps off the coupling
+    bound."""
+    reference = _chain(KrawtchoukInteraction(), n, 0.0, omega=omega)
+    c = _ulps(max_coupling(reference), steps)
+    custom = CustomInteraction(gammas=coupling_coefficients(reference))
+    return _chain(custom, n, c, omega=omega)
+
+
+def _power_of_two_scaled(A, sigma):
+    """A and sigma scaled by the power of two that brings max |entry| into
+    [1/2, 1), exactly unless an entry underflows.  The QL's deflation test
+    underflows on forms near the smallest normal float (omega = 1.5e-154)
+    and the QL then fails to converge, so the reference runs on the scaled
+    copy."""
+    shift = -math.frexp(max(A.diag + A.offdiag))[1]
+    scaled = SymTridiagonal(
+        tuple(math.ldexp(a, shift) for a in A.diag),
+        tuple(math.ldexp(b, shift) for b in A.offdiag),
+    )
+    return scaled, math.ldexp(sigma, shift)
+
+
+@given(chain=_custom_chains())
+@example(chain=_copied_chain(8, 1.0, -4))
+@example(chain=_copied_chain(8, 1.0, 4))
+@example(chain=_copied_chain(40, 1e150, -4))
+@example(chain=_copied_chain(40, 1.5e-154, 4))
+# Zero gammas split the chain into blocks; the last block fails at c = 0.8.
+@example(chain=_chain(CustomInteraction(gammas=(2.0, 0.0, 0.0, 3.0)), 5, 0.6))
+@example(chain=_chain(CustomInteraction(gammas=(2.0, 0.0, 0.0, 3.0)), 5, 0.8))
+@example(chain=_chain(_SUBNORMAL_TOP, 3, _fraction_of_bound(_SUBNORMAL_TOP, 3, 1.0, 0.5)))
+@example(chain=_chain(CustomInteraction(gammas=(50.0,)), 2, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_property_pivot_test_matches_ql(chain):
+    # Outside the rounding band of the floor, all LDL^T pivots of
+    # A - floor I are positive exactly when the QL's smallest eigenvalue of
+    # A is above the floor.
+    A = assemble_quadratic_form(chain)
+    floor = PD_TOL * chain.omega**2
+    above = _all_above(A, floor)
+    assert type(above) is bool
+    scaled, sigma = _power_of_two_scaled(A, floor)
+    lowest = min(numeric_eigenvalues(scaled))
+    band = 8 * chain.n * sys.float_info.epsilon * max(scaled.diag + scaled.offdiag)
+    if abs(lowest - sigma) > band:
+        assert above == (lowest > sigma)

@@ -19,6 +19,7 @@ from chain_spectra.jacobi import (
     ConstantParams,
     Origin,
     SymTridiagonal,
+    _all_above,
     analytic_decomposition,
     build_jacobi,
     decomposition_residuals,
@@ -536,6 +537,30 @@ def test_property_eigenvalue_only_ql_matches_decomposition(m):
     assert _ql_outcome(numeric_eigenvalues, m) == _ql_outcome(
         lambda mat: numeric_decomposition(mat).eigenvalues, m
     )
+
+
+def test_all_above_pivot_signs():
+    M = SymTridiagonal
+    # The eigenvalues of an empty matrix are vacuously above any shift; a
+    # 1 x 1 matrix is above exactly the shifts below its entry.
+    assert _all_above(M((), ()), 1.0)
+    assert _all_above(M((1.0,), ()), math.nextafter(1.0, 0.0))
+    assert not _all_above(M((1.0,), ()), 1.0)
+    # [[2, -1], [-1, 2]] has eigenvalues 1 and 3; a zero off-diagonal
+    # splits blocks, and the second block's eigenvalue 0.5 decides.
+    assert _all_above(M((2.0, 2.0), (1.0,)), 0.999)
+    assert not _all_above(M((2.0, 2.0), (1.0,)), 1.001)
+    assert _all_above(M((2.0, 2.0, 0.5), (1.0, 0.0)), 0.499)
+    assert not _all_above(M((2.0, 2.0, 0.5), (1.0, 0.0)), 0.501)
+    # b / d overflows after a tiny positive pivot: the next pivot is -inf.
+    assert not _all_above(M((1e-300, 1.0), (1e10,)), 0.0)
+    assert _all_above(M((1e300, 1e300), (9.9e299,)), 1e288)
+    # Subnormal entries in units u = 2^-1074, with determinant
+    # 7 * 12 - 9^2 = 3 > 0.  Unscaled, 9u (9u / 7u) would round to 12u and
+    # give a second pivot of 0.
+    u = 5e-324
+    assert _all_above(M((7 * u, 12 * u), (9 * u,)), 0.0)
+    assert not _all_above(M((7 * u, 11 * u), (9 * u,)), 0.0)
 
 
 # -- cross-path equivalence ------------------------------------------------------

@@ -25,6 +25,7 @@ from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
     HahnParams,
     KrawtchoukParams,
+    LatticePoint,
     bidiagonal_split,
     family_eval,
     lattice,
@@ -217,6 +218,28 @@ def test_degree_and_node_ranges():
             weight(fp, bad)
         with pytest.raises(DegreeOutOfRange):
             lattice_point(fp, bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fp, k: lattice_point(fp, k),
+        lambda fp, k: weight(fp, k),
+        lambda fp, k: norm(fp, k),
+        lambda fp, k: family_eval(fp, k, lattice_point(fp, 1)),
+        lambda fp, k: family_eval(fp, 1, LatticePoint(x=k, value=1.0)),
+        lambda fp, k: recurrence_eval(fp, k, lattice_point(fp, 1)),
+        lambda fp, k: recurrence_eval(fp, 1, LatticePoint(x=k, value=1.0)),
+    ],
+    ids=["lattice_point", "weight", "norm", "family_eval_degree",
+         "family_eval_node", "recurrence_eval_degree", "recurrence_eval_node"],
+)
+def test_degree_and_node_must_be_integers(call, bad):
+    # Unchecked, a float node is evaluated off the lattice, True is taken
+    # as node 1 and a string raises a raw TypeError.
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        call(KrawtchoukParams(N=3, p=0.5), bad)
 
 
 def test_lattice_values():
