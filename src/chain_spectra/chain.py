@@ -13,8 +13,10 @@ numerically.  Whether A is positive definite without a closed form is
 decided in O(n) by jacobi._all_above, the sign of every LDL^T pivot of
 A - PD_TOL omega^2 I: is_positive_definite on a custom chain runs no QL,
 and numeric mode frequencies run the QL only on a chain that passes.
-numpy is imported inside the level-table functions on purpose, so that
-mode frequencies and bounds never load it.
+The occupation table of enumerate_levels is written row by row in one
+forward pass over the modes, each prefix's occupation repeated once per
+completion of it.  numpy is imported inside the level-table functions on
+purpose, so that mode frequencies and bounds never load it.
 """
 
 from __future__ import annotations
@@ -498,26 +500,23 @@ def _occupation_columns(n: int, max_total: int) -> np.ndarray:
     phonons, in lexicographic order, as the columns of an n x C(n + K, K)
     array, whose row j is the column of mode j.
 
-    Mode j extends each prefix that has used u phonons by k_j = 0..K - u,
-    so a vector is found by following its parent links back from the last
-    mode."""
+    Mode j extends each prefix that has used u phonons by k_j = 0..K - u.
+    A prefix of modes 0..j that leaves r phonons heads a block of
+    C(m + r, m) vectors, m = n - j - 1 being the modes left, so row j is
+    each prefix's k_j repeated that often: one forward pass, no links."""
     import numpy as np
-    dtype = np.min_scalar_type(max_total)
+    count = math.comb(n + max_total, max_total)
+    columns = np.empty((n, count), dtype=np.min_scalar_type(max_total))
     used = np.zeros(1, dtype=np.int32)
-    links = []
-    for _ in range(n):
+    for j, row in enumerate(columns):
         width = max_total + 1 - used
         parent = np.repeat(np.arange(used.size, dtype=np.int32), width)
         k = np.arange(parent.size, dtype=np.int32)
         k -= (np.cumsum(width, dtype=np.int32) - width)[parent]
         used = used[parent] + k
-        links.append((parent, k.astype(dtype)))
-    columns = np.empty((n, used.size), dtype=dtype)
-    row = np.arange(used.size, dtype=np.int32)
-    for j in reversed(range(n)):
-        parent, k = links.pop()
-        columns[j] = k[row]
-        row = parent[row]
+        m = n - j - 1
+        ways = np.array([math.comb(m + r, m) for r in range(max_total, -1, -1)])
+        row[:] = np.repeat(k, ways[used])
     return columns
 
 

@@ -32,7 +32,10 @@ vectors are bit for bit those of one rotation at a time.
 Positive definiteness needs no eigenvalue: _all_above decides whether every
 eigenvalue exceeds a shift sigma from the signs of the LDL^T pivots of
 M - sigma I, in O(n) against the QL's O(n^2).  The chain layer asks it
-first, so that the QL runs only on forms that pass.
+first, so that the QL runs only on forms that pass.  Both work on M
+scaled by the one power of two of _unit_exponent, which is exact: a form
+near the smallest normal float keeps its digits and its deflations, and
+one near the largest does not overflow.
 
 numpy is imported inside the array functions on purpose: the closed forms
 and the QL eigenvalues run on Python floats, so that callers needing no more,
@@ -274,20 +277,34 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
     )
 
 
+def _unit_exponent(values) -> int:
+    """The exponent k for which 2^k max |v| lies in [1/2, 1), or 0 when
+    every v is 0.  Scaling by 2^k is exact unless a value underflows."""
+    return -math.frexp(max(map(abs, values), default=0.0))[1]
+
+
 def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     """Implicit-shift QL iteration on M; returns its eigenvalues unsorted.
 
     d and e are Python floats, which round exactly as numpy float64
-    scalars do at a fraction of the cost.  When Ut is given, each rotation
-    (i, c, s) of rows i and i + 1 is recorded and Ut accumulates the
-    transposed eigenvector matrix: _apply_rotations applies the record every
-    _ROTATION_CHUNK rotations and once at the end.  Raises NoConvergence
-    with the offending row index when a deflation exceeds MAX_SWEEPS sweeps.
+    scalars do at a fraction of the cost.  They hold M scaled by the power
+    of two of _unit_exponent, as in _all_above, so that the deflation test
+    eps (|d_m| + |d_m+1|) neither underflows near the smallest normal float
+    nor overflows near the largest.  The eigenvalues are scaled back at the
+    end; c and s do not depend on the scale.  When Ut is given, each
+    rotation (i, c, s) of rows i and i + 1 is recorded and Ut accumulates
+    the transposed eigenvector matrix: _apply_rotations applies the record
+    every _ROTATION_CHUNK rotations and once at the end.  Raises
+    NoConvergence with the offending row index when a deflation exceeds
+    MAX_SWEEPS sweeps.
     """
     n = M.size
     sweep_budget = MAX_SWEEPS
-    d = [float(x) for x in M.diag]
-    e = [-float(x) for x in M.offdiag] + [0.0]
+    # Capped so that 2^-shift is a float: an eigenvalue past float range
+    # then comes back inf.
+    shift = max(_unit_exponent(M.diag + M.offdiag), -1023)
+    d = [math.ldexp(x, shift) for x in M.diag]
+    e = [-math.ldexp(x, shift) for x in M.offdiag] + [0.0]
     rows, cs, ss = array("q"), array("d"), array("d")
     for l in range(n):
         sweeps = 0
@@ -338,7 +355,8 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
                 e[m] = 0.0
     if Ut is not None:
         _apply_rotations(Ut, rows, cs, ss)
-    return d
+    scale = 2.0**-shift
+    return [x * scale for x in d]
 
 
 def _all_above(M: SymTridiagonal, sigma: float) -> bool:
@@ -355,7 +373,7 @@ def _all_above(M: SymTridiagonal, sigma: float) -> bool:
     loop stops at the first pivot <= 0.
     """
     ldexp = math.ldexp
-    shift = -math.frexp(max((abs(sigma), *map(abs, M.diag), *M.offdiag)))[1]
+    shift = _unit_exponent((sigma, *M.diag, *M.offdiag))
     s = ldexp(sigma, shift)
     d, b = 1.0, 0.0
     for a, e in zip(M.diag, M.offdiag + (0.0,)):

@@ -287,6 +287,31 @@ def test_small_q_chain_where_jacobi_products_overflow():
     assert payload["omegas_closed"] == payload["omegas_numeric"]
 
 
+def _custom_spectrum(n, omega, c):
+    gamma = ",".join(["1"] * (n - 1))
+    argv = ["spectrum", "--family", "custom", "--n", str(n), "--gamma", gamma]
+    proc = _run([*argv, "--omega", omega, "--c", c])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)["omegas_numeric"]
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 20])
+def test_custom_chain_near_the_smallest_normal_float(n):
+    # omega^2 = 2.25e-308, where eps (|d_m| + |d_m+1|) of an unscaled QL
+    # deflation test underflows to 0.  The same chain with omega and c
+    # times 1e154 and 1e308 has 1e154 times the frequencies.
+    omegas = _custom_spectrum(n, "1.5e-154", "1e-308")
+    assert [w * 1e154 for w in omegas] == pytest.approx(_custom_spectrum(n, "1.5", "1"), rel=1e-12)
+
+
+def test_custom_chain_near_the_largest_float():
+    # omega^2 = 1.69e308, where eps (|d_m| + |d_m+1|) of an unscaled QL
+    # deflation test overflows to inf and every row deflates at once, so
+    # each frequency would read 1.3e154.
+    omegas = _custom_spectrum(3, "1.3e154", "1e307")
+    assert [w / 1e154 for w in omegas] == pytest.approx(_custom_spectrum(3, "1.3", "0.1"), rel=1e-12)
+
+
 def test_single_site_custom_chain_takes_empty_gamma():
     proc = _run(["spectrum", "--family", "custom", "--n", "1", "--gamma", "", "--omega", "2"])
     assert proc.returncode == 0, proc.stderr

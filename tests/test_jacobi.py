@@ -428,6 +428,41 @@ def test_numeric_no_convergence(monkeypatch):
         assert info.value.row == 0
 
 
+def test_numeric_eigenvalues_scale_with_powers_of_two():
+    # The QL runs on M scaled by one power of two, so 2^k M has the
+    # eigenvalues 2^k lambda bit for bit while every entry stays normal.
+    # The extreme k take the smallest nonzero |entry| to the smallest
+    # normal float, and max |entry| to just below 2^1022.
+    mats = [build_jacobi(fam) for fam in _grid((5, 20))] + _custom_quadratic_forms()[2:]
+    tops = []
+    for m in mats:
+        values = numeric_eigenvalues(m)
+        entries = [abs(x) for x in m.diag + m.offdiag if x]
+        lowest = -1021 - math.frexp(min(entries))[1]
+        highest = 1022 - math.frexp(max(entries))[1]
+        for k in (lowest, -600, -1, 1, 600, highest):
+            scaled = SymTridiagonal(
+                tuple(math.ldexp(a, k) for a in m.diag),
+                tuple(math.ldexp(b, k) for b in m.offdiag),
+            )
+            assert numeric_eigenvalues(scaled) == tuple(math.ldexp(v, k) for v in values), (m, k)
+        tops.append(math.ldexp(max(entries), lowest))
+    # Krawtchouk, Hahn and the custom forms span few binades: these reach
+    # max |entry| near 1e-307, where eps (|d_m| + |d_m+1|) of an unscaled
+    # deflation test underflows to 0.
+    assert sum(top < 1e-306 for top in tops) >= 10, sorted(tops)
+
+
+def test_numeric_eigenvalues_past_the_largest_float():
+    # [[1e308, -1e308], [-1e308, 1e308]] has eigenvalues 0 and 2e308: the
+    # top one leaves float range and comes back inf, not as an exception.
+    # Unscaled, eps (|d_m| + |d_m+1|) would be inf and deflate every row.
+    low, high = numeric_eigenvalues(SymTridiagonal((1e308, 1e308), (1e308,)))
+    assert abs(low) < 1e-15 * 1e308 and high == math.inf
+    low, high = numeric_eigenvalues(SymTridiagonal((1e308, 1e308), (5e307,)))
+    assert (low, high) == pytest.approx((5e307, 1.5e308), rel=1e-15)
+
+
 # Tiny entries make a rotation underflow to r == 0, the QL's split branch.
 _SPLIT_EXAMPLE = SymTridiagonal(
     diag=(0.0, 0.0, 1e-200, 1e-200), offdiag=(1e-200, 2.0, 3.0)
