@@ -25,9 +25,11 @@ numeric_eigenvalues runs it without eigenvectors (numeric mode frequencies
 and the CLI's verify need no more), numeric_decomposition runs it with
 U^T.  There each rotation of rows i and i + 1 is recorded, and
 _apply_rotations applies the recorded sequence in waves of rotations that
-share no row, each wave to strided views of U^T;
-every entry sees the operations of a rotation applied on its own, so the
-vectors are bit for bit those of one rotation at a time.
+share no row.  U^T is kept in an even/odd row layout, rows 0, 2, 4, ...
+and then 1, 3, 5, ..., so that a run of a wave's rotations, on rows i,
+i + 2, ..., rotates two contiguous blocks of rows.  Every entry sees the
+operations of a rotation applied on its own, so the vectors are bit for
+bit those of one rotation at a time.
 
 Positive definiteness needs no eigenvalue: _all_above decides whether every
 eigenvalue exceeds a shift sigma from the signs of the LDL^T pivots of
@@ -293,8 +295,9 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     nor overflows near the largest.  The eigenvalues are scaled back at the
     end; c and s do not depend on the scale.  When Ut is given, each
     rotation (i, c, s) of rows i and i + 1 is recorded and Ut accumulates
-    the transposed eigenvector matrix: _apply_rotations applies the record
-    every _ROTATION_CHUNK rotations and once at the end.  Raises
+    the transposed eigenvector matrix in the even/odd row layout of
+    _even_odd_positions: _apply_rotations applies the record every
+    _ROTATION_CHUNK rotations and once at the end.  Raises
     NoConvergence with the offending row index when a deflation exceeds
     MAX_SWEEPS sweeps.
     """
@@ -384,18 +387,30 @@ def _all_above(M: SymTridiagonal, sigma: float) -> bool:
     return True
 
 
+def _even_odd_positions(n: int) -> np.ndarray:
+    """Where the even/odd layout of an n-row U^T stores each row: row i at
+    i // 2 when i is even, at (n + 1) // 2 + i // 2 when i is odd."""
+    import numpy as np
+    i = np.arange(n)
+    return i // 2 + (i % 2) * ((n + 1) // 2)
+
+
 def _apply_rotations(Ut: np.ndarray, rows: array, cs: array, ss: array) -> None:
-    """Apply the rotations (rows[k], cs[k], ss[k]) in order to Ut, in place:
-    (Ut[i], Ut[i + 1]) <- (c Ut[i] - s Ut[i + 1], s Ut[i] + c Ut[i + 1]).
+    """Apply the rotations (rows[k], cs[k], ss[k]) in order to the rows of
+    U^T, which Ut holds in the even/odd layout of _even_odd_positions, in
+    place: (U^T[i], U^T[i + 1]) <- (c U^T[i] - s U^T[i + 1],
+    s U^T[i] + c U^T[i + 1]).
 
     Each rotation joins wave max(ready[i], ready[i + 1]), which comes after
     the wave of every earlier rotation that shares a row with it.  So the
     rotations of one wave touch disjoint rows and commute, and applying the
     waves in turn gives the product of the sequence.  A wave is applied run
-    by run, a run being rotations of rows i0, i0 + 2, ..., to the strided
-    views of their lo and hi rows, with the operations of one rotation in
-    their order: every entry of Ut gets the same bits as by one rotation at
-    a time.
+    by run, a run being k rotations of rows i0, i0 + 2, ...: in the layout
+    their lo rows are k contiguous rows of Ut and their hi rows k more.
+    Each run takes six passes, s lo, s hi, lo c, lo - s hi, hi c and
+    hi c + s lo, and every entry gets the bits of one rotation at a time:
+    c hi + s lo rounds as s lo + c hi does, IEEE addition being
+    commutative.
     """
     import numpy as np
     if not rows:
@@ -423,19 +438,20 @@ def _apply_rotations(Ut: np.ndarray, rows: array, cs: array, ss: array) -> None:
     del key
     starts = [0, *cuts]
     ends = [*cuts, len(row)]
+    first = row[starts]
+    pos = _even_odd_positions(n)
     width = max(b - a for a, b in zip(starts, ends))
-    rotated, product = np.empty((width, n)), np.empty((width, n))
-    for a, b, i in zip(starts, ends, row[starts].tolist()):
+    s_lo, s_hi = np.empty((width, n)), np.empty((width, n))
+    for a, b, p, q in zip(starts, ends, pos[first].tolist(), pos[first + 1].tolist()):
         k = b - a
-        lo, hi = Ut[i : i + 2 * k : 2], Ut[i + 1 : i + 2 * k + 1 : 2]
-        rot, tmp = rotated[:k], product[:k]
-        np.multiply(s[a:b], lo, out=rot)
-        np.multiply(c[a:b], hi, out=tmp)
-        rot += tmp
+        lo, hi = Ut[p : p + k], Ut[q : q + k]
+        ta, tb = s_lo[:k], s_hi[:k]
+        np.multiply(s[a:b], lo, out=ta)
+        np.multiply(s[a:b], hi, out=tb)
         lo *= c[a:b]
-        np.multiply(s[a:b], hi, out=tmp)
-        lo -= tmp
-        hi[...] = rot
+        lo -= tb
+        hi *= c[a:b]
+        hi += ta
 
 
 def numeric_eigenvalues(M: SymTridiagonal) -> tuple[float, ...]:
@@ -454,12 +470,15 @@ def numeric_decomposition(M: SymTridiagonal) -> SpectralDecomposition:
     exceeds the sweep budget.
     """
     import numpy as np
-    Ut = np.eye(M.size)
+    n = M.size
+    pos = _even_odd_positions(n)
+    Ut = np.zeros((n, n))
+    Ut[pos, np.arange(n)] = 1.0
     d = _ql(M, Ut)
     order = np.argsort(d, kind="stable")
     return SpectralDecomposition(
         eigenvalues=tuple(d[k] for k in order),
-        vectors=_fix_signs(Ut[order].T),
+        vectors=_fix_signs(Ut[pos[order]].T),
         origin=Origin.NUMERIC,
     )
 

@@ -499,10 +499,13 @@ def test_numeric_decomposition_equals_column_ql_reference(monkeypatch):
     )
     mats = [build_jacobi(fam) for fam in _grid((0, 1, 9, 31))]
     mats += _custom_quadratic_forms() + [_SPLIT_EXAMPLE, split, SymTridiagonal((), ())]
-    # More than 2^14 rotations at n = 128: U^T gets them in several chunks.
+    # More than 2^14 rotations at n = 128 and 129: U^T gets them in several
+    # chunks, and at odd n the odd rows of its even/odd layout start at
+    # (n + 1) // 2.
     large = [
         build_jacobi(HahnParams(N=127, alpha=1.7, beta=1.7)),
         build_jacobi(DualQKrawtchoukParams(N=127, cbar=-1.0, q=0.7)),
+        build_jacobi(HahnParams(N=128, alpha=1.7, beta=1.7)),
     ]
     flushes = []
     for m in mats + large:
@@ -518,24 +521,37 @@ def test_numeric_decomposition_equals_column_ql_reference(monkeypatch):
 
 
 def test_apply_rotations_equals_one_at_a_time():
-    # Rows in any order, not only the descending sweeps the QL records.
     rng = np.random.default_rng(20261018)
-    for n, count in ((2, 5), (7, 40), (16, 300), (33, 2000)):
-        rows = rng.integers(0, n - 1, count)
-        angles = rng.uniform(-math.pi, math.pi, count)
+    # Rows in any order, not only the descending sweeps the QL records.
+    cases = [
+        (n, rng.integers(0, n - 1, count).tolist())
+        for n, count in ((2, 5), (7, 40), (16, 300), (33, 2000))
+    ]
+    # Repeated descending sweeps from row l, as the QL records them: their
+    # waves hold runs of several rotations, which start on even and on odd
+    # rows, at even and at odd n.
+    cases += [
+        (n, list(range(n - 2, l - 1, -1)) * 5) for n in (6, 7, 12, 13) for l in (0, 1)
+    ]
+    for n, rows in cases:
+        angles = rng.uniform(-math.pi, math.pi, len(rows))
         cs, ss = np.cos(angles), np.sin(angles)
         start = rng.normal(size=(n, n))
         expected = start.copy()
-        for i, c, s in zip(rows.tolist(), cs.tolist(), ss.tolist()):
+        for i, c, s in zip(rows, cs.tolist(), ss.tolist()):
             lo, hi = expected[i], expected[i + 1]
             rotated = s * lo
             rotated += c * hi
             lo *= c
             lo -= s * hi
             hi[:] = rotated
-        Ut = start.copy()
-        jacobi._apply_rotations(Ut, array("q", rows.tolist()), array("d", cs), array("d", ss))
-        assert np.array_equal(Ut, expected), n
+        # _apply_rotations takes U^T with rows 0, 2, 4, ... first and then
+        # 1, 3, 5, ...; pos is where each row is stored.
+        perm = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
+        pos = np.argsort(perm)
+        Ut = start[perm]
+        jacobi._apply_rotations(Ut, array("q", rows), array("d", cs), array("d", ss))
+        assert np.array_equal(Ut[pos], expected), (n, rows[:2])
 
 
 def _ql_outcome(solve, m):
