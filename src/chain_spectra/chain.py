@@ -340,7 +340,10 @@ def _finite_energy(energy: float) -> float:
 
 def ground_energy(chain: ChainSpec, spectrum: ModeSpectrum) -> float:
     """Zero-point energy E_0 = (hbar / 2) * sum_j omega_j of a mode spectrum
-    of the chain.  Raises InvalidParams when it overflows."""
+    of the chain.  Raises DimensionMismatch when the spectrum does not have
+    n modes and InvalidParams when E_0 overflows."""
+    if len(spectrum.omegas) != chain.n:
+        raise DimensionMismatch(f"{len(spectrum.omegas)} modes for a chain of {chain.n}")
     return _finite_energy(0.5 * chain.hbar * _left_sum(spectrum.omegas))
 
 
@@ -532,9 +535,11 @@ def spacing_profile(levels: Sequence[float]) -> SpacingProfile:
     """Shape of the successive-gap sequence of at least three levels:
     strictly decreasing, strictly increasing, single strict interior
     maximum (mid_peak), single strict interior minimum (mid_dip), or
-    other."""
+    other.  Raises InvalidParams for a level that is not finite."""
     if len(levels) < 3:
         raise TooFewLevels(f"need at least 3 levels, got {len(levels)}")
+    if not all(map(math.isfinite, levels)):
+        raise InvalidParams("levels must be finite")
     gaps = [b - a for a, b in zip(levels, levels[1:])]
     L = len(gaps)
     rising = [gaps[t + 1] > gaps[t] for t in range(L - 1)]

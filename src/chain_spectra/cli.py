@@ -50,22 +50,10 @@ from .errors import (
     NotPositiveDefinite,
     UnsupportedFamily,
 )
-from .jacobi import (
-    SymTridiagonal,
-    analytic_decomposition,
-    build_jacobi,
-    decomposition_residuals,
-    numeric_eigenvalues,
-)
+from .jacobi import verify_family
 
 # export formats the members of its levels this many rows at a time.
 _CSV_ROWS = 1 << 14
-
-# verify's thresholds: orthogonality is absolute; reconstruction and the
-# closed-vs-numeric eigenvalue deviation are relative to 1 + max |M_ij|.
-_ORTHO_TOL = 1e-10
-_RECON_TOL = 1e-9
-_EIG_TOL = 1e-8
 
 # SVG canvas, in px.
 _SVG_WIDTH = 840.0
@@ -199,32 +187,15 @@ def _cmd_spectrum(parser, args):
 
 
 def _cmd_verify(parser, args):
-    chain = _chain_from_args(parser, args)
-    fam = _family_params(chain)
-    M = build_jacobi(fam)
-    if args.perturb:
-        diag = list(M.diag)
-        diag[0] += 1e-6 * (1.0 + abs(diag[0]))
-        M = SymTridiagonal(diag=tuple(diag), offdiag=M.offdiag)
-    analytic = analytic_decomposition(fam)
-    eigenvalues = sorted(analytic.eigenvalues)
-    ortho, recon = decomposition_residuals(M, analytic)
-    scale = 1.0 + max(abs(x) for x in M.diag + M.offdiag)
-    eig_dev = max(abs(a - b) for a, b in zip(eigenvalues, numeric_eigenvalues(M)))
-    checks = [
-        ("orthogonality", ortho, _ORTHO_TOL),
-        ("reconstruction", recon, _RECON_TOL * scale),
-        ("closed_vs_numeric_eigenvalues", eig_dev, _EIG_TOL * scale),
-    ]
+    fam = _family_params(_chain_from_args(parser, args))
+    eigenvalues, rows = verify_family(fam, perturb=args.perturb)
     lines = [
         "eigenvalues " + " ".join(format(v, ".6g") for v in eigenvalues),
         "check value threshold status",
     ]
-    ok = True
-    for name, value, thr in checks:
-        status = "pass" if value <= thr else "FAIL"
-        ok = ok and value <= thr
-        lines.append(f"{name} {value:.3e} {thr:.3e} {status}")
+    for name, value, thr, passed in rows:
+        lines.append(f"{name} {value:.3e} {thr:.3e} {'pass' if passed else 'FAIL'}")
+    ok = all(passed for *_, passed in rows)
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 

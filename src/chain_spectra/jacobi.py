@@ -22,7 +22,7 @@ the vectors are bit for bit those of one eigenvalue at a time.
 The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweep loop:
 numeric_eigenvalues runs it without eigenvectors (numeric mode frequencies
-and the CLI's verify need no more), numeric_decomposition runs it with
+and verify_family need no more), numeric_decomposition runs it with
 U^T.  There each rotation of rows i and i + 1 is recorded, and
 _apply_rotations applies the recorded sequence in waves of rotations that
 share no row.  U^T is kept in an even/odd row layout, rows 0, 2, 4, ...
@@ -30,6 +30,9 @@ and then 1, 3, 5, ..., so that a run of a wave's rotations, on rows i,
 i + 2, ..., rotates two contiguous blocks of rows.  Every entry sees the
 operations of a rotation applied on its own, so the vectors are bit for
 bit those of one rotation at a time.
+
+verify_family is the one verify battery: the analytic decomposition and
+the QL eigenvalues against M, with the thresholds the CLI's verify prints.
 
 Positive definiteness needs no eigenvalue: _all_above decides whether every
 eigenvalue exceeds a shift sigma from the signs of the LDL^T pivots of
@@ -504,3 +507,28 @@ def decomposition_residuals(
         np.max(np.abs(M.dense() @ U - U * np.asarray(dec.eigenvalues)), initial=0.0)
     )
     return ortho, recon
+
+
+def verify_family(fam: JacobiFamily, perturb: bool = False) -> tuple[tuple, tuple]:
+    """The closed-form eigenvalues of a family, ascending, and the rows
+    (name, value, threshold, passed) of its checks against its Jacobi matrix
+    M, passed being value <= threshold, so that nan fails.  With perturb,
+    M_00 is first moved by 1e-6 (1 + |M_00|), a negative control that some
+    check must fail."""
+    M = build_jacobi(fam)
+    if perturb:
+        d0 = M.diag[0]
+        M = SymTridiagonal((d0 + 1e-6 * (1.0 + abs(d0)),) + M.diag[1:], M.offdiag)
+    analytic = analytic_decomposition(fam)
+    eigenvalues = tuple(sorted(analytic.eigenvalues))
+    ortho, recon = decomposition_residuals(M, analytic)
+    eig_dev = max(abs(a - b) for a, b in zip(eigenvalues, numeric_eigenvalues(M)))
+    # Orthogonality is absolute; reconstruction and the closed-vs-numeric
+    # eigenvalue deviation are relative to 1 + max |M_ij|.
+    scale = 1.0 + max(abs(x) for x in M.diag + M.offdiag)
+    checks = (
+        ("orthogonality", ortho, 1e-10),
+        ("reconstruction", recon, 1e-9 * scale),
+        ("closed_vs_numeric_eigenvalues", eig_dev, 1e-8 * scale),
+    )
+    return eigenvalues, tuple((name, v, thr, v <= thr) for name, v, thr in checks)

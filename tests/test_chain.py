@@ -165,6 +165,14 @@ def test_energies_are_left_to_right_sums():
     assert ground_energy(chain, spectrum) == 0.5e16
 
 
+def test_ground_energy_rejects_a_spectrum_of_another_length():
+    chain = _chain(KrawtchoukInteraction(), 4, 0.1)
+    spectrum = mode_frequencies(_chain(KrawtchoukInteraction(), 3, 0.1))
+    for call in (ground_energy, single_phonon_levels):
+        with pytest.raises(DimensionMismatch):
+            call(chain, spectrum)
+
+
 def test_single_site_hahn_chain_at_alpha_minus_one():
     # N = 0, alpha = beta = -1: B_0 = (alpha + 1) N / (alpha + beta + 2) is 0/0
     assert build_jacobi(HahnParams(N=0, alpha=-1.0, beta=-1.0)).diag == (0.0,)
@@ -803,6 +811,9 @@ def test_spacing_profile_synthetic():
     assert spacing_profile((0.0, 1.0, 2.0, 3.0)) is SpacingProfile.OTHER
     with pytest.raises(TooFewLevels):
         spacing_profile((0.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            spacing_profile((0.0, bad, 1.0, 3.0))
 
 
 def test_figure_panel_patterns():

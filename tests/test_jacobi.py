@@ -1,6 +1,8 @@
 """Tests for Jacobi matrix assembly and the two eigendecomposition paths."""
 
+import json
 import math
+import pathlib
 import tracemalloc
 import warnings
 from array import array
@@ -12,8 +14,13 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import oracles
-from chain_spectra import jacobi
-from chain_spectra.chain import ChainSpec, CustomInteraction, assemble_quadratic_form
+from chain_spectra import cli, jacobi
+from chain_spectra.chain import (
+    ChainSpec,
+    CustomInteraction,
+    _family_params,
+    assemble_quadratic_form,
+)
 from chain_spectra.errors import DimensionMismatch, InvalidParams, NoConvergence
 from chain_spectra.jacobi import (
     ConstantParams,
@@ -25,6 +32,7 @@ from chain_spectra.jacobi import (
     decomposition_residuals,
     numeric_decomposition,
     numeric_eigenvalues,
+    verify_family,
 )
 from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
@@ -658,3 +666,55 @@ def test_decomposition_residuals_errors_and_negative_control():
     assert recon > 0.1
     empty = SymTridiagonal(diag=(), offdiag=())
     assert decomposition_residuals(empty, numeric_decomposition(empty)) == (0.0, 0.0)
+
+
+# -- the verify battery ----------------------------------------------------------
+
+_GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "cli_payloads.json").read_text(
+        encoding="utf-8"
+    )
+)
+_VERIFY_ARGV = [g["argv"] for g in _GOLDENS.values() if g["argv"][0] == "verify"]
+_VERIFY_ARGV.append(["verify", "--family", "krawtchouk", "--n", "12", "--perturb"])
+
+
+@pytest.mark.parametrize("argv", _VERIFY_ARGV, ids=" ".join)
+def test_cli_verify_prints_the_rows_of_verify_family(argv, capsys):
+    parser = cli._build_parser()
+    args = parser.parse_args(argv)
+    fam = _family_params(cli._chain_from_args(parser, args))
+    eigenvalues, rows = verify_family(fam, perturb=args.perturb)
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "eigenvalues " + " ".join(format(v, ".6g") for v in eigenvalues)
+    assert lines[2:] == [
+        f"{name} {value:.3e} {thr:.3e} {'pass' if passed else 'FAIL'}"
+        for name, value, thr, passed in rows
+    ]
+    assert code == (0 if all(passed for *_, passed in rows) else 1)
+
+
+def test_verify_family_rows_and_negative_control():
+    fam = KrawtchoukParams(N=11, p=0.5)
+    M = build_jacobi(fam)
+    scale = 1.0 + max(M.diag + M.offdiag)
+    eigenvalues, rows = verify_family(fam)
+    assert eigenvalues == tuple(float(x) for x in range(12))
+    assert [(name, thr, passed) for name, _, thr, passed in rows] == [
+        ("orthogonality", 1e-10, True),
+        ("reconstruction", 1e-9 * scale, True),
+        ("closed_vs_numeric_eigenvalues", 1e-8 * scale, True),
+    ]
+    perturbed_eigenvalues, perturbed = verify_family(fam, perturb=True)
+    assert perturbed_eigenvalues == eigenvalues
+    assert not all(passed for *_, passed in perturbed)
+
+
+def test_verify_family_nan_fails():
+    # The stitched columns of dual q-Krawtchouk at N = 255 underflow to 0
+    # and are normed as 0 / 0, which warns.
+    with pytest.warns(RuntimeWarning):
+        _, rows = verify_family(DualQKrawtchoukParams(N=255, cbar=-1.0, q=2.0))
+    name, value, _, passed = rows[0]
+    assert name == "orthogonality" and math.isnan(value) and passed is False
