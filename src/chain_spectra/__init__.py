@@ -38,11 +38,9 @@ from .errors import (
     CombinatorialLimit,
     DegenerateRange,
     DegreeOutOfRange,
-    DenominatorPole,
     DimensionMismatch,
     InvalidParams,
     NoConvergence,
-    NonTerminating,
     NotPositiveDefinite,
     TooFewLevels,
     UnsupportedFamily,
@@ -74,8 +72,6 @@ from .polynomials import (
     pochhammer,
     q_pochhammer,
     recurrence_eval,
-    terminating_basic_hypergeometric,
-    terminating_hypergeometric,
     weight,
 )
 

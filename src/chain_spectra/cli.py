@@ -222,8 +222,11 @@ def _parse_panel(parser, text: str):
             key, eq, value = item.partition("=")
             if not eq:
                 parser.error(f"panel entry {item!r} is not key=value")
+            name = key.strip()
+            if name in keys:
+                parser.error(f"panel key {name!r} is repeated")
             try:
-                keys[key.strip()] = float(value)
+                keys[name] = float(value)
             except ValueError:
                 parser.error(f"panel value for {key!r} is not a number")
     if "c" not in keys:

@@ -15,14 +15,6 @@ class DegreeOutOfRange(ChainSpectraError):
     """A polynomial degree lies outside the finite lattice 0..N."""
 
 
-class NonTerminating(ChainSpectraError):
-    """No numerator parameter terminates the hypergeometric sum."""
-
-
-class DenominatorPole(ChainSpectraError):
-    """A denominator Pochhammer factor vanishes inside the summation range."""
-
-
 class DimensionMismatch(ChainSpectraError):
     """Two objects that must share a dimension do not."""
 

@@ -62,7 +62,7 @@ from .polynomials import (
     FamilyParams,
     HahnParams,
     KrawtchoukParams,
-    _check_lattice_size,
+    _check_count,
     _kappa,
     bidiagonal_split,
 )
@@ -86,7 +86,7 @@ class ConstantParams:
     N: int
 
     def __post_init__(self):
-        _check_lattice_size(self.N)
+        _check_count(self.N, "lattice size N")
 
 
 JacobiFamily = Union[ConstantParams, FamilyParams]

@@ -7,11 +7,12 @@ measure on the integer lattice x = 0..N:
   * Hahn              Q_i(x; alpha, beta, N)
   * dual q-Krawtchouk K_i(lambda(x); cbar, q, N), lambda(x) = q^-x + cbar q^(x-N)
 
-Every family is evaluated through two independent routes: a terminating
-hypergeometric series (the reference) and the three-term recurrence built
-from the bidiagonal factor pair (B, D).  Weights and norms are computed in
-cancelled product forms that avoid removable singularities and spurious
-overflow on all valid parameter branches.
+Every family is evaluated through two independent routes: its terminating
+hypergeometric series (the reference), summed term by term with the
+compensated sum up to degree d = min(i, x), and the three-term recurrence
+built from the bidiagonal factor pair (B, D).  Weights and norms are
+computed in cancelled product forms that avoid removable singularities and
+spurious overflow on all valid parameter branches.
 """
 
 from __future__ import annotations
@@ -22,22 +23,20 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import (
-    DegreeOutOfRange,
-    DenominatorPole,
-    InvalidParams,
-    NonTerminating,
-)
+from .errors import DegreeOutOfRange, InvalidParams
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _check_lattice_size(N) -> None:
-    """Raise InvalidParams unless N is an integer >= 0 (a bool is not one)."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise InvalidParams(f"lattice size N must be an integer, got {N!r}")
-    if N < 0:
-        raise InvalidParams(f"lattice size N must be >= 0, got {N}")
+def _check_count(n, what: str) -> None:
+    """Raise InvalidParams unless n is an integer >= 0 (a bool is not one).
+    A plain int, the common case, skips the type test."""
+    if type(n) is not int and (
+        isinstance(n, bool) or not isinstance(n, numbers.Integral)
+    ):
+        raise InvalidParams(f"{what} must be an integer, got {n!r}")
+    if n < 0:
+        raise InvalidParams(f"{what} must be >= 0, got {n}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class KrawtchoukParams:
     p: float
 
     def __post_init__(self):
-        _check_lattice_size(self.N)
+        _check_count(self.N, "lattice size N")
         if not (0.0 < self.p < 1.0):
             raise InvalidParams(f"p must lie in (0, 1), got {self.p}")
 
@@ -66,7 +65,7 @@ class HahnParams:
     beta: float
 
     def __post_init__(self):
-        _check_lattice_size(self.N)
+        _check_count(self.N, "lattice size N")
         a, b = self.alpha, self.beta
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidParams(f"(alpha, beta) = ({a}, {b}) must be finite")
@@ -88,7 +87,7 @@ class DualQKrawtchoukParams:
     q: float
 
     def __post_init__(self):
-        _check_lattice_size(self.N)
+        _check_count(self.N, "lattice size N")
         if not -math.inf < self.cbar < 0.0:
             raise InvalidParams(f"cbar must be negative and finite, got {self.cbar}")
         if not (0.0 < self.q < math.inf and self.q != 1.0):
@@ -121,7 +120,8 @@ class LatticePoint:
     """A lattice node x together with its real evaluation coordinate.
 
     For Krawtchouk and Hahn the coordinate is x itself; for dual
-    q-Krawtchouk it is lambda(x) = q^-x + cbar q^(x-N).
+    q-Krawtchouk it is lambda(x) = q^-x + cbar q^(x-N).  The evaluators
+    read only x; value is for callers that need the coordinate.
     """
 
     x: int
@@ -146,7 +146,9 @@ def lattice(fp: FamilyParams) -> tuple[LatticePoint, ...]:
 
 
 def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
+    Raises InvalidParams unless n is an integer >= 0."""
+    _check_count(n, "order n")
     out = 1.0
     for m in range(n):
         out *= a + m
@@ -154,7 +156,9 @@ def pochhammer(a: float, n: int) -> float:
 
 
 def q_pochhammer(a: float, q: float, n: int) -> float:
-    """q-shifted factorial (a; q)_n = prod_{m=0}^{n-1} (1 - a q^m)."""
+    """q-shifted factorial (a; q)_n = prod_{m=0}^{n-1} (1 - a q^m).
+    Raises InvalidParams unless n is an integer >= 0."""
+    _check_count(n, "order n")
     out = 1.0
     for m in range(n):
         out *= 1.0 - a * q**m
@@ -175,126 +179,51 @@ def _neumaier_sum(terms: Sequence[float]) -> float:
     return total + comp
 
 
-def _is_nonpositive_int(a: float) -> bool:
-    return a <= 0.0 and a == round(a)
-
-
-def terminating_hypergeometric(
-    numerator: Sequence[float], denominator: Sequence[float], z: float
-) -> float:
-    """Sum of the hypergeometric series with term ratio
-
-        term_{k+1} / term_k = z * prod(a_j + k) / (prod(b_l + k) * (k + 1)).
-
-    At least one numerator parameter must be a non-positive integer; the sum
-    terminates at degree d = min over such parameters of -a.  Raises
-    NonTerminating otherwise, and DenominatorPole when a denominator
-    Pochhammer factor vanishes at or before degree d.
-    """
-    degrees = [int(-a) for a in numerator if _is_nonpositive_int(a)]
-    if not degrees:
-        raise NonTerminating(f"no non-positive integer among {tuple(numerator)}")
-    d = min(degrees)
-    for b in denominator:
-        if _is_nonpositive_int(b) and 1 - int(b) <= d:
-            raise DenominatorPole(
-                f"denominator parameter {b} vanishes within degree {d}"
-            )
-    terms = []
-    term = 1.0
-    for k in range(d + 1):
-        terms.append(term)
-        if k == d:
-            break
-        ratio = z / (k + 1)
-        for a in numerator:
-            ratio *= a + k
-        for b in denominator:
-            ratio /= b + k
-        term *= ratio
-    return _neumaier_sum(terms)
-
-
-def _q_log_index(a: float, q: float) -> int | None:
-    """Exact m >= 0 with a == q**(-m), or None."""
-    if a <= 0.0:
-        return None
-    est = round(-math.log(a) / math.log(q))
-    for m in (est - 1, est, est + 1):
-        if m >= 0 and q ** (-m) == a:
-            return m
-    return None
-
-
-def terminating_basic_hypergeometric(
-    numerator: Sequence[float], denominator: Sequence[float], q: float, z: float
-) -> float:
-    """Sum of the basic (q-)hypergeometric series with term ratio
-
-        term_{k+1} / term_k = z * prod(1 - a_j q^k)
-                              / (prod(1 - b_l q^k) * (1 - q^{k+1})).
-
-    A denominator parameter equal to 0 contributes the constant factor 1.
-    At least one numerator parameter must equal q^-m for an integer m >= 0;
-    the sum terminates at degree d = min such m.  Raises NonTerminating
-    otherwise, and DenominatorPole when a denominator q-Pochhammer factor
-    vanishes at or before degree d.
-    """
-    degrees = [m for a in numerator if (m := _q_log_index(a, q)) is not None]
-    if not degrees:
-        raise NonTerminating(
-            f"no parameter of the form q^-m among {tuple(numerator)}"
-        )
-    d = min(degrees)
-    for b in denominator:
-        if b == 0.0:
-            continue
-        m = _q_log_index(b, q)
-        if m is not None and m <= d - 1:
-            raise DenominatorPole(
-                f"denominator parameter {b} vanishes within degree {d}"
-            )
-    terms = []
-    term = 1.0
-    for k in range(d + 1):
-        terms.append(term)
-        if k == d:
-            break
-        qk = q**k
-        ratio = z
-        for a in numerator:
-            ratio *= 1.0 - a * qk
-        for b in denominator:
-            ratio /= 1.0 - b * qk
-        ratio /= 1.0 - q ** (k + 1)
-        term *= ratio
-    return _neumaier_sum(terms)
-
-
 def family_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
-    """Reference value of the degree-i family polynomial at a lattice point,
-    computed from its terminating hypergeometric series."""
+    """Reference value of the degree-i family polynomial at a lattice point:
+    its terminating hypergeometric series, summed term by term up to
+    degree d = min(i, x) with the compensated sum.  On every valid family
+    d is where the series terminates: no other numerator factor vanishes
+    sooner, and no denominator factor vanishes within it."""
     _check_degree(fp, i)
     _check_degree(fp, point.x, "lattice node")
     x, N = point.x, fp.N
+    terms = [1.0]
+    term = 1.0
+    if isinstance(fp, DualQKrawtchoukParams):
+        # 3phi2(q^-i, q^-x, cbar q^(x-N); q^-N, 0; q, q): the zero
+        # denominator parameter contributes (0; q)_k = 1.
+        q = fp.q
+        numerator = (q ** (-i), q ** (-x), fp.cbar * q ** (x - N))
+        q_N = q ** (-N)
+        for k in range(min(i, x)):
+            qk = q**k
+            ratio = q
+            for a in numerator:
+                ratio *= 1.0 - a * qk
+            ratio /= 1.0 - q_N * qk
+            ratio /= 1.0 - q ** (k + 1)
+            term *= ratio
+            terms.append(term)
+        return _neumaier_sum(terms)
     if isinstance(fp, KrawtchoukParams):
-        return terminating_hypergeometric(
-            (float(-i), float(-x)), (float(-N),), 1.0 / fp.p
-        )
-    if isinstance(fp, HahnParams):
+        # 2F1(-i, -x; -N; 1/p)
+        numerator, denominator, z = (float(-i), float(-x)), (float(-N),), 1.0 / fp.p
+    else:
+        # 3F2(-i, i + alpha + beta + 1, -x; alpha + 1, -N; 1)
         a, b = fp.alpha, fp.beta
-        return terminating_hypergeometric(
-            (float(-i), i + a + b + 1.0, float(-x)),
-            (a + 1.0, float(-N)),
-            1.0,
-        )
-    q, cbar = fp.q, fp.cbar
-    return terminating_basic_hypergeometric(
-        (q ** (-i), q ** (-x), cbar * q ** (x - N)),
-        (q ** (-N), 0.0),
-        q,
-        q,
-    )
+        numerator = (float(-i), i + a + b + 1.0, float(-x))
+        denominator = (a + 1.0, float(-N))
+        z = 1.0
+    for k in range(min(i, x)):
+        ratio = z / (k + 1)
+        for top in numerator:
+            ratio *= top + k
+        for bottom in denominator:
+            ratio /= bottom + k
+        term *= ratio
+        terms.append(term)
+    return _neumaier_sum(terms)
 
 
 def bidiagonal_split(fp: FamilyParams) -> tuple[tuple[float, ...], tuple[float, ...]]:

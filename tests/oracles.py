@@ -13,7 +13,10 @@ backward loop), kept to pin the one-loop recurrence bit for bit.
 stitched_vectors_reference is the one-loop recurrence run one eigenvalue at
 a time, with the norm taken again of the max-scaled column where the sum of
 squares overflows, kept to pin the all-eigenvalues-at-once kernel bit for
-bit, NaN columns included.  column_ql_reference is
+bit, NaN columns included.  hypergeometric_series_reference is the
+series evaluation as first written: two general terminating summers that
+find the degree and the denominator poles from the parameters, kept to
+pin the package's family_eval bit for bit.  column_ql_reference is
 the QL eigensolver as it was first written (numpy-scalar d and e, rotations
 on columns of U), kept to pin the package's QL bit for bit.
 enumerate_levels_reference is the
@@ -44,7 +47,11 @@ from chain_spectra.chain import (
 )
 from chain_spectra.errors import NoConvergence
 from chain_spectra.jacobi import SIGN_TOL, ConstantParams, build_jacobi
-from chain_spectra.polynomials import _kappa
+from chain_spectra.polynomials import (
+    DualQKrawtchoukParams,
+    KrawtchoukParams,
+    _kappa,
+)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -143,6 +150,108 @@ def exact_dualq_norm(i: int, cbar: Fr, q: Fr, N: int) -> Fr:
     for m in range(1, i + 1):
         h *= (1 - q**m) * cbar * q**-N / (1 - q ** (m - 1 - N))
     return h
+
+
+def _neumaier_sum_reference(terms) -> float:
+    total = 0.0
+    comp = 0.0
+    for t in terms:
+        s = total + t
+        if abs(total) >= abs(t):
+            comp += (total - s) + t
+        else:
+            comp += (t - s) + total
+        total = s
+    return total + comp
+
+
+def _is_nonpositive_int(a: float) -> bool:
+    return a <= 0.0 and a == round(a)
+
+
+def _terminating_hypergeometric(numerator, denominator, z: float) -> float:
+    # Term ratio z * prod(a + k) / (prod(b + k) * (k + 1)); the sum stops at
+    # the smallest -a over the non-positive integer numerator parameters.
+    degrees = [int(-a) for a in numerator if _is_nonpositive_int(a)]
+    if not degrees:
+        raise ValueError(f"no non-positive integer among {tuple(numerator)}")
+    d = min(degrees)
+    for b in denominator:
+        if _is_nonpositive_int(b) and 1 - int(b) <= d:
+            raise ValueError(f"denominator parameter {b} vanishes within degree {d}")
+    terms = []
+    term = 1.0
+    for k in range(d + 1):
+        terms.append(term)
+        if k == d:
+            break
+        ratio = z / (k + 1)
+        for a in numerator:
+            ratio *= a + k
+        for b in denominator:
+            ratio /= b + k
+        term *= ratio
+    return _neumaier_sum_reference(terms)
+
+
+def _q_log_index(a: float, q: float) -> int | None:
+    """Exact m >= 0 with a == q**(-m), or None."""
+    if a <= 0.0:
+        return None
+    est = round(-math.log(a) / math.log(q))
+    for m in (est - 1, est, est + 1):
+        if m >= 0 and q ** (-m) == a:
+            return m
+    return None
+
+
+def _terminating_basic_hypergeometric(numerator, denominator, q: float, z: float) -> float:
+    # Term ratio z * prod(1 - a q^k) / (prod(1 - b q^k) * (1 - q^(k+1)));
+    # the sum stops at the smallest m over numerator parameters a = q^-m.
+    degrees = [m for a in numerator if (m := _q_log_index(a, q)) is not None]
+    if not degrees:
+        raise ValueError(f"no parameter of the form q^-m among {tuple(numerator)}")
+    d = min(degrees)
+    for b in denominator:
+        if b == 0.0:
+            continue
+        m = _q_log_index(b, q)
+        if m is not None and m <= d - 1:
+            raise ValueError(f"denominator parameter {b} vanishes within degree {d}")
+    terms = []
+    term = 1.0
+    for k in range(d + 1):
+        terms.append(term)
+        if k == d:
+            break
+        qk = q**k
+        ratio = z
+        for a in numerator:
+            ratio *= 1.0 - a * qk
+        for b in denominator:
+            ratio /= 1.0 - b * qk
+        ratio /= 1.0 - q ** (k + 1)
+        term *= ratio
+    return _neumaier_sum_reference(terms)
+
+
+def hypergeometric_series_reference(fp, i: int, x: int) -> float:
+    """Degree-i family polynomial at lattice node x from its 2F1, 3F2 or
+    3phi2 series, through the general summers."""
+    N = fp.N
+    if isinstance(fp, KrawtchoukParams):
+        return _terminating_hypergeometric(
+            (float(-i), float(-x)), (float(-N),), 1.0 / fp.p
+        )
+    if isinstance(fp, DualQKrawtchoukParams):
+        q, cbar = fp.q, fp.cbar
+        return _terminating_basic_hypergeometric(
+            (q ** (-i), q ** (-x), cbar * q ** (x - N)), (q ** (-N), 0.0), q, q
+        )
+    a, b = fp.alpha, fp.beta
+    return _terminating_hypergeometric(
+        (float(-i), i + a + b + 1.0, float(-x)), (a + 1.0, float(-N)), 1.0
+    )
 
 
 def closed_squares_reference(chain) -> tuple[tuple[float, ...], tuple[int, ...]]:

@@ -501,6 +501,8 @@ def test_plot_custom_panels_and_flags(tmp_path):
     assert _run(["plot", "--panel", "sine:c=0.1", "--out", str(out)]).returncode == 2
     assert _run(["plot", "--panel", "hahn:alpha=0.5", "--out", str(out)]).returncode == 2
     assert _run(["plot", "--panel", "constant:c=0.1,q=2", "--out", str(out)]).returncode == 2
+    # A repeated key is refused, not overwritten by its last value.
+    assert _run(["plot", "--panel", "krawtchouk:c=0.18,c=0.5", "--out", str(out)]).returncode == 2
 
 
 # -- inputs -------------------------------------------------------------------
@@ -588,11 +590,11 @@ def test_cli_surface_is_pinned():
 _PUBLIC_NAMES = [
     "ChainSpec", "ChainSpectraError", "ClosedFormUnavailable", "CombinatorialLimit",
     "ConstantInteraction", "ConstantParams", "CustomInteraction", "DegenerateRange",
-    "DegreeOutOfRange", "DenominatorPole", "DimensionMismatch",
+    "DegreeOutOfRange", "DimensionMismatch",
     "DualQKrawtchoukInteraction", "DualQKrawtchoukParams", "FamilyParams",
     "HahnInteraction", "HahnParams", "InteractionKind", "InvalidParams",
     "JacobiFamily", "KrawtchoukInteraction", "KrawtchoukParams", "LatticePoint",
-    "LevelGroup", "LevelTable", "ModeSpectrum", "NoConvergence", "NonTerminating",
+    "LevelGroup", "LevelTable", "ModeSpectrum", "NoConvergence",
     "NotPositiveDefinite", "Origin", "SpacingProfile", "SpectralDecomposition",
     "SpectrumOrigin", "SymTridiagonal", "TooFewLevels", "UnsupportedFamily",
     "analytic_decomposition", "assemble_quadratic_form", "bidiagonal_split",
@@ -601,8 +603,7 @@ _PUBLIC_NAMES = [
     "lattice_point", "max_coupling", "mode_frequencies", "norm",
     "numeric_decomposition", "numeric_eigenvalues", "orthonormal_eval",
     "pochhammer", "q_pochhammer", "recurrence_eval", "rescale_levels",
-    "single_phonon_levels", "spacing_profile", "state_energy",
-    "terminating_basic_hypergeometric", "terminating_hypergeometric", "weight",
+    "single_phonon_levels", "spacing_profile", "state_energy", "weight",
 ]
 
 

@@ -14,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chain_spectra.errors import (
-    DegreeOutOfRange,
-    DenominatorPole,
-    InvalidParams,
-    NonTerminating,
-)
+from chain_spectra.errors import DegreeOutOfRange, InvalidParams
 from chain_spectra.jacobi import ConstantParams
 from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
@@ -35,8 +30,6 @@ from chain_spectra.polynomials import (
     pochhammer,
     q_pochhammer,
     recurrence_eval,
-    terminating_basic_hypergeometric,
-    terminating_hypergeometric,
     weight,
 )
 
@@ -85,61 +78,29 @@ def test_pochhammer_basics():
     assert pochhammer(3.0, 4) == 360.0
     assert pochhammer(-2.0, 4) == 0.0
     assert pochhammer(0.5, 2) == 0.75
+    # (a)_-1 = 1/(a - 1), not the empty product
+    with pytest.raises(InvalidParams, match="order n must be >= 0"):
+        pochhammer(3.0, -1)
 
 
 def test_q_pochhammer_basics():
     assert q_pochhammer(5.0, 0.7, 0) == 1.0
     assert q_pochhammer(1.0, 0.7, 3) == 0.0
     assert q_pochhammer(2.0, 2.0, 2) == 3.0
+    with pytest.raises(InvalidParams, match="order n must be >= 0"):
+        q_pochhammer(2.0, 2.0, -1)
 
 
 def test_gauss_kernel_values():
-    assert terminating_hypergeometric((0.0, 0.0), (-3.0,), 5.7) == 1.0
-    assert terminating_hypergeometric((-1.0, -1.0), (-2.0,), 2.0) == 0.0
-    # degree-1 Krawtchouk at p = 1/2: same series through the dispatcher
+    # degree-1 Krawtchouk at p = 1/2
     fp = KrawtchoukParams(N=2, p=0.5)
     assert family_eval(fp, 1, lattice_point(fp, 1)) == 0.0
 
 
-def test_gauss_kernel_stops_before_denominator_pole():
-    # numerator terminates at k = 1, the (-2) denominator pole sits at k = 3
-    assert terminating_hypergeometric((-1.0, 5.0), (-2.0,), 1.0) == 3.5
-
-
-def test_gauss_kernel_errors():
-    with pytest.raises(NonTerminating):
-        terminating_hypergeometric((0.5, 1.3), (2.0,), 0.7)
-    with pytest.raises(DenominatorPole):
-        terminating_hypergeometric((-3.0,), (-2.0,), 1.0)
-
-
 def test_basic_kernel_values():
-    # a numerator equal to 1 = q^0 truncates the sum at the constant term
-    assert terminating_basic_hypergeometric((1.0, 0.3), (0.5,), 2.0, 0.9) == 1.0
-    # degree-1 dual q-Krawtchouk at x = 0 through the dispatcher
+    # degree-1 dual q-Krawtchouk at x = 0
     fp = DualQKrawtchoukParams(N=2, cbar=-1.0, q=2.0)
     assert family_eval(fp, 1, lattice_point(fp, 0)) == 1.0
-
-
-def test_basic_kernel_zero_denominator_parameter():
-    # (0; q)_k = 1: the zero parameter contributes no factors
-    q, z = 2.0, 0.5
-    got = terminating_basic_hypergeometric((q ** -2, 0.3), (0.0,), q, z)
-    expected = sum(
-        q_pochhammer(q ** -2, q, k)
-        * q_pochhammer(0.3, q, k)
-        / q_pochhammer(q, q, k)
-        * z ** k
-        for k in range(3)
-    )
-    assert got == pytest.approx(expected, rel=1e-14)
-
-
-def test_basic_kernel_errors():
-    with pytest.raises(NonTerminating):
-        terminating_basic_hypergeometric((0.3,), (0.5,), 2.0, 1.0)
-    with pytest.raises(DenominatorPole):
-        terminating_basic_hypergeometric((2.0 ** -3,), (2.0 ** -2,), 2.0, 1.0)
 
 
 # -- parameter validation and ranges ----------------------------------------
@@ -231,13 +192,16 @@ def test_degree_and_node_ranges():
         lambda fp, k: family_eval(fp, 1, LatticePoint(x=k, value=1.0)),
         lambda fp, k: recurrence_eval(fp, k, lattice_point(fp, 1)),
         lambda fp, k: recurrence_eval(fp, 1, LatticePoint(x=k, value=1.0)),
+        lambda fp, k: pochhammer(0.5, k),
+        lambda fp, k: q_pochhammer(0.5, 0.7, k),
     ],
     ids=["lattice_point", "weight", "norm", "family_eval_degree",
-         "family_eval_node", "recurrence_eval_degree", "recurrence_eval_node"],
+         "family_eval_node", "recurrence_eval_degree", "recurrence_eval_node",
+         "pochhammer", "q_pochhammer"],
 )
 def test_degree_and_node_must_be_integers(call, bad):
     # Unchecked, a float node is evaluated off the lattice, True is taken
-    # as node 1 and a string raises a raw TypeError.
+    # as node 1 (or order 1) and a string raises a raw TypeError.
     with pytest.raises(InvalidParams, match="must be an integer"):
         call(KrawtchoukParams(N=3, p=0.5), bad)
 
@@ -263,6 +227,37 @@ def test_family_eval_matches_exact_series(family, kw, N):
             exact = float(_exact_eval(family, kw, N, i, x))
             got = family_eval(fp, i, point)
             assert got == pytest.approx(exact, rel=EXACT_REL, abs=EXACT_REL * (1 + abs(exact)))
+
+
+def _series_pin_families():
+    for N in range(25):
+        for p in (0.1, 0.5, 0.73):
+            yield KrawtchoukParams(N=N, p=p)
+        # Both Hahn branches; at a = b = -1/2 the parameter i + a + b + 1
+        # is 0 at i = 0, and an integer a < -N puts a + 1 on the integers.
+        for a, b in ((0.5, 0.5), (-0.5, -0.5), (2.0, -0.3), (-0.9, 3.7),
+                     (-N - 1.0, -N - 2.0), (-N - 1.0, -N - 1.5),
+                     (-N - 2.25, -N - 0.5)):
+            yield HahnParams(N=N, alpha=a, beta=b)
+        for q in (0.5, 0.7, 1.6, 2.0, 1.0 - 1e-7, 1.0 + 1e-7):
+            for cbar in (-1.0, -0.3, -2.5):
+                yield DualQKrawtchoukParams(N=N, cbar=cbar, q=q)
+
+
+def test_family_eval_matches_frozen_series_bit_for_bit():
+    # The frozen summers find the degree and the poles from the
+    # parameters; family_eval takes d = min(i, x).  Comparing float.hex
+    # also tells signed zeros and NaNs apart.
+    mismatches = []
+    for fp in _series_pin_families():
+        for x in range(fp.N + 1):
+            point = lattice_point(fp, x)
+            for i in range(fp.N + 1):
+                got = family_eval(fp, i, point).hex()
+                want = oracles.hypergeometric_series_reference(fp, i, x).hex()
+                if got != want:
+                    mismatches.append((fp, i, x, got, want))
+    assert not mismatches, mismatches[:5]
 
 
 @pytest.mark.parametrize("family,kw,N", oracles.EXACT_GRIDS)
