@@ -13,10 +13,13 @@ numerically.  Whether A is positive definite without a closed form is
 decided in O(n) by jacobi._all_above, the sign of every LDL^T pivot of
 A - PD_TOL omega^2 I: is_positive_definite on a custom chain runs no QL,
 and numeric mode frequencies run the QL only on a chain that passes.
-The occupation table of enumerate_levels is written row by row in one
-forward pass over the modes, each prefix's occupation repeated once per
-completion of it.  numpy is imported inside the level-table functions on
-purpose, so that mode frequencies and bounds never load it.
+The occupation table of enumerate_levels is built in place from the last
+mode up, each block of a mode a copy of a tail of the table of the modes
+after it.  Its energies are ordered by numpy's default, unstable sort:
+tied energies fall into one level whatever their order, and each level's
+members are then sorted by state.  numpy is imported inside the
+level-table functions on purpose, so that mode frequencies and bounds
+never load it.
 """
 
 from __future__ import annotations
@@ -474,21 +477,27 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
         total += w * column
     energy = ground + chain.hbar * total
     del total
-    order = np.argsort(energy, kind="stable")
+    # Any order of tied energies gives the same sorted values, and so the
+    # same cuts and level energies; a state's level depends on its energy
+    # alone.
+    order = np.argsort(energy)
     energy = energy[order]
     tol = GROUP_RTOL * chain.hbar * chain.omega
     cuts = np.flatnonzero(np.diff(energy) > tol) + 1
     offsets = np.concatenate(([0], cuts, [count]))
+    del cuts
     energies = energy[offsets[:-1]]
     del energy
     # States are numbered in lexicographic order, so sorting the keys
     # group * count + state puts each group's members in that order.  The
-    # keys arrive nearly sorted, which the stable sort exploits.
+    # keys are distinct, so any sort gives that order; the stable sort
+    # merges runs, and where most levels hold one state the keys arrive
+    # sorted and it takes about a sixth of the default sort's time.
     members = np.zeros(count, dtype=np.int64)
-    members[cuts] = count
+    members[offsets[1:-1]] = count
     np.cumsum(members, out=members)
     members += order
-    del order, cuts
+    del order
     members.sort(kind="stable")
     members %= count
     # Permuted in place, one mode at a time: the transpose is the
@@ -503,23 +512,30 @@ def _occupation_columns(n: int, max_total: int) -> np.ndarray:
     phonons, in lexicographic order, as the columns of an n x C(n + K, K)
     array, whose row j is the column of mode j.
 
-    Mode j extends each prefix that has used u phonons by k_j = 0..K - u.
-    A prefix of modes 0..j that leaves r phonons heads a block of
-    C(m + r, m) vectors, m = n - j - 1 being the modes left, so row j is
-    each prefix's k_j repeated that often: one forward pass, no links."""
+    The vectors with k_0 = .. = k_{j-1} = 0 come first, and their rows
+    j..n-1 are the table of modes j..n-1, so the table is built in place
+    from the last mode up.  Mode j's block k_j = 0 is the sub-table of
+    modes j+1..n-1 already written.  Its block k_j = k is the table of
+    those modes with at most K - k phonons: the sub-table less its first k
+    blocks of mode j+1, with mode j+1 lowered by k.  That is a copy of the
+    sub-table's last C(m + K - k, m) columns, m = n - j - 1 being the modes
+    it spans: K slice copies per mode and no index arrays."""
     import numpy as np
     count = math.comb(n + max_total, max_total)
     columns = np.empty((n, count), dtype=np.min_scalar_type(max_total))
-    used = np.zeros(1, dtype=np.int32)
-    for j, row in enumerate(columns):
-        width = max_total + 1 - used
-        parent = np.repeat(np.arange(used.size, dtype=np.int32), width)
-        k = np.arange(parent.size, dtype=np.int32)
-        k -= (np.cumsum(width, dtype=np.int32) - width)[parent]
-        used = used[parent] + k
+    columns[-1, : max_total + 1] = np.arange(max_total + 1)
+    for j in range(n - 2, -1, -1):
         m = n - j - 1
-        ways = np.array([math.comb(m + r, m) for r in range(max_total, -1, -1)])
-        row[:] = np.repeat(k, ways[used])
+        size = math.comb(m + max_total, m)
+        sub = columns[j + 1 :]
+        columns[j, :size] = 0
+        start = size
+        for k in range(1, max_total + 1):
+            stop = start + math.comb(m + max_total - k, m)
+            sub[:, start:stop] = sub[:, size - (stop - start) : size]
+            sub[0, start:stop] -= k
+            columns[j, start:stop] = k
+            start = stop
     return columns
 
 

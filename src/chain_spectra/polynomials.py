@@ -184,7 +184,8 @@ def family_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     its terminating hypergeometric series, summed term by term up to
     degree d = min(i, x) with the compensated sum.  On every valid family
     d is where the series terminates: no other numerator factor vanishes
-    sooner, and no denominator factor vanishes within it."""
+    sooner, and no denominator factor vanishes within it.  Raises
+    InvalidParams where the value leaves float range."""
     _check_degree(fp, i)
     _check_degree(fp, point.x, "lattice node")
     x, N = point.x, fp.N
@@ -205,7 +206,7 @@ def family_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
             ratio /= 1.0 - q ** (k + 1)
             term *= ratio
             terms.append(term)
-        return _neumaier_sum(terms)
+        return _finite_value(_neumaier_sum(terms), fp, i, point)
     if isinstance(fp, KrawtchoukParams):
         # 2F1(-i, -x; -N; 1/p)
         numerator, denominator, z = (float(-i), float(-x)), (float(-N),), 1.0 / fp.p
@@ -223,7 +224,18 @@ def family_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
             ratio /= bottom + k
         term *= ratio
         terms.append(term)
-    return _neumaier_sum(terms)
+    return _finite_value(_neumaier_sum(terms), fp, i, point)
+
+
+def _finite_value(value: float, fp: FamilyParams, i: int, point: LatticePoint) -> float:
+    """value, or InvalidParams where it is inf or nan: parameters such as a
+    Hahn alpha + beta beyond float range pass validation, but their series
+    and recurrence do not."""
+    if not math.isfinite(value):
+        raise InvalidParams(
+            f"degree-{i} value of {fp} at node {point.x} is outside float range"
+        )
+    return value
 
 
 def bidiagonal_split(fp: FamilyParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -285,7 +297,8 @@ def _kappa(fp: FamilyParams, x: int) -> float:
 
 def recurrence_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     """Value of the degree-i family polynomial by upward three-term
-    recurrence from degree 0; the P_{-1} coefficient D_0 is zero."""
+    recurrence from degree 0; the P_{-1} coefficient D_0 is zero.  Raises
+    InvalidParams where the value leaves float range."""
     _check_degree(fp, i)
     _check_degree(fp, point.x, "lattice node")
     B, D = bidiagonal_split(fp)
@@ -293,7 +306,7 @@ def recurrence_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     prev, cur = 0.0, 1.0
     for m in range(i):
         prev, cur = cur, ((B[m] + D[m] - kap) * cur - D[m] * prev) / B[m]
-    return cur
+    return _finite_value(cur, fp, i, point)
 
 
 def _hahn_branch_sign(fp: HahnParams) -> float:

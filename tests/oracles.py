@@ -22,6 +22,10 @@ on columns of U), kept to pin the package's QL bit for bit.
 enumerate_levels_reference is the
 level enumeration as first written (one occupation tuple at a time, sorted
 as (energy, tuple) pairs), kept to pin the array enumeration bit for bit.
+occupation_columns_reference is the occupation table built in one forward
+pass over the modes, each prefix's occupation repeated once per completion
+of it, kept to pin the block-copy build array for array at sizes the
+tuple enumeration cannot reach.
 constant_diagonal is the paper's search criterion read off the matrix: a
 chain has a closed-form spectrum when its Jacobi matrix has a constant
 diagonal F_0, so that K = M - F_0 I.
@@ -569,3 +573,27 @@ def enumerate_levels_reference(chain, max_total: int) -> tuple:
             )
             start = t
     return tuple(groups)
+
+
+def occupation_columns_reference(n: int, max_total: int) -> np.ndarray:
+    """The C(n + K, K) occupation vectors with at most K = max_total
+    phonons, in lexicographic order, as the columns of an n x C(n + K, K)
+    array of dtype min_scalar_type(K), whose row j is the column of mode j.
+
+    Mode j extends each prefix that has used u phonons by k_j = 0..K - u.
+    A prefix of modes 0..j that leaves r phonons heads a block of
+    C(m + r, m) vectors, m = n - j - 1 being the modes left, so row j is
+    each prefix's k_j repeated that often."""
+    count = math.comb(n + max_total, max_total)
+    columns = np.empty((n, count), dtype=np.min_scalar_type(max_total))
+    used = np.zeros(1, dtype=np.int32)
+    for j, row in enumerate(columns):
+        width = max_total + 1 - used
+        parent = np.repeat(np.arange(used.size, dtype=np.int32), width)
+        k = np.arange(parent.size, dtype=np.int32)
+        k -= (np.cumsum(width, dtype=np.int32) - width)[parent]
+        used = used[parent] + k
+        m = n - j - 1
+        ways = np.array([math.comb(m + r, m) for r in range(max_total, -1, -1)])
+        row[:] = np.repeat(k, ways[used])
+    return columns

@@ -749,10 +749,11 @@ def test_level_table_iteration_spans_conversion_chunks():
 
 
 def test_enumerate_levels_peak_memory_per_state():
-    # The table is a few arrays: 52 bytes per state traced at its peak for
-    # Krawtchouk n = 12, K = 9 (293,930 states), against 345 when every
-    # state was a tuple in a LevelGroup.  80 bytes leaves about 50 %
-    # headroom; one 12-int tuple per state alone is 152.
+    # The table is a few arrays: 44 bytes per state traced at its peak for
+    # Krawtchouk n = 12, K = 9 (293,930 states), against 52 while the level
+    # cuts were kept beside the offsets and 345 when every state was a
+    # tuple in a LevelGroup.  64 bytes leaves about 45 % headroom; one
+    # 12-int tuple per state alone is 152.
     chain = _chain(KrawtchoukInteraction(), 12, 0.1)
     enumerate_levels(chain, 2)
     tracemalloc.start()
@@ -763,7 +764,7 @@ def test_enumerate_levels_peak_memory_per_state():
         tracemalloc.stop()
     states = len(table.occupations)
     assert states == 293_930
-    assert peak <= 80 * states, peak / states
+    assert peak <= 64 * states, peak / states
 
 
 def _lexicographic_occupations(n, max_total):
@@ -785,11 +786,27 @@ def test_occupation_columns_equal_lexicographic_reference(n, max_total):
     assert columns.T.tolist() == [list(k) for k in _lexicographic_occupations(n, max_total)]
 
 
+@pytest.mark.parametrize(
+    "n, max_total",
+    [(6, 11), (7, 10), (8, 9), (9, 8), (10, 7), (11, 6), (12, 6), (12, 9), (38, 5),
+     (1, 300), (2, 300), (3, 256)],
+)
+def test_occupation_columns_equal_forward_pass_reference(n, max_total):
+    # The sizes the level benchmark enumerates, the state budget and the
+    # uint16 tables, where the tuple reference above is too slow.
+    columns = chain_module._occupation_columns(n, max_total)
+    want = oracles.occupation_columns_reference(n, max_total)
+    assert columns.dtype == want.dtype
+    assert columns.shape == want.shape
+    assert np.array_equal(columns, want)
+
+
 def test_occupation_columns_peak_memory():
-    # One forward pass holds the arrays of one mode at a time next to the
-    # table: the traced peak is 1.76 times the 36.6 MB table at n = 38,
-    # K = 5 (962,598 states).  Parent links kept for every mode until a
-    # backward walk would peak at 2.38 times.
+    # The table is built in place.  Beside it numpy holds only the buffer
+    # of one block copy, as it cannot tell that the source and destination
+    # rows are apart: the traced peak is 1.10 times the 36.6 MB table at
+    # n = 38, K = 5 (962,598 states), against 1.76 for a forward pass that
+    # held one mode's index arrays next to the table.
     tracemalloc.start()
     try:
         columns = chain_module._occupation_columns(38, 5)
@@ -797,7 +814,35 @@ def test_occupation_columns_peak_memory():
     finally:
         tracemalloc.stop()
     assert columns.shape == (38, 962_598)
-    assert peak <= 2 * columns.nbytes, peak / columns.nbytes
+    assert peak <= 1.25 * columns.nbytes, peak / columns.nbytes
+
+
+@pytest.mark.parametrize(
+    "interaction, n, c, max_total",
+    [(KrawtchoukInteraction(), 12, 0.0, 8), (HahnInteraction(alpha=0.5), 10, 0.1, 6)],
+    ids=["krawtchouk_ties", "hahn"],
+)
+def test_enumerate_levels_independent_of_tie_order(monkeypatch, interaction, n, c, max_total):
+    # enumerate_levels orders the energies with numpy's unstable argsort.
+    # The table must not depend on the order it gives tied energies: a
+    # sort that puts ties in descending state order yields the same arrays.
+    # At c = 0 all states of one phonon count are exactly tied; the Hahn
+    # chain's levels are single states, in an order taken by another sort.
+    chain = _chain(interaction, n, c)
+    want = enumerate_levels(chain, max_total)
+    argsort = np.argsort
+    calls = []
+
+    def descending_ties(a, *args, **kwargs):
+        calls.append(len(a))
+        return len(a) - 1 - argsort(a[::-1], kind="stable")
+
+    monkeypatch.setattr(np, "argsort", descending_ties)
+    got = enumerate_levels(chain, max_total)
+    assert calls == [math.comb(n + max_total, max_total)]
+    for name in ("energies", "degeneracies", "offsets", "occupations"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # -- spacing profiles and rescaling ------------------------------------------------

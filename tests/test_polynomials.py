@@ -369,6 +369,29 @@ def test_weight_and_norm_outside_float_range_raise_invalid_params(measure, fp, i
         measure(fp, index)
 
 
+@pytest.mark.parametrize(
+    "evaluate, alpha, i, x",
+    [
+        (family_eval, -1e308, 1, 2),
+        (family_eval, -1e308, 3, 3),
+        (recurrence_eval, -1e308, 1, 0),
+        (recurrence_eval, -1e308, 2, 2),
+        (recurrence_eval, -1e154, 2, 1),
+        (recurrence_eval, -1e154, 3, 3),
+    ],
+)
+def test_evaluators_outside_float_range_raise_invalid_params(evaluate, alpha, i, x):
+    # Both parameters are finite and below -N, so the family is valid, but
+    # alpha + beta overflows at -1e308 and the recurrence's products do at
+    # -1e154: the values were NaN.
+    fp = HahnParams(N=3, alpha=alpha, beta=alpha)
+    with pytest.raises(InvalidParams, match="outside float range"):
+        evaluate(fp, i, lattice_point(fp, x))
+    # Degree 0, and the series at node 0 (a single term), stay exact.
+    assert evaluate(fp, 0, lattice_point(fp, x)) == 1.0
+    assert family_eval(fp, i, lattice_point(fp, 0)) == 1.0
+
+
 def test_norm_equals_brute_force_orthogonality_sum():
     fps = (
         KrawtchoukParams(N=8, p=0.3),
