@@ -13,10 +13,14 @@ compensated sum up to degree d = min(i, x), and the three-term recurrence
 built from the bidiagonal factor pair (B, D).  Weights and norms are
 computed in cancelled product forms that avoid removable singularities and
 spurious overflow on all valid parameter branches.
+
+The recurrence pair, weights and norms of the last _MEMO_FAMILIES families
+are memoised, so a table of values computes each of them once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -26,6 +30,9 @@ from typing import Sequence, Union
 from .errors import DegreeOutOfRange, InvalidParams
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# Families whose recurrence pair, weights and norms stay memoised.  Each
+# holds O(N) floats, against the O(N^2) values of a table of the family.
+_MEMO_FAMILIES = 8
 
 
 def _check_count(n, what: str) -> None:
@@ -39,6 +46,35 @@ def _check_count(n, what: str) -> None:
         raise InvalidParams(f"{what} must be >= 0, got {n}")
 
 
+def _store_size(fp) -> None:
+    """Check the lattice size N of the frozen family fp and store it as an
+    int: an equal numpy integer N would make the recurrence pair numpy
+    floats."""
+    _check_count(fp.N, "lattice size N")
+    if type(fp.N) is not int:
+        object.__setattr__(fp, "N", int(fp.N))
+
+
+def _store_float(fp, name: str) -> float:
+    """Store field `name` of the frozen family fp as a float, and return it.
+    Equal families are then computed in the same arithmetic, whatever number
+    types they were built from; an int q would make powers q**k exact.
+    Raises InvalidParams unless the field is a real number (a bool is not
+    one) in float range.  A plain float, the common case, skips the tests."""
+    value = getattr(fp, name)
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParams(f"{name} must be a real number, got {value!r}")
+    try:
+        converted = float(value)
+    except OverflowError:
+        # No repr of the value: an int too long for one raises ValueError.
+        raise InvalidParams(f"{name} is outside float range") from None
+    object.__setattr__(fp, name, converted)
+    return converted
+
+
 @dataclass(frozen=True)
 class KrawtchoukParams:
     """Krawtchouk family on 0..N with success probability p in (0, 1)."""
@@ -47,9 +83,10 @@ class KrawtchoukParams:
     p: float
 
     def __post_init__(self):
-        _check_count(self.N, "lattice size N")
-        if not (0.0 < self.p < 1.0):
-            raise InvalidParams(f"p must lie in (0, 1), got {self.p}")
+        _store_size(self)
+        p = _store_float(self, "p")
+        if not (0.0 < p < 1.0):
+            raise InvalidParams(f"p must lie in (0, 1), got {p}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +102,8 @@ class HahnParams:
     beta: float
 
     def __post_init__(self):
-        _check_count(self.N, "lattice size N")
-        a, b = self.alpha, self.beta
+        _store_size(self)
+        a, b = _store_float(self, "alpha"), _store_float(self, "beta")
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidParams(f"(alpha, beta) = ({a}, {b}) must be finite")
         positive = a > -1.0 and b > -1.0
@@ -87,15 +124,16 @@ class DualQKrawtchoukParams:
     q: float
 
     def __post_init__(self):
-        _check_count(self.N, "lattice size N")
-        if not -math.inf < self.cbar < 0.0:
-            raise InvalidParams(f"cbar must be negative and finite, got {self.cbar}")
-        if not (0.0 < self.q < math.inf and self.q != 1.0):
-            raise InvalidParams(f"q must be positive, finite and != 1, got {self.q}")
+        _store_size(self)
+        cbar, q = _store_float(self, "cbar"), _store_float(self, "q")
+        if not -math.inf < cbar < 0.0:
+            raise InvalidParams(f"cbar must be negative and finite, got {cbar}")
+        if not (0.0 < q < math.inf and q != 1.0):
+            raise InvalidParams(f"q must be positive, finite and != 1, got {q}")
         # q^N and q^-N both appear in the lattice and the bidiagonal pair.
-        if self.N * abs(math.log(self.q)) >= _LOG_FLOAT_MAX:
+        if self.N * abs(math.log(q)) >= _LOG_FLOAT_MAX:
             raise InvalidParams(
-                f"q = {self.q} with N = {self.N} is out of float range: "
+                f"q = {q} with N = {self.N} is out of float range: "
                 f"N |ln q| must be below {_LOG_FLOAT_MAX:.6g}"
             )
 
@@ -287,6 +325,26 @@ def bidiagonal_split(fp: FamilyParams) -> tuple[tuple[float, ...], tuple[float, 
     return B, D
 
 
+class _FamilyMemo:
+    """What recurrence_eval, weight and norm have computed for one family:
+    its (B, D) pair once the recurrence needs it, and the weights and norms
+    by node and degree.  A value that raises is not stored."""
+
+    __slots__ = ("split", "weights", "norms")
+
+    def __init__(self):
+        self.split = None
+        self.weights: dict[int, float] = {}
+        self.norms: dict[int, float] = {}
+
+
+@functools.lru_cache(maxsize=_MEMO_FAMILIES)
+def _memo(fp: FamilyParams) -> _FamilyMemo:
+    # Keyed by the family: equal families store equal float parameters, so
+    # they compute bit for bit the same values.
+    return _FamilyMemo()
+
+
 def _kappa(fp: FamilyParams, x: int) -> float:
     """Recurrence coordinate of lattice node x."""
     if isinstance(fp, DualQKrawtchoukParams):
@@ -301,7 +359,10 @@ def recurrence_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     InvalidParams where the value leaves float range."""
     _check_degree(fp, i)
     _check_degree(fp, point.x, "lattice node")
-    B, D = bidiagonal_split(fp)
+    memo = _memo(fp)
+    if memo.split is None:
+        memo.split = bidiagonal_split(fp)
+    B, D = memo.split
     kap = _kappa(fp, point.x)
     prev, cur = 0.0, 1.0
     for m in range(i):
@@ -334,7 +395,11 @@ def weight(fp: FamilyParams, x: int) -> float:
     """Orthogonality weight w(x) > 0 at lattice node x.  Raises
     InvalidParams where it leaves float range."""
     _check_degree(fp, x, "lattice node")
-    return _in_float_range("weight", _weight, fp, x)
+    weights = _memo(fp).weights
+    w = weights.get(x)
+    if w is None:
+        w = weights[x] = _in_float_range("weight", _weight, fp, x)
+    return w
 
 
 def _weight(fp: FamilyParams, x: int) -> float:
@@ -365,9 +430,13 @@ def norm(fp: FamilyParams, i: int) -> float:
     sum_x w(x) P_i(x)^2 = h_i.  Raises InvalidParams where it leaves float
     range, including an underflow to 0 (orthonormal_eval divides by it)."""
     _check_degree(fp, i)
-    h = _in_float_range("norm", _norm, fp, i)
-    if not h > 0.0:
-        raise InvalidParams(f"norm of {fp} at {i} is outside float range")
+    norms = _memo(fp).norms
+    h = norms.get(i)
+    if h is None:
+        h = _in_float_range("norm", _norm, fp, i)
+        if not h > 0.0:
+            raise InvalidParams(f"norm of {fp} at {i} is outside float range")
+        norms[i] = h
     return h
 
 

@@ -3,6 +3,7 @@ the argv grammar property) in process."""
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -610,6 +612,17 @@ _PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     # A name added to or removed from the package shows up here, on purpose.
     assert sorted(chain_spectra.__all__) == _PUBLIC_NAMES
+
+
+def test_public_functions_are_plain_functions():
+    # perfbench's tracer wraps only plain functions (inspect.isfunction): a
+    # public function behind a decorator such as functools.lru_cache would
+    # drop its spans from every traced run without an error.
+    values = [getattr(chain_spectra, name) for name in chain_spectra.__all__]
+    callables = [v for v in values if not inspect.isclass(v) and typing.get_origin(v) is None]
+    assert callables and all(inspect.isfunction(v) for v in callables), [
+        v for v in callables if not inspect.isfunction(v)
+    ]
 
 
 # -- export -------------------------------------------------------------------

@@ -6,6 +6,8 @@ against the exact values, and the series/recurrence pair is cross-checked
 under a first-order rounding-error budget.
 """
 
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction as Fr
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from chain_spectra import polynomials
 from chain_spectra.errors import DegreeOutOfRange, InvalidParams
 from chain_spectra.jacobi import ConstantParams
 from chain_spectra.polynomials import (
@@ -403,6 +406,200 @@ def test_norm_equals_brute_force_orthogonality_sum():
         for i in range(fp.N + 1):
             brute = sum(weight(fp, pt.x) * family_eval(fp, i, pt) ** 2 for pt in pts)
             assert brute == pytest.approx(norm(fp, i), rel=1e-10)
+
+
+# -- memoised tables and stored parameters ------------------------------------
+
+
+def _memo_pin_families():
+    for N in (8, 12, 16, 20, 24):
+        yield "krawtchouk", KrawtchoukParams(N=N, p=0.5)
+        yield "hahn(0.5)", HahnParams(N=N, alpha=0.5, beta=0.5)
+        yield "hahn(2.0)", HahnParams(N=N, alpha=2.0, beta=2.0)
+        yield "hahn(-N-1.5)", HahnParams(N=N, alpha=-N - 1.5, beta=-N - 1.5)
+        yield "qkrawtchouk(0.7)", DualQKrawtchoukParams(N=N, cbar=-1.0, q=0.7)
+        yield "qkrawtchouk(1.6)", DualQKrawtchoukParams(N=N, cbar=-1.0, q=1.6)
+
+
+def _int_twin(fp):
+    """The family fp built with an int wherever its float field is integral."""
+    fields = {f.name: getattr(fp, f.name) for f in dataclasses.fields(fp)}
+    return type(fp)(**{k: int(v) if float(v).is_integer() else v for k, v in fields.items()})
+
+
+_MEMO_TABLES = {
+    "bidiagonal_split": lambda fp: [v for half in bidiagonal_split(fp) for v in half],
+    "weight": lambda fp: [weight(fp, x) for x in range(fp.N + 1)],
+    "norm": lambda fp: [norm(fp, i) for i in range(fp.N + 1)],
+    "recurrence_eval": lambda fp: [
+        recurrence_eval(fp, i, pt) for i in range(fp.N + 1) for pt in lattice(fp)
+    ],
+    "orthonormal_eval": lambda fp: [
+        orthonormal_eval(fp, i, pt) for i in range(fp.N + 1) for pt in lattice(fp)
+    ],
+}
+
+# sha256 over the float.hex of each table, for the families of
+# _memo_pin_families in their order, as computed before the memo existed.
+_MEMO_PINS = {
+    "krawtchouk bidiagonal_split": "7395a0556ad6965729229aa362f14e794092a53dc078f72f8b821ed26795083f",
+    "krawtchouk weight": "ef7bc18238fa9b7613ba690326c1a530f8e156ca6425ee6fa235f6bad952a5c6",
+    "krawtchouk norm": "547a081d79237ef851cfd54c62fe722c73adbb63f3bbbe40210b71971f208951",
+    "krawtchouk recurrence_eval": "f19195f7eea9ec5a638f22a8fbad38ce8de50ddb3c0238e8c396098f80761fee",
+    "krawtchouk orthonormal_eval": "df88beb5688a29462326cb7c7ace8ad22fc84a82de9cf930c431aa96c637e2f3",
+    "hahn(0.5) bidiagonal_split": "3c918eb9eb69b4ae78193698d0787ac6095e573afc709c00ad4b9a9ba211f440",
+    "hahn(0.5) weight": "e246c3ae40d87ed9857d8c30eda39935199826f6f35508721ddcd226621b4304",
+    "hahn(0.5) norm": "bdbad8bbb14e4df19b49a5cb843956de5b261e70beb9298404bd7025b8517ce0",
+    "hahn(0.5) recurrence_eval": "ed398b4f1af6f4acbc708e94cb8441edd6353259d56a257ec5579987dd402706",
+    "hahn(0.5) orthonormal_eval": "f800e386b8bae3dfb0a12e6868c297a145f98c43a38ab2d94b4b4e95bc5e3ceb",
+    "hahn(2.0) bidiagonal_split": "16723e36a2b49cbfdcb84fa36ec830f4b2633330828964baa631aaa4375d6f5a",
+    "hahn(2.0) weight": "c353cb41268d46ebbdb6ef6a77869c992e2118d3df43061374acf3dc94041aae",
+    "hahn(2.0) norm": "2b542627d92aff23c70c17057eb73a0ddad37366c052ce357c45646d66b4eb02",
+    "hahn(2.0) recurrence_eval": "7fbf1e379510e3af4cb93a44e4fc9f24e27c5172ca9dbc297f9a47a700e29f06",
+    "hahn(2.0) orthonormal_eval": "042d271ed8cd7036c95e3f3bd70e667d3655fa872eeb3fe092ab7432dde89a1c",
+    "hahn(-N-1.5) bidiagonal_split": "6240ac5a3b65ed3979a6ed0ebadf3fcff623635f92b3ad3bf64df9c6e372caca",
+    "hahn(-N-1.5) weight": "0c6a4933c926e39c73de2abdb6fa24d2a10663ba27bddf35581ec6ebaff46aec",
+    "hahn(-N-1.5) norm": "c3ee2dd0367cd0c0e315a22ba7056a31f3550dc99b55d9b139e99adebd811702",
+    "hahn(-N-1.5) recurrence_eval": "e7d2ee34a764db1f4f89413f71f6a31595878d7d65c4bd7dbef10cf302dccd42",
+    "hahn(-N-1.5) orthonormal_eval": "4a0948f0e8100fd221c708e4b474d185e8eaaf5da1c91852313fc9c0ea57fae1",
+    "qkrawtchouk(0.7) bidiagonal_split": "92a100bec9b97878777f80edaf0f9714f93015a786d04561b6cf32a33c453b2b",
+    "qkrawtchouk(0.7) weight": "a191abadefb78e7a56d582452312881d65b42875eda61ea1c5a80be85e502ce9",
+    "qkrawtchouk(0.7) norm": "fa438d44c34736d6e70f06ddf67da94fd5c36313ac4e232da6f375a066202212",
+    "qkrawtchouk(0.7) recurrence_eval": "2c58ed518124497dbd78b731ddd7531ae7cd80f067e0356bdd08b3e1e6588bb9",
+    "qkrawtchouk(0.7) orthonormal_eval": "3bae6d51ca3e8784bb1b38f852a7bbdceeb2821adec7b3f7a91ff784d4467904",
+    "qkrawtchouk(1.6) bidiagonal_split": "f375c54a4e0558ca9e040821adb8709e127397f90afe78c9d1f11a5c07e7e63c",
+    "qkrawtchouk(1.6) weight": "19ed7e6b165eeab70b84749a437d8df7e0dc5abbf70f29bdbbfe42ae0f76a2c6",
+    "qkrawtchouk(1.6) norm": "25a01cf03e9c40b5b9afe7707a3e1977c75cf9e8e0b6759a6cc3db870ce39ddc",
+    "qkrawtchouk(1.6) recurrence_eval": "c07847f380ccf02b1562af7b30ab1832b99fd86472de75299db89f4a5a05d61d",
+    "qkrawtchouk(1.6) orthonormal_eval": "633602ca356cf18a087d481787dcecae4f947cfed1930f7bf95376f242b4f081",
+}
+
+
+def test_memoised_tables_match_their_pins_cold_warm_and_after_an_int_twin():
+    # Each table is taken three times: with the memo cleared, with it warm,
+    # and after an equal family built from ints has filled it.
+    passes = ("cold", "warm", "after int twin")
+    hashes = {run: {} for run in passes}
+    for kind, fp in _memo_pin_families():
+        for name, table in _MEMO_TABLES.items():
+            polynomials._memo.cache_clear()
+            values = {"cold": table(fp), "warm": table(fp)}
+            polynomials._memo.cache_clear()
+            twin = _int_twin(fp)
+            assert twin == fp and hash(twin) == hash(fp)
+            table(twin)
+            values["after int twin"] = table(fp)
+            for run in passes:
+                digest = hashes[run].setdefault(f"{kind} {name}", hashlib.sha256())
+                digest.update(" ".join(v.hex() for v in values[run]).encode())
+    for run in passes:
+        assert {k: h.hexdigest() for k, h in hashes[run].items()} == _MEMO_PINS, run
+
+
+def test_memo_never_holds_an_error():
+    fp = KrawtchoukParams(N=3, p=0.5)
+    point = lattice_point(fp, 1)
+    for _ in range(2):
+        with pytest.raises(DegreeOutOfRange):
+            recurrence_eval(fp, 4, point)
+        with pytest.raises(DegreeOutOfRange):
+            weight(fp, 4)
+        with pytest.raises(DegreeOutOfRange):
+            norm(fp, -1)
+        with pytest.raises(DegreeOutOfRange):
+            orthonormal_eval(fp, 4, point)
+    # A norm that underflows raises again on every call.
+    far = KrawtchoukParams(N=300, p=0.999)
+    for _ in range(2):
+        with pytest.raises(InvalidParams, match="outside float range"):
+            norm(far, 200)
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: KrawtchoukParams(N=4, p=Fr(1, 2)), {"p": 0.5}),
+        (lambda: HahnParams(N=4, alpha=2, beta=Fr(1, 2)), {"alpha": 2.0, "beta": 0.5}),
+        (lambda: HahnParams(N=4, alpha=-6, beta=-7), {"alpha": -6.0, "beta": -7.0}),
+        (lambda: DualQKrawtchoukParams(N=4, cbar=-1, q=10), {"cbar": -1.0, "q": 10.0}),
+    ],
+)
+def test_family_parameters_are_stored_as_floats(make, fields):
+    fp = make()
+    for name, want in fields.items():
+        got = getattr(fp, name)
+        assert type(got) is float and got == want, name
+
+
+def test_numpy_lattice_size_is_stored_as_an_int():
+    # Stored as given, an np.int64 N made the recurrence pair numpy floats,
+    # and through the memo also the values of an equal family built with
+    # an int N.
+    import numpy as np
+
+    polynomials._memo.cache_clear()
+    fp = KrawtchoukParams(N=np.int64(4), p=0.5)
+    assert type(fp.N) is int
+    assert type(recurrence_eval(fp, 2, lattice_point(fp, 1))) is float
+    twin = KrawtchoukParams(N=4, p=0.5)
+    assert type(recurrence_eval(twin, 2, lattice_point(twin, 1))) is float
+
+
+def test_equal_families_from_int_and_float_q_give_the_same_values():
+    # With q stored as given, an int q made the powers q**k exact: at N = 20
+    # the weights of q = 10 and q = 10.0 differed at 6 of 21 nodes.
+    from_int = DualQKrawtchoukParams(N=20, cbar=-1.0, q=10)
+    polynomials._memo.cache_clear()
+    tables = {name: table(from_int) for name, table in _MEMO_TABLES.items()}
+    polynomials._memo.cache_clear()
+    from_float = DualQKrawtchoukParams(N=20, cbar=-1.0, q=10.0)
+    for name, table in _MEMO_TABLES.items():
+        assert [v.hex() for v in table(from_float)] == [v.hex() for v in tables[name]], name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: HahnParams(N=3, alpha=-10**400, beta=-10**400),
+        lambda: DualQKrawtchoukParams(N=2, cbar=-10**400, q=2.0),
+        lambda: DualQKrawtchoukParams(N=2, cbar=-1.0, q=10**400),
+        lambda: KrawtchoukParams(N=2, p=10**400),
+        lambda: HahnParams(N=2, alpha=10**5000, beta=0.5),
+        lambda: KrawtchoukParams(N=2, p="0.5"),
+        lambda: KrawtchoukParams(N=2, p=True),
+        lambda: HahnParams(N=2, alpha=None, beta=0.5),
+        lambda: DualQKrawtchoukParams(N=2, cbar=-1.0, q=2j),
+    ],
+    ids=["hahn_int_overflow", "cbar_int_overflow", "q_int_overflow", "p_int_overflow",
+         "alpha_int_without_repr", "p_string", "p_bool", "alpha_none", "q_complex"],
+)
+def test_parameters_that_do_not_convert_to_float_raise_invalid_params(make):
+    # The int overflows raised a raw OverflowError, or (cbar) were accepted
+    # and overflowed later in bidiagonal_split and family_eval; an int of
+    # 5001 digits has no repr for the message.
+    with pytest.raises(InvalidParams):
+        make()
+
+
+def test_hahn_signed_zero_parameters_give_identical_values():
+    # alpha = 0.0 and -0.0 are equal memo keys, so they must give the same
+    # bits: every use of a parameter adds a nonzero term to it first.
+    mismatches = []
+    for N in range(31):
+        tables = []
+        for a, b in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            polynomials._memo.cache_clear()
+            fp = HahnParams(N=N, alpha=a, beta=b)
+            pts = lattice(fp)
+            tables.append(
+                [v.hex() for half in bidiagonal_split(fp) for v in half]
+                + [weight(fp, x).hex() for x in range(N + 1)]
+                + [norm(fp, i).hex() for i in range(N + 1)]
+                + [f(fp, i, pt).hex() for f in (family_eval, recurrence_eval)
+                   for i in range(N + 1) for pt in pts]
+            )
+        mismatches += [N for t in tables[1:] if t != tables[0]]
+    assert not mismatches
 
 
 # -- orthogonality ------------------------------------------------------------
