@@ -471,16 +471,12 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
     # Each array is dropped once used up, to keep the peak memory down.
     occupations = _occupation_columns(n, max_total)
     # Added mode by mode in ascending order: the rounding sequence of a
-    # left-to-right sum of the products omega_j * k_j, each written into
-    # one reused buffer.
-    energy = np.zeros(count)
-    product = np.empty(count)
+    # left-to-right sum of the products omega_j * k_j.
+    total = np.zeros(count)
     for w, column in zip(spectrum.omegas, occupations):
-        np.multiply(column, w, out=product)
-        energy += product
-    del product
-    energy *= chain.hbar
-    energy += ground
+        total += w * column
+    energy = ground + chain.hbar * total
+    del total
     # Any order of tied energies gives the same sorted values, and so the
     # same cuts and level energies; a state's level depends on its energy
     # alone.

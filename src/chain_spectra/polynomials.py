@@ -14,8 +14,8 @@ built from the bidiagonal factor pair (B, D).  Weights and norms are
 computed in cancelled product forms that avoid removable singularities and
 spurious overflow on all valid parameter branches.
 
-The recurrence pair, weights and norms of the last _MEMO_FAMILIES families
-are memoised, so a table of values computes each of them once.
+The recurrence pair, weights and norms of the last family used are
+memoised, so a table of values computes each of them once.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Sequence, Union
 from .errors import DegreeOutOfRange, InvalidParams
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# Families whose recurrence pair, weights and norms stay memoised.  Each
-# holds O(N) floats, against the O(N^2) values of a table of the family.
-_MEMO_FAMILIES = 8
+# Families whose recurrence pair, weights and norms stay memoised: the one
+# in use, whose O(N) floats serve the O(N^2) values of a table of it.
+_MEMO_FAMILIES = 1
 
 
 def _check_count(n, what: str) -> None:
@@ -395,6 +395,8 @@ def weight(fp: FamilyParams, x: int) -> float:
     """Orthogonality weight w(x) > 0 at lattice node x.  Raises
     InvalidParams where it leaves float range."""
     _check_degree(fp, x, "lattice node")
+    # An int node: a numpy one would store a numpy float under an int key.
+    x = int(x)
     weights = _memo(fp).weights
     w = weights.get(x)
     if w is None:
@@ -430,6 +432,7 @@ def norm(fp: FamilyParams, i: int) -> float:
     sum_x w(x) P_i(x)^2 = h_i.  Raises InvalidParams where it leaves float
     range, including an underflow to 0 (orthonormal_eval divides by it)."""
     _check_degree(fp, i)
+    i = int(i)
     norms = _memo(fp).norms
     h = norms.get(i)
     if h is None:

@@ -545,6 +545,23 @@ def test_numpy_lattice_size_is_stored_as_an_int():
     assert type(recurrence_eval(twin, 2, lattice_point(twin, 1))) is float
 
 
+def test_numpy_node_and_degree_are_memoised_as_ints():
+    # p ** np.int64(x) is a numpy float: stored under a key equal to the int
+    # x, it would then be what an int caller gets back.
+    import numpy as np
+
+    for fp in (
+        KrawtchoukParams(N=6, p=0.3),
+        DualQKrawtchoukParams(N=6, cbar=-0.5, q=1.6),
+    ):
+        polynomials._memo.cache_clear()
+        assert type(weight(fp, np.int64(3))) is float
+        assert type(norm(fp, np.int64(2))) is float
+        assert type(weight(fp, 3)) is float
+        assert type(norm(fp, 2)) is float
+        assert type(orthonormal_eval(fp, 2, lattice_point(fp, 3))) is float
+
+
 def test_equal_families_from_int_and_float_q_give_the_same_values():
     # With q stored as given, an int q made the powers q**k exact: at N = 20
     # the weights of q = 10 and q = 10.0 differed at 6 of 21 nodes.
