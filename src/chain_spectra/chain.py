@@ -51,7 +51,7 @@ from .jacobi import (
     interaction_spectrum,
     numeric_eigenvalues,
 )
-from .polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams
+from .polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams, _is_real
 
 # A chain counts as positive definite when its smallest squared mode
 # frequency exceeds PD_TOL * omega^2.
@@ -124,6 +124,10 @@ class ChainSpec:
             raise InvalidParams(f"chain length must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InvalidParams(f"chain length must be >= 1, got {self.n}")
+        for name in ("omega", "coupling", "hbar"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise InvalidParams(f"{name} must be a real number, got {value!r}")
         if not _OMEGA_MIN <= self.omega <= _OMEGA_MAX:
             raise InvalidParams(
                 f"omega must be positive with a normal, finite square (from "
@@ -140,10 +144,10 @@ class ChainSpec:
                     f"{len(kind.gammas)} coupling magnitudes for a chain of "
                     f"{self.n} sites"
                 )
-            if not all(0.0 <= g < math.inf for g in kind.gammas):
+            if not all(_is_real(g) and 0.0 <= g < math.inf for g in kind.gammas):
                 raise InvalidParams(
-                    "coupling magnitudes must be >= 0 and finite (a sign flip "
-                    "of any gamma_r leaves the spectrum unchanged)"
+                    "coupling magnitudes must be real numbers >= 0 and finite "
+                    "(a sign flip of any gamma_r leaves the spectrum unchanged)"
                 )
         else:
             _family_params(self)  # parameter range check
@@ -315,14 +319,20 @@ def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
         raise DimensionMismatch(
             f"{len(occupations)} occupation numbers for {chain.n} modes"
         )
-    # The range test comes first: it is False for nan, and int() of inf
-    # raises, as does float arithmetic on an int above float range.
-    if any(not 0 <= k <= sys.float_info.max or k != int(k) for k in occupations):
+    # The range test comes after the type test, which refuses bools, and
+    # before int(): it is False for nan, and int() of inf raises, as does
+    # float arithmetic on an int above float range.
+    if not all(
+        _is_real(k) and 0 <= k <= sys.float_info.max and k == int(k)
+        for k in occupations
+    ):
         raise InvalidParams(
-            "occupation numbers must be non-negative integers in float range"
+            "occupation numbers must be non-negative integers in float range "
+            "(a bool is not one)"
         )
     spectrum = mode_frequencies(chain)
-    phonons = _left_sum(w * k for w, k in zip(spectrum.omegas, occupations))
+    # w * float(k) has the bits of w * k, and is a float for a numpy k too.
+    phonons = _left_sum(w * float(k) for w, k in zip(spectrum.omegas, occupations))
     return _finite_energy(ground_energy(chain, spectrum) + chain.hbar * phonons)
 
 

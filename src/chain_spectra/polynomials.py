@@ -25,7 +25,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import DegreeOutOfRange, InvalidParams
 
@@ -55,6 +55,14 @@ def _store_size(fp) -> None:
         object.__setattr__(fp, "N", int(fp.N))
 
 
+def _is_real(value) -> bool:
+    """True for a real number; a bool is not one.  A plain float, the common
+    case, skips the type tests."""
+    return type(value) is float or (
+        not isinstance(value, bool) and isinstance(value, numbers.Real)
+    )
+
+
 def _store_float(fp, name: str) -> float:
     """Store field `name` of the frozen family fp as a float, and return it.
     Equal families are then computed in the same arithmetic, whatever number
@@ -64,7 +72,7 @@ def _store_float(fp, name: str) -> float:
     value = getattr(fp, name)
     if type(value) is float:
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise InvalidParams(f"{name} must be a real number, got {value!r}")
     try:
         converted = float(value)
@@ -141,16 +149,18 @@ class DualQKrawtchoukParams:
 FamilyParams = Union[KrawtchoukParams, HahnParams, DualQKrawtchoukParams]
 
 
-def _check_degree(fp: FamilyParams, i: int, what: str = "degree") -> None:
-    """Raise InvalidParams unless i is an integer (a bool is not one) and
-    DegreeOutOfRange unless 0 <= i <= N.  A plain int, the common case,
-    skips the type test."""
+def _check_degree(fp: FamilyParams, i: int, what: str = "degree") -> int:
+    """i as an int: raise InvalidParams unless i is an integer (a bool is
+    not one) and DegreeOutOfRange unless 0 <= i <= N.  A plain int, the
+    common case, skips the type test; a numpy integer would make the values
+    computed from it numpy floats."""
     if type(i) is not int and (
         isinstance(i, bool) or not isinstance(i, numbers.Integral)
     ):
         raise InvalidParams(f"{what} must be an integer, got {i!r}")
     if not 0 <= i <= fp.N:
         raise DegreeOutOfRange(f"{what} {i} outside 0..{fp.N}")
+    return int(i)
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,7 @@ def lattice_point(fp: FamilyParams, x: int) -> LatticePoint:
     """Build the lattice point at node x for the given family.  Raises
     InvalidParams unless x is an integer and DegreeOutOfRange outside
     0..N, as every evaluator does for its degree and node."""
-    _check_degree(fp, x, "lattice node")
+    x = _check_degree(fp, x, "lattice node")
     if isinstance(fp, DualQKrawtchoukParams):
         value = fp.q ** (-x) + fp.cbar * fp.q ** (x - fp.N)
     else:
@@ -203,66 +213,75 @@ def q_pochhammer(a: float, q: float, n: int) -> float:
     return out
 
 
-def _neumaier_sum(terms: Sequence[float]) -> float:
-    """Compensated summation; accurate for strongly cancelling series."""
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return total + comp
-
-
 def family_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     """Reference value of the degree-i family polynomial at a lattice point:
     its terminating hypergeometric series, summed term by term up to
-    degree d = min(i, x) with the compensated sum.  On every valid family
-    d is where the series terminates: no other numerator factor vanishes
-    sooner, and no denominator factor vanishes within it.  Raises
+    degree d = min(i, x) with Neumaier's compensated sum.  On every valid
+    family d is where the series terminates: no other numerator factor
+    vanishes sooner, and no denominator factor vanishes within it.  Raises
     InvalidParams where the value leaves float range."""
-    _check_degree(fp, i)
-    _check_degree(fp, point.x, "lattice node")
-    x, N = point.x, fp.N
-    terms = [1.0]
-    term = 1.0
-    if isinstance(fp, DualQKrawtchoukParams):
-        # 3phi2(q^-i, q^-x, cbar q^(x-N); q^-N, 0; q, q): the zero
-        # denominator parameter contributes (0; q)_k = 1.
-        q = fp.q
-        numerator = (q ** (-i), q ** (-x), fp.cbar * q ** (x - N))
-        q_N = q ** (-N)
-        for k in range(min(i, x)):
-            qk = q**k
-            ratio = q
-            for a in numerator:
-                ratio *= 1.0 - a * qk
-            ratio /= 1.0 - q_N * qk
-            ratio /= 1.0 - q ** (k + 1)
-            term *= ratio
-            terms.append(term)
-        return _finite_value(_neumaier_sum(terms), fp, i, point)
+    N = fp.N
+    if type(i) is not int or not 0 <= i <= N:
+        i = _check_degree(fp, i)
+    x = point.x
+    if type(x) is not int or not 0 <= x <= N:
+        x = _check_degree(fp, x, "lattice node")
+    # One loop per family.  Each step multiplies the term by the ratio of
+    # consecutive terms, its factors rounded left to right in a fixed order,
+    # and adds it to the compensated sum.  k counts as a float, which is
+    # exact and spares an int -> float conversion in every factor.
+    total, comp, term, k = 1.0, 0.0, 1.0, 0.0
     if isinstance(fp, KrawtchoukParams):
         # 2F1(-i, -x; -N; 1/p)
-        numerator, denominator, z = (float(-i), float(-x)), (float(-N),), 1.0 / fp.p
-    else:
+        mi, mx, mN, z = float(-i), float(-x), float(-N), 1.0 / fp.p
+        for _ in range(min(i, x)):
+            term *= z / (k + 1.0) * (mi + k) * (mx + k) / (mN + k)
+            k += 1.0
+            s = total + term
+            if abs(total) >= abs(term):
+                comp += (total - s) + term
+            else:
+                comp += (term - s) + total
+            total = s
+    elif isinstance(fp, HahnParams):
         # 3F2(-i, i + alpha + beta + 1, -x; alpha + 1, -N; 1)
         a, b = fp.alpha, fp.beta
-        numerator = (float(-i), i + a + b + 1.0, float(-x))
-        denominator = (a + 1.0, float(-N))
-        z = 1.0
-    for k in range(min(i, x)):
-        ratio = z / (k + 1)
-        for top in numerator:
-            ratio *= top + k
-        for bottom in denominator:
-            ratio /= bottom + k
-        term *= ratio
-        terms.append(term)
-    return _finite_value(_neumaier_sum(terms), fp, i, point)
+        mi, top, mx = float(-i), i + a + b + 1.0, float(-x)
+        bottom, mN = a + 1.0, float(-N)
+        for _ in range(min(i, x)):
+            term *= (
+                1.0 / (k + 1.0) * (mi + k) * (top + k) * (mx + k)
+                / (bottom + k) / (mN + k)
+            )
+            k += 1.0
+            s = total + term
+            if abs(total) >= abs(term):
+                comp += (total - s) + term
+            else:
+                comp += (term - s) + total
+            total = s
+    else:
+        # 3phi2(q^-i, q^-x, cbar q^(x-N); q^-N, 0; q, q): the zero
+        # denominator parameter contributes (0; q)_k = 1.  Each step's
+        # q^(k+1) is the next step's q^k.
+        q = fp.q
+        qi, qx, cq, q_N = q ** (-i), q ** (-x), fp.cbar * q ** (x - N), q ** (-N)
+        qk = 1.0
+        for _ in range(min(i, x)):
+            qk1 = q ** (k + 1.0)
+            term *= (
+                q * (1.0 - qi * qk) * (1.0 - qx * qk) * (1.0 - cq * qk)
+                / (1.0 - q_N * qk) / (1.0 - qk1)
+            )
+            qk = qk1
+            k += 1.0
+            s = total + term
+            if abs(total) >= abs(term):
+                comp += (total - s) + term
+            else:
+                comp += (term - s) + total
+            total = s
+    return _finite_value(total + comp, fp, i, point)
 
 
 def _finite_value(value: float, fp: FamilyParams, i: int, point: LatticePoint) -> float:
@@ -327,13 +346,13 @@ def bidiagonal_split(fp: FamilyParams) -> tuple[tuple[float, ...], tuple[float, 
 
 class _FamilyMemo:
     """What recurrence_eval, weight and norm have computed for one family:
-    its (B, D) pair once the recurrence needs it, and the weights and norms
-    by node and degree.  A value that raises is not stored."""
+    its (B_i, D_i) pairs once the recurrence needs them, and the weights and
+    norms by node and degree.  A value that raises is not stored."""
 
-    __slots__ = ("split", "weights", "norms")
+    __slots__ = ("pairs", "weights", "norms")
 
     def __init__(self):
-        self.split = None
+        self.pairs = None
         self.weights: dict[int, float] = {}
         self.norms: dict[int, float] = {}
 
@@ -357,16 +376,19 @@ def recurrence_eval(fp: FamilyParams, i: int, point: LatticePoint) -> float:
     """Value of the degree-i family polynomial by upward three-term
     recurrence from degree 0; the P_{-1} coefficient D_0 is zero.  Raises
     InvalidParams where the value leaves float range."""
-    _check_degree(fp, i)
-    _check_degree(fp, point.x, "lattice node")
+    N = fp.N
+    if type(i) is not int or not 0 <= i <= N:
+        i = _check_degree(fp, i)
+    x = point.x
+    if type(x) is not int or not 0 <= x <= N:
+        x = _check_degree(fp, x, "lattice node")
     memo = _memo(fp)
-    if memo.split is None:
-        memo.split = bidiagonal_split(fp)
-    B, D = memo.split
-    kap = _kappa(fp, point.x)
+    if memo.pairs is None:
+        memo.pairs = tuple(zip(*bidiagonal_split(fp)))
+    kap = _kappa(fp, x)
     prev, cur = 0.0, 1.0
-    for m in range(i):
-        prev, cur = cur, ((B[m] + D[m] - kap) * cur - D[m] * prev) / B[m]
+    for b, d in memo.pairs[:i]:
+        prev, cur = cur, ((b + d - kap) * cur - d * prev) / b
     return _finite_value(cur, fp, i, point)
 
 
@@ -394,9 +416,10 @@ def _in_float_range(name: str, compute, fp: FamilyParams, index: int) -> float:
 def weight(fp: FamilyParams, x: int) -> float:
     """Orthogonality weight w(x) > 0 at lattice node x.  Raises
     InvalidParams where it leaves float range."""
-    _check_degree(fp, x, "lattice node")
-    # An int node: a numpy one would store a numpy float under an int key.
-    x = int(x)
+    # Any node but an in-range int is checked and made an int: a numpy one
+    # would store a numpy float under an int key.
+    if type(x) is not int or not 0 <= x <= fp.N:
+        x = _check_degree(fp, x, "lattice node")
     weights = _memo(fp).weights
     w = weights.get(x)
     if w is None:
@@ -431,8 +454,8 @@ def norm(fp: FamilyParams, i: int) -> float:
     """Squared norm h_i > 0 of the degree-i polynomial:
     sum_x w(x) P_i(x)^2 = h_i.  Raises InvalidParams where it leaves float
     range, including an underflow to 0 (orthonormal_eval divides by it)."""
-    _check_degree(fp, i)
-    i = int(i)
+    if type(i) is not int or not 0 <= i <= fp.N:
+        i = _check_degree(fp, i)
     norms = _memo(fp).norms
     h = norms.get(i)
     if h is None:

@@ -123,6 +123,44 @@ def test_chainspec_rejects_non_finite_and_non_integer_inputs(kwargs):
         ChainSpec(**spec)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"omega": None},
+        {"omega": 1j},
+        {"omega": True},
+        {"coupling": "0.1"},
+        {"coupling": False},
+        {"hbar": None},
+        {"hbar": True},
+        {"interaction": CustomInteraction(gammas=(None, None))},
+        {"interaction": CustomInteraction(gammas=(True, 1.0))},
+    ],
+    ids=["omega_none", "omega_complex", "omega_bool", "coupling_string",
+         "coupling_bool", "hbar_none", "hbar_bool", "gammas_none", "gammas_bool"],
+)
+def test_chainspec_rejects_parameters_that_are_not_real_numbers(kwargs):
+    # None, a complex and a string raised a raw TypeError from a range
+    # comparison; a bool was taken as 1 or 0.
+    spec = {"n": 3, "omega": 1.0, "coupling": 0.1, "interaction": KrawtchoukInteraction()}
+    spec.update(kwargs)
+    with pytest.raises(InvalidParams, match="real number"):
+        ChainSpec(**spec)
+
+
+def test_chainspec_accepts_real_numbers_of_any_type():
+    from fractions import Fraction
+
+    want = mode_frequencies(_chain(CustomInteraction(gammas=(1.0, 0.5)), 3, 0.25)).omegas
+    for omega, c, gammas in (
+        (1, Fraction(1, 4), (1, Fraction(1, 2))),
+        (np.float64(1.0), np.float64(0.25), (np.float64(1.0), np.float64(0.5))),
+    ):
+        chain = ChainSpec(n=3, omega=omega, coupling=c,
+                          interaction=CustomInteraction(gammas=gammas), hbar=np.int64(1))
+        assert mode_frequencies(chain).omegas == want
+
+
 def test_chainspec_accepts_omega_range_ends():
     for omega in (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)):
         (w,) = mode_frequencies(_chain(KrawtchoukInteraction(), 1, 0.0, omega=omega)).omegas
@@ -542,6 +580,15 @@ def test_state_energy_values_and_errors():
     for k in (10**400, math.inf, math.nan):
         with pytest.raises(InvalidParams):
             state_energy(two, (k, 0))
+    # A bool is not an occupation number, nor is a value that is not a
+    # real number (a string raised a raw TypeError).
+    for k in (True, False, np.True_, "1", None):
+        with pytest.raises(InvalidParams):
+            state_energy(two, (k, 0))
+    # Numpy integer occupations give a float with the bits of the int ones.
+    for occ in ((1, 0, 2, 0), (0, 3, 0, 1)):
+        got = state_energy(chain, np.array(occ))
+        assert type(got) is float and got.hex() == state_energy(chain, occ).hex()
 
 
 def test_state_energy_hbar_scaling():

@@ -562,6 +562,32 @@ def test_numpy_node_and_degree_are_memoised_as_ints():
         assert type(orthonormal_eval(fp, 2, lattice_point(fp, 3))) is float
 
 
+def test_numpy_node_and_degree_give_int_points_and_float_values():
+    # i + alpha + beta + 1.0 and q ** -i with an np.int64 degree were numpy
+    # floats, and so was what family_eval and orthonormal_eval returned; a
+    # numpy node was stored in the lattice point as given, which made the
+    # dual q coordinate and the recurrence value numpy floats too.
+    import numpy as np
+
+    for fp in (
+        KrawtchoukParams(N=6, p=0.3),
+        HahnParams(N=6, alpha=0.5, beta=2.0),
+        HahnParams(N=6, alpha=-7.5, beta=-8.0),
+        DualQKrawtchoukParams(N=6, cbar=-0.5, q=1.6),
+    ):
+        polynomials._memo.cache_clear()
+        point = lattice_point(fp, np.int64(3))
+        assert type(point.x) is int and type(point.value) is float
+        assert point == lattice_point(fp, 3)
+        given_as_is = LatticePoint(x=np.int64(3), value=point.value)
+        for evaluate in (family_eval, recurrence_eval, orthonormal_eval):
+            want = evaluate(fp, 2, lattice_point(fp, 3))
+            for pt in (point, given_as_is):
+                got = evaluate(fp, np.int64(2), pt)
+                assert type(got) is float, (fp, evaluate.__name__)
+                assert got.hex() == want.hex(), (fp, evaluate.__name__)
+
+
 def test_equal_families_from_int_and_float_q_give_the_same_values():
     # With q stored as given, an int q made the powers q**k exact: at N = 20
     # the weights of q = 10 and q = 10.0 differed at 6 of 21 nodes.
@@ -891,3 +917,44 @@ def test_property_small_orthonormal_matrices(fp):
         for j in range(fp.N + 1):
             dot = math.fsum(rows[i][x] * rows[j][x] for x in range(fp.N + 1))
             assert abs(dot - (1.0 if i == j else 0.0)) <= 1e-8
+
+
+@st.composite
+def _series_family(draw):
+    N = draw(st.integers(min_value=0, max_value=30))
+    kind = draw(st.sampled_from(("krawtchouk", "hahn+", "hahn-", "dualq")))
+    if kind == "krawtchouk":
+        return KrawtchoukParams(N=N, p=draw(st.floats(min_value=1e-3, max_value=1 - 1e-3)))
+    if kind == "hahn+":
+        a, b = (draw(st.floats(min_value=-1.0, max_value=40.0, exclude_min=True))
+                for _ in range(2))
+        return HahnParams(N=N, alpha=a, beta=b)
+    if kind == "hahn-":
+        a, b = (draw(st.floats(min_value=-N - 40.0, max_value=-N, exclude_max=True))
+                for _ in range(2))
+        return HahnParams(N=N, alpha=a, beta=b)
+    step = draw(st.one_of(
+        st.floats(min_value=1e-9, max_value=1e-3),  # q near 1
+        st.floats(min_value=0.05, max_value=3.0),  # q far from 1
+    ))
+    q = draw(st.sampled_from((1.0 + step, 1.0 / (1.0 + step))))
+    cbar = draw(st.one_of(st.sampled_from((-1.0, -0.5, -2.0)),
+                          st.floats(min_value=-20.0, max_value=-1e-3)))
+    return DualQKrawtchoukParams(N=N, cbar=cbar, q=q)
+
+
+@given(_series_family())
+@settings(max_examples=60, deadline=None)
+def test_property_family_eval_is_the_frozen_series_bit_for_bit(fp):
+    # Beyond the fixed grid of the pinned test: the factors of each term
+    # ratio are rounded in the frozen order for any valid parameters.
+    # Where the series leaves float range, family_eval refuses the value.
+    for x in range(fp.N + 1):
+        point = lattice_point(fp, x)
+        for i in range(fp.N + 1):
+            want = oracles.hypergeometric_series_reference(fp, i, x)
+            if math.isfinite(want):
+                assert family_eval(fp, i, point).hex() == want.hex(), (fp, i, x)
+            else:
+                with pytest.raises(InvalidParams):
+                    family_eval(fp, i, point)
