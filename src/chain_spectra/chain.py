@@ -31,7 +31,7 @@ import operator
 import sys
 from collections import abc
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Union, get_args
 
 from .errors import (
     ClosedFormUnavailable,
@@ -51,7 +51,13 @@ from .jacobi import (
     interaction_spectrum,
     numeric_eigenvalues,
 )
-from .polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams, _is_real
+from .polynomials import (
+    DualQKrawtchoukParams,
+    HahnParams,
+    KrawtchoukParams,
+    _float_tuple,
+    _is_real,
+)
 
 # A chain counts as positive definite when its smallest squared mode
 # frequency exceeds PD_TOL * omega^2.
@@ -139,18 +145,22 @@ class ChainSpec:
             raise InvalidParams(f"hbar must be positive and finite, got {self.hbar}")
         kind = self.interaction
         if isinstance(kind, CustomInteraction):
-            if len(kind.gammas) != self.n - 1:
+            gammas = _float_tuple(kind.gammas, "coupling magnitudes")
+            if len(gammas) != self.n - 1:
                 raise DimensionMismatch(
-                    f"{len(kind.gammas)} coupling magnitudes for a chain of "
+                    f"{len(gammas)} coupling magnitudes for a chain of "
                     f"{self.n} sites"
                 )
-            if not all(_is_real(g) and 0.0 <= g < math.inf for g in kind.gammas):
+            if not all(0.0 <= g < math.inf for g in gammas):
                 raise InvalidParams(
                     "coupling magnitudes must be real numbers >= 0 and finite "
                     "(a sign flip of any gamma_r leaves the spectrum unchanged)"
                 )
-        else:
+        elif isinstance(kind, InteractionKind):
             _family_params(self)  # parameter range check
+        else:
+            names = ", ".join(cls.__name__ for cls in get_args(InteractionKind))
+            raise InvalidParams(f"interaction must be one of {names}; got {kind!r}")
 
 
 def _family_params(chain: ChainSpec):
@@ -174,7 +184,7 @@ def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
     families gamma_r = 2 E_r with E_r the Jacobi off-diagonal.  Raises
     InvalidParams when 2 E_r overflows."""
     if isinstance(chain.interaction, CustomInteraction):
-        return chain.interaction.gammas
+        return _float_tuple(chain.interaction.gammas, "coupling magnitudes")
     gammas = tuple(2.0 * e for e in build_jacobi(_family_params(chain)).offdiag)
     if not all(map(math.isfinite, gammas)):
         raise InvalidParams("coupling magnitudes 2 E_r overflow float range")

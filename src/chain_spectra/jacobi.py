@@ -20,10 +20,15 @@ reversed matrix; _stitched_vectors joins and norms the columns.  Each
 column gets the floating-point operations of its own scalar recurrence, so
 the vectors are bit for bit those of one eigenvalue at a time.
 The numeric route is an implicit-shift QL iteration and serves as an
-independent cross-check.  One kernel, _ql, holds its sweep loop:
+independent cross-check.  One kernel, _ql, holds its sweeps:
 numeric_eigenvalues runs it without eigenvectors (numeric mode frequencies
 and verify_family need no more), numeric_decomposition runs it with
-U^T.  There each rotation of rows i and i + 1 is recorded, and
+U^T.  Its deflation scan runs the exact test only on off-diagonal
+entries within 16 eps: the scaled matrix has max |entry| below 2 even
+where the shift is capped at -1023, so the exact test never passes above
+12 eps.  The scan and the chase do the operations of the textbook loop in
+their order, so both entry points keep its bits.  With U^T, each
+rotation of rows i and i + 1 is recorded, and
 _apply_rotations applies the recorded sequence in waves of rotations that
 share no row.  U^T is kept in an even/odd row layout, rows 0, 2, 4, ...
 and then 1, 3, 5, ..., so that a run of a wave's rotations, on rows i,
@@ -63,6 +68,7 @@ from .polynomials import (
     HahnParams,
     KrawtchoukParams,
     _check_count,
+    _float_tuple,
     _kappa,
     bidiagonal_split,
 )
@@ -95,12 +101,16 @@ JacobiFamily = Union[ConstantParams, FamilyParams]
 @dataclass(frozen=True)
 class SymTridiagonal:
     """Symmetric tridiagonal matrix with non-negative off-diagonal
-    magnitudes; the actual matrix entries are the negatives -E_i."""
+    magnitudes; the actual matrix entries are the negatives -E_i.  Both
+    are stored as tuples of floats; any other sequence of real numbers is
+    converted, and anything else raises InvalidParams."""
 
     diag: tuple[float, ...]
     offdiag: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("diag", "offdiag"):
+            object.__setattr__(self, name, _float_tuple(getattr(self, name), name))
         if len(self.offdiag) != max(len(self.diag) - 1, 0):
             raise DimensionMismatch(
                 f"offdiag length {len(self.offdiag)} does not match "
@@ -108,7 +118,7 @@ class SymTridiagonal:
             )
         if not all(map(math.isfinite, self.diag + self.offdiag)):
             raise InvalidParams("matrix entries must be finite")
-        if any(e < 0.0 for e in self.offdiag):
+        if min(self.offdiag, default=0.0) < 0.0:
             raise InvalidParams("offdiag magnitudes must be >= 0")
 
     @property
@@ -294,17 +304,32 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     d and e are Python floats, which round exactly as numpy float64
     scalars do at a fraction of the cost.  They hold M scaled by the power
     of two of _unit_exponent, as in _all_above, so that the deflation test
-    eps (|d_m| + |d_m+1|) neither underflows near the smallest normal float
-    nor overflows near the largest.  The eigenvalues are scaled back at the
-    end; c and s do not depend on the scale.  When Ut is given, each
-    rotation (i, c, s) of rows i and i + 1 is recorded and Ut accumulates
-    the transposed eigenvector matrix in the even/odd row layout of
-    _even_odd_positions: _apply_rotations applies the record every
-    _ROTATION_CHUNK rotations and once at the end.  Raises
-    NoConvergence with the offending row index when a deflation exceeds
-    MAX_SWEEPS sweeps.
+    |e_m| <= eps (|d_m| + |d_m+1|) neither underflows near the smallest
+    normal float nor overflows near the largest.  The eigenvalues are
+    scaled back at the end; c and s do not depend on the scale.
+
+    The scan for a negligible e_m first asks whether -hi <= e_m <= hi, one
+    chained comparison, and runs the exact test only on the entries that
+    pass; the zero e_(n-1) after the last row ends it.  The prefilter
+    drops no deflation: every |d_i| is at most ||M||_2 <= 3 max |entry| of
+    the scaled M, which is below 1, or below 2 where the shift is capped
+    at -1023, so the exact test passes only below 12 eps, and hi = 16 eps
+    leaves room for rounding.  The chase reads each e_i once and carries
+    d_i into the next step as its d_(i+1), with the operations of the
+    textbook loop in their order, so every bit is that loop's.
+
+    When Ut is given, each rotation (i, c, s) of rows i and i + 1 is
+    recorded and Ut accumulates the transposed eigenvector matrix in the
+    even/odd row layout of _even_odd_positions: _apply_rotations applies
+    the record every _ROTATION_CHUNK rotations and once at the end.
+    Raises NoConvergence with the offending row index when a deflation
+    exceeds MAX_SWEEPS sweeps.
     """
+    hypot, copysign = math.hypot, math.copysign
+    eps = _EPS
+    hi = 16.0 * eps
     n = M.size
+    last = n - 1
     sweep_budget = MAX_SWEEPS
     # Capped so that 2^-shift is a float: an eigenvalue past float range
     # then comes back inf.
@@ -312,12 +337,16 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     d = [math.ldexp(x, shift) for x in M.diag]
     e = [-math.ldexp(x, shift) for x in M.offdiag] + [0.0]
     rows, cs, ss = array("q"), array("d"), array("d")
+    add_row, add_c, add_s = rows.append, cs.append, ss.append
     for l in range(n):
         sweeps = 0
         while True:
             m = l
-            while m < n - 1:
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
+            while True:
+                em = e[m]
+                if -hi <= em <= hi and (
+                    m == last or abs(em) <= eps * (abs(d[m]) + abs(d[m + 1]))
+                ):
                     break
                 m += 1
             if m == l:
@@ -326,39 +355,43 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
                 raise NoConvergence(l)
             sweeps += 1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
-            i = m - 1
-            while i >= l:
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
+            # j is i + 1 and dn is d[i + 1], carried from the step before.
+            j = m
+            dn = d[m]
+            for i in range(m - 1, l - 1, -1):
+                ei = e[i]
+                f = s * ei
+                b = c * ei
+                r = hypot(f, g)
+                e[j] = r
                 if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
                     break
                 s = f / r
                 c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                g = dn - p
+                dn = d[i]
+                r = (dn - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                d[j] = g + p
                 g = c * r - b
+                j = i
                 if Ut is not None:
-                    rows.append(i)
-                    cs.append(c)
-                    ss.append(s)
+                    add_row(i)
+                    add_c(c)
+                    add_s(s)
                     if len(rows) == _ROTATION_CHUNK:
                         _apply_rotations(Ut, rows, cs, ss)
                         del rows[:], cs[:], ss[:]
-                i -= 1
             else:
-                d[l] -= p
                 e[l] = g
-                e[m] = 0.0
+            # A rotation of zero length splits the block at row j; a full
+            # chase ends at row j = l.
+            d[j] = dn - p
+            e[m] = 0.0
     if Ut is not None:
         _apply_rotations(Ut, rows, cs, ss)
     scale = 2.0**-shift

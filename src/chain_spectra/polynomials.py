@@ -24,6 +24,7 @@ import functools
 import math
 import numbers
 import sys
+from collections import abc
 from dataclasses import dataclass
 from typing import Union
 
@@ -81,6 +82,28 @@ def _store_float(fp, name: str) -> float:
         raise InvalidParams(f"{name} is outside float range") from None
     object.__setattr__(fp, name, converted)
     return converted
+
+
+def _float_tuple(values, what: str) -> tuple[float, ...]:
+    """values as a tuple of floats.  Raises InvalidParams unless values is
+    a sequence (a tuple, list or range, or a one-dimensional array; not a
+    str) of real numbers (a bool is not one) in float range.  A tuple of
+    plain floats, the common case, is returned as it is."""
+    if type(values) is tuple and set(map(type, values)) <= {float}:
+        return values
+    if isinstance(values, (str, bytes)) or not (
+        isinstance(values, abc.Sequence) or getattr(values, "ndim", None) == 1
+    ):
+        raise InvalidParams(
+            f"{what} must be a sequence of real numbers, got {type(values).__name__}"
+        )
+    for x in values:
+        if not _is_real(x):
+            raise InvalidParams(f"every entry of {what} must be a real number, got {x!r}")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise InvalidParams(f"{what} has an entry outside float range") from None
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ tuple enumeration cannot reach.
 constant_diagonal is the paper's search criterion read off the matrix: a
 chain has a closed-form spectrum when its Jacobi matrix has a constant
 diagonal F_0, so that K = M - F_0 I.
+exact_inertia counts the eigenvalues of a float matrix below a shift from
+its LDL^T pivots in Fraction arithmetic, an exact eigenvalue oracle that
+needs neither the package's QL nor LAPACK.
 """
 
 from __future__ import annotations
@@ -359,6 +362,35 @@ def column_ql_reference(M, max_sweeps: int = 64) -> tuple[tuple, np.ndarray]:
                 e[m] = 0.0
     order = np.argsort(d, kind="stable")
     return tuple(d[order]), _first_entry_positive(U[:, order])
+
+
+def exact_inertia(M, sigma) -> int:
+    """The number of eigenvalues of the SymTridiagonal M below sigma, exact
+    for the float entries of M and a float or Fraction sigma.
+
+    It counts the negative LDL^T pivots d_i = (a_i - sigma) - b_(i-1)^2 /
+    d_(i-1) of M - sigma I in Fraction arithmetic (Sylvester's law of
+    inertia; Barth, Martin and Wilkinson, 1967).  A zero off-diagonal b
+    splits M, and the next pivot is a_i - sigma.  A zero pivot d_(i-1)
+    with b_(i-1) != 0 makes the leading minor p_(i-1) zero: then
+    p_i = -b_(i-1)^2 p_(i-2) has the sign opposite to p_(i-2), so d_i =
+    p_i / p_(i-1) is -infinity and counts as negative, and since
+    p_(i+1) = (a_(i+1) - sigma) p_i, the pivot after it is a_(i+1) - sigma.
+    The zero pivot itself is not counted: a last pivot of 0 means sigma is
+    an eigenvalue, which is not below sigma.
+    """
+    s = Fr(sigma)
+    count, d, b2 = 0, Fr(1), Fr(0)
+    for a, e in zip(M.diag, M.offdiag + (0.0,)):
+        if d is None or b2 == 0:
+            d = Fr(a) - s
+        elif d == 0:
+            d = None  # the pivot -infinity
+        else:
+            d = Fr(a) - s - b2 / d
+        count += d is None or d < 0
+        b2 = Fr(e) ** 2
+    return count
 
 
 def _first_entry_positive(U: np.ndarray) -> np.ndarray:

@@ -148,6 +148,29 @@ def test_chainspec_rejects_parameters_that_are_not_real_numbers(kwargs):
         ChainSpec(**spec)
 
 
+@pytest.mark.parametrize("gammas", [None, 1.0, "12", {1.0, 2.0}])
+def test_chainspec_rejects_custom_gammas_that_are_not_a_sequence(gammas):
+    # None raised a raw TypeError from len(gammas).
+    with pytest.raises(InvalidParams, match="sequence of real numbers"):
+        ChainSpec(n=3, omega=1.0, coupling=0.1, interaction=CustomInteraction(gammas=gammas))
+
+
+@pytest.mark.parametrize("interaction", ["krawtchouk", None, KrawtchoukInteraction])
+def test_chainspec_rejects_an_interaction_that_is_not_one(interaction):
+    # A str raised ClosedFormUnavailable, "custom interactions have no
+    # closed-form spectrum".
+    with pytest.raises(InvalidParams, match="interaction must be one of"):
+        ChainSpec(n=3, omega=1.0, coupling=0.1, interaction=interaction)
+
+
+def test_chainspec_takes_custom_gammas_as_any_sequence_of_reals():
+    want = mode_frequencies(_chain(CustomInteraction(gammas=(1.0, 0.5)), 3, 0.25))
+    for gammas in ([1.0, 0.5], np.array([1.0, 0.5])):
+        chain = _chain(CustomInteraction(gammas=gammas), 3, 0.25)
+        assert mode_frequencies(chain) == want
+        assert coupling_coefficients(chain) == (1.0, 0.5)
+
+
 def test_chainspec_accepts_real_numbers_of_any_type():
     from fractions import Fraction
 

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import sys
 import tracemalloc
 import warnings
 from array import array
@@ -81,6 +82,55 @@ def test_symtridiagonal_validation():
     dense = m.dense()
     assert dense[0, 1] == dense[1, 0] == -0.5
     assert dense[0, 0] == 2.0 and dense[1, 1] == 3.0
+
+
+def test_symtridiagonal_stores_tuples_of_floats():
+    # Lists, ranges, one-dimensional arrays and numpy or Fraction entries
+    # are stored as tuples of floats, which the QL and _all_above take.
+    from fractions import Fraction
+
+    for diag, off in (
+        ([2.0, 2.0, 2.0], [1.0, 1.0]),
+        (np.array([2.0, 2.0, 2.0]), np.array([1.0, 1.0])),
+        ((2, 2, 2), (np.float64(1.0), Fraction(1))),
+    ):
+        m = SymTridiagonal(diag, off)
+        assert type(m.diag) is tuple and type(m.offdiag) is tuple
+        assert all(type(x) is float for x in m.diag + m.offdiag)
+        assert m == SymTridiagonal((2.0, 2.0, 2.0), (1.0, 1.0))
+    assert SymTridiagonal(range(3), range(1, 3)) == SymTridiagonal((0.0, 1.0, 2.0), (1.0, 2.0))
+    assert _all_above(SymTridiagonal([2.0, 2.0], [1.0]), 0.5)
+    # Arrays of lengths 2 and 1 were broadcast together into one array.
+    m = SymTridiagonal(np.array([1.0, 3.0]), np.array([0.5]))
+    assert numeric_eigenvalues(m) == numeric_eigenvalues(SymTridiagonal((1.0, 3.0), (0.5,)))
+
+
+@pytest.mark.parametrize(
+    "diag, off",
+    [
+        (None, ()),
+        ((1.0, 2.0), None),
+        (1.0, ()),
+        ("12", "3"),
+        ({1.0: 0.0}, ()),
+        ({1.0, 2.0}, (0.5,)),
+        (np.ones((2, 2)), (0.5,)),
+        (np.float64(1.0), ()),
+        ((1.0, "x"), (1.0,)),
+        ((1.0, 2.0), (True,)),
+        ((1.0, 1j), (0.5,)),
+        ((1.0, None), (0.5,)),
+        ((10**400, 1.0), (0.5,)),
+    ],
+    ids=["diag_none", "offdiag_none", "diag_float", "str", "dict", "set", "2d_array",
+         "numpy_scalar", "str_entry", "bool_entry", "complex_entry", "none_entry",
+         "int_past_float_range"],
+)
+def test_symtridiagonal_rejects_what_is_not_a_sequence_of_reals(diag, off):
+    # None, a str entry and arrays of lengths 3 and 2 raised a raw
+    # TypeError or ValueError; a bool was taken as 1.
+    with pytest.raises(InvalidParams):
+        SymTridiagonal(diag, off)
 
 
 def test_build_jacobi_krawtchouk_frozen():
@@ -585,6 +635,17 @@ def _sym_tridiagonals(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     diag = draw(st.lists(_DIAG_ENTRIES, min_size=n, max_size=n))
     off = draw(st.lists(_OFFDIAG_ENTRIES, min_size=n - 1, max_size=n - 1))
+    # Some forms are moved by a power of two to max |entry| >= 2^1023,
+    # where the QL caps its scaling shift at -1023, or to max |entry|
+    # near the smallest normal float, where their small entries go
+    # subnormal or to 0.
+    top = max(map(abs, diag + off))
+    end = draw(st.sampled_from((None, None, "largest", "smallest")))
+    if top and end:
+        exponent = 1024 if end == "largest" else draw(st.integers(-1021, -1000))
+        k = exponent - math.frexp(top)[1]
+        diag = [math.ldexp(a, k) for a in diag]
+        off = [math.ldexp(b, k) for b in off]
     return SymTridiagonal(diag=tuple(diag), offdiag=tuple(off))
 
 
@@ -596,6 +657,183 @@ def test_property_eigenvalue_only_ql_matches_decomposition(m):
     assert _ql_outcome(numeric_eigenvalues, m) == _ql_outcome(
         lambda mat: numeric_decomposition(mat).eigenvalues, m
     )
+
+
+def _scaled(m, k):
+    """m with every entry multiplied by 2^k."""
+    return SymTridiagonal(
+        tuple(math.ldexp(a, k) for a in m.diag), tuple(math.ldexp(b, k) for b in m.offdiag)
+    )
+
+
+def _reference_outcome(m, max_sweeps=jacobi.MAX_SWEEPS):
+    """oracles.column_ql_reference on m scaled by the QL's own power of
+    two, which is exact (the oracle itself does not scale): its eigenvalues
+    scaled back, as float.hex, and its eigenvector columns, or its
+    NoConvergence row and None.  Last, the runs [a, b) of eigenvalues that
+    scaling back makes equal from distinct values, past float range or
+    below the normal range: the oracle sorts such a run by value and the QL
+    by position, so only the run's set is pinned."""
+    # The QL caps its shift at -1023, so that 2^-shift is a float.
+    shift = max(jacobi._unit_exponent(m.diag + m.offdiag), -1023)
+    try:
+        values, vectors = oracles.column_ql_reference(_scaled(m, shift), max_sweeps)
+    except NoConvergence as exc:
+        return ("NoConvergence", exc.row), None, []
+    scale = 2.0**-shift
+    back = [float(v) * scale for v in values]
+    runs, a = [], 0
+    for k in range(1, len(back) + 1):
+        if k == len(back) or back[k] != back[a]:
+            if values[a] != values[k - 1]:
+                runs.append((a, k))
+            a = k
+    return tuple(map(float.hex, back)), vectors, runs
+
+
+def _pinned_in_order(outcome, vectors, runs):
+    """The eigenvalues as float.hex and the columns as bytes, with each run
+    of runs sorted."""
+    hexes = list(outcome)
+    cols = [vectors[:, k].tobytes() for k in range(vectors.shape[1])]
+    for a, b in runs:
+        order = sorted(range(a, b), key=lambda k: (hexes[k], cols[k]))
+        hexes[a:b] = [hexes[k] for k in order]
+        cols[a:b] = [cols[k] for k in order]
+    return hexes, cols
+
+
+# A deflation at |e_m| = 2.03 eps of the scaled form, between the bound
+# 2 eps and eps (|d_m| + |d_m+1|): a scan prefilter tighter than the
+# package's 16 eps would miss it.
+_WIDE_DEFLATION_EXAMPLE = SymTridiagonal(
+    diag=(-3.0, -3.0, 1.0, -3.0), offdiag=(2.0, 3.0, 3.0)
+)
+
+
+@given(_sym_tridiagonals())
+@example(_SPLIT_EXAMPLE)
+@example(_WIDE_DEFLATION_EXAMPLE)
+@settings(max_examples=300, deadline=None)
+def test_property_ql_entry_points_equal_column_ql_reference(m):
+    # Both entry points share the sweep loop, so they are pinned to the
+    # frozen first QL, not only to each other: bit for bit, signed zeros
+    # and the NoConvergence row included.
+    expected, vectors, runs = _reference_outcome(m)
+    outcome = _ql_outcome(numeric_eigenvalues, m)
+    if vectors is None:
+        assert outcome == expected
+        assert _ql_outcome(lambda mat: numeric_decomposition(mat).eigenvalues, m) == expected
+        return
+    dec = numeric_decomposition(m)
+    assert list(outcome) == sorted(outcome, key=float.fromhex)
+    assert tuple(map(float.hex, dec.eigenvalues)) == outcome
+    if not runs:
+        assert outcome == expected
+        assert np.array_equal(dec.vectors, vectors)
+    assert _pinned_in_order(outcome, dec.vectors, runs) == _pinned_in_order(
+        expected, vectors, runs
+    )
+
+
+def test_ql_entry_points_fail_on_the_reference_row_under_small_budgets(monkeypatch):
+    # Budgets too small for some deflation: both entry points stop at the
+    # row where the frozen first QL stops, or agree with it bit for bit.
+    mats = [build_jacobi(fam) for fam in _grid((9,))] + _custom_quadratic_forms()[:4]
+    mats += [_SPLIT_EXAMPLE, _WIDE_DEFLATION_EXAMPLE]
+    rows = set()
+    for budget in (1, 2, 3):
+        monkeypatch.setattr(jacobi, "MAX_SWEEPS", budget)
+        for m in mats:
+            expected, vectors, runs = _reference_outcome(m, budget)
+            assert not runs
+            assert _ql_outcome(numeric_eigenvalues, m) == expected, (budget, m)
+            dec_outcome = _ql_outcome(lambda mat: numeric_decomposition(mat).eigenvalues, m)
+            assert dec_outcome == expected, (budget, m)
+            if vectors is None:
+                rows.add(expected[1])
+    # Some failures are past row 0.
+    assert max(rows) > 0, rows
+
+
+# -- exact inertia oracle ------------------------------------------------------
+
+
+def test_exact_inertia_with_zero_pivots():
+    # [[2, -1], [-1, 2]] has eigenvalues 1 and 3.  sigma = 2, a diagonal
+    # entry, makes the first pivot 0; sigma = 1 and sigma = 3, the exact
+    # eigenvalues, make the last pivot 0, and neither counts itself.
+    m = SymTridiagonal((2.0, 2.0), (1.0,))
+    sigmas = (0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
+    assert [oracles.exact_inertia(m, s) for s in sigmas] == [0, 0, 1, 1, 1, 1, 2]
+    assert oracles.exact_inertia(m, math.nextafter(1.0, 2.0)) == 1
+    assert oracles.exact_inertia(m, math.nextafter(3.0, 4.0)) == 2
+    # Eigenvalues -sqrt(2), 0 and sqrt(2): at sigma = 0 the pivots are 0,
+    # -infinity and 0 again.
+    m = SymTridiagonal((0.0, 0.0, 0.0), (1.0, 1.0))
+    root = math.sqrt(2.0)  # just above sqrt(2)
+    sigmas = (-2.0, -root, math.nextafter(-root, 0.0), -1.0, 0.0, 5e-324, root, 2.0)
+    assert [oracles.exact_inertia(m, s) for s in sigmas] == [0, 0, 1, 1, 1, 2, 3, 3]
+    # Zero off-diagonals split the matrix, also right after a zero pivot:
+    # the eigenvalues are the diagonal entries.
+    m = SymTridiagonal((3.0, 1.0, 2.0, 2.0, -1.0), (0.0, 0.0, 0.0, 0.0))
+    for s in (-2.0, -1.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
+        assert oracles.exact_inertia(m, s) == sum(a < s for a in m.diag), s
+    m = SymTridiagonal((1.0, 5.0, 1.0), (0.0, 2.0))
+    assert [oracles.exact_inertia(m, s) for s in (1.0, 5.0, 6.0)] == [1, 2, 3]
+
+
+def test_exact_inertia_counts_the_eigenvalues_scipy_separates():
+    rng = np.random.default_rng(20261019)
+    for n in (1, 2, 5, 12, 30):
+        d = rng.integers(-4, 5, n).astype(float)
+        e = rng.integers(0, 3, n - 1).astype(float)
+        m = SymTridiagonal(tuple(d.tolist()), tuple(e.tolist()))
+        values = eigh_tridiagonal(d, -e, eigvals_only=True)
+        tol = 1e-10 * (1.0 + np.max(np.abs(d)) + np.max(e, initial=0.0))
+        for k in range(n + 1):
+            # A shift between eigenvalues k - 1 and k, where they are apart.
+            lo = values[k - 1] if k else values[0] - 1.0
+            hi = values[k] if k < n else values[-1] + 1.0
+            if hi - lo > 4 * tol:
+                assert oracles.exact_inertia(m, (lo + hi) / 2) == k, (n, k)
+
+
+def _inertia_forms():
+    """Family and custom forms with n <= 40, each also moved by a power of
+    two to max |entry| near 2^1020, to max |entry| >= 2^1023 (where the QL
+    caps its shift at -1023) and to min nonzero |entry| at the smallest
+    normal float."""
+    forms = [build_jacobi(fam) for fam in _grid((5, 20))]
+    forms += [m for m in _custom_quadratic_forms() if m.size <= 40]
+    moved = []
+    for m in forms:
+        entries = [abs(x) for x in m.diag + m.offdiag if x]
+        top, low = math.frexp(max(entries))[1], math.frexp(min(entries))[1]
+        moved += [_scaled(m, 1020 - top), _scaled(m, 1024 - top), _scaled(m, -1021 - low)]
+    return forms + moved
+
+
+def test_numeric_eigenvalues_within_exact_inertia_bounds():
+    # Each QL eigenvalue lambda_k (k from 0, ascending) is within
+    # delta = 8 n eps max |entry| of the exact k-th eigenvalue of the float
+    # matrix: count(lambda_k - delta) <= k < count(lambda_k + delta).  An
+    # eigenvalue that comes back inf is past the largest float, within
+    # delta.
+    from fractions import Fraction
+
+    count = oracles.exact_inertia
+    eps, largest = Fraction(sys.float_info.epsilon), Fraction(sys.float_info.max)
+    for m in _inertia_forms():
+        delta = 8 * m.size * eps * Fraction(max(map(abs, m.diag + m.offdiag)))
+        for k, value in enumerate(numeric_eigenvalues(m)):
+            if value == math.inf:
+                assert count(m, largest - delta) <= k, (m, k)
+            elif value == -math.inf:
+                assert k < count(m, -largest + delta), (m, k)
+            else:
+                value = Fraction(value)
+                assert count(m, value - delta) <= k < count(m, value + delta), (m, k)
 
 
 def test_all_above_pivot_signs():
