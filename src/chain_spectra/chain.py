@@ -47,7 +47,7 @@ from .jacobi import (
     ConstantParams,
     SymTridiagonal,
     _all_above,
-    build_jacobi,
+    _offdiag,
     interaction_spectrum,
     numeric_eigenvalues,
 )
@@ -57,6 +57,8 @@ from .polynomials import (
     KrawtchoukParams,
     _float_tuple,
     _is_real,
+    _is_sequence,
+    bidiagonal_split,
 )
 
 # A chain counts as positive definite when its smallest squared mode
@@ -179,13 +181,22 @@ def _family_params(chain: ChainSpec):
     raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
 
 
+def _family_offdiag(chain: ChainSpec) -> tuple[float, ...]:
+    """Off-diagonal magnitudes E_r of the Jacobi matrix behind a built-in
+    interaction, without the rest of the matrix."""
+    fam = _family_params(chain)
+    if isinstance(fam, ConstantParams):
+        return (1.0,) * fam.N
+    return _offdiag(*bidiagonal_split(fam))
+
+
 def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
     """Interaction magnitudes gamma_1 .. gamma_{n-1}; for the built-in
     families gamma_r = 2 E_r with E_r the Jacobi off-diagonal.  Raises
     InvalidParams when 2 E_r overflows."""
     if isinstance(chain.interaction, CustomInteraction):
         return _float_tuple(chain.interaction.gammas, "coupling magnitudes")
-    gammas = tuple(2.0 * e for e in build_jacobi(_family_params(chain)).offdiag)
+    gammas = tuple(2.0 * e for e in _family_offdiag(chain))
     if not all(map(math.isfinite, gammas)):
         raise InvalidParams("coupling magnitudes 2 E_r overflow float range")
     return gammas
@@ -207,7 +218,7 @@ def assemble_quadratic_form(chain: ChainSpec) -> SymTridiagonal:
     else:
         # c E_r rounds as (c / 2)(2 E_r) does, and stays finite near the
         # dual q-Krawtchouk range limit, where 2 E_r overflows.
-        off = tuple(c * e for e in build_jacobi(_family_params(chain)).offdiag)
+        off = tuple(c * e for e in _family_offdiag(chain))
     return SymTridiagonal(diag=diag, offdiag=off)
 
 
@@ -325,6 +336,11 @@ def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
     against the ascending mode frequencies, with the rounding of
     enumerate_levels and single_phonon_levels.  Raises InvalidParams when it
     overflows."""
+    if not _is_sequence(occupations):
+        raise InvalidParams(
+            "occupation numbers must be a sequence of non-negative integers, "
+            f"got {type(occupations).__name__}"
+        )
     if len(occupations) != chain.n:
         raise DimensionMismatch(
             f"{len(occupations)} occupation numbers for {chain.n} modes"
@@ -571,7 +587,9 @@ def spacing_profile(levels: Sequence[float]) -> SpacingProfile:
     """Shape of the successive-gap sequence of at least three levels:
     strictly decreasing, strictly increasing, single strict interior
     maximum (mid_peak), single strict interior minimum (mid_dip), or
-    other.  Raises InvalidParams for a level that is not finite."""
+    other.  Raises InvalidParams unless levels is a sequence of finite
+    real numbers."""
+    levels = _float_tuple(levels, "levels")
     if len(levels) < 3:
         raise TooFewLevels(f"need at least 3 levels, got {len(levels)}")
     if not all(map(math.isfinite, levels)):
@@ -595,8 +613,10 @@ def spacing_profile(levels: Sequence[float]) -> SpacingProfile:
 
 def rescale_levels(levels: Sequence[float]) -> tuple[float, ...]:
     """Affinely map levels so min -> 0 and max -> 1.  Raises TooFewLevels
-    for no levels, InvalidParams for a level or a span max - min that is not
-    finite and DegenerateRange when all levels coincide."""
+    for no levels, InvalidParams unless levels is a sequence of real numbers
+    whose entries and span max - min are finite, and DegenerateRange when
+    all levels coincide."""
+    levels = _float_tuple(levels, "levels")
     if len(levels) == 0:
         raise TooFewLevels("need at least 1 level to rescale, got 0")
     if not all(map(math.isfinite, levels)):

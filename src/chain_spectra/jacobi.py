@@ -23,12 +23,16 @@ The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweeps:
 numeric_eigenvalues runs it without eigenvectors (numeric mode frequencies
 and verify_family need no more), numeric_decomposition runs it with
-U^T.  Its deflation scan runs the exact test only on off-diagonal
-entries within 16 eps: the scaled matrix has max |entry| below 2 even
-where the shift is capped at -1023, so the exact test never passes above
-12 eps.  The scan and the chase do the operations of the textbook loop in
-their order, so both entry points keep its bits.  With U^T, each
-rotation of rows i and i + 1 is recorded, and
+U^T.  It runs on M scaled by a power of two (see below), which has
+max |entry| below 2 even where the shift is capped at -1023, so the exact
+deflation test never passes above 12 eps.  It therefore finds each
+sweep's deflation point without the textbook scan from the top row l: it
+keeps a row stop known to pass the test and
+the rows whose off-diagonal entry the last chase rewrote to within
+16 eps, and every other row between l and stop fails the test.  The
+deflation points are the textbook scan's, and the chase does the
+operations of the textbook loop in their order, so both entry points keep
+its bits.  With U^T, each rotation of rows i and i + 1 is recorded, and
 _apply_rotations applies the recorded sequence in waves of rotations that
 share no row.  U^T is kept in an even/odd row layout, rows 0, 2, 4, ...
 and then 1, 3, 5, ..., so that a run of a wave's rotations, on rows i,
@@ -162,15 +166,18 @@ def build_jacobi(fam: JacobiFamily) -> SymTridiagonal:
         n = fam.N + 1
         return SymTridiagonal(diag=(2.0,) * n, offdiag=(1.0,) * (n - 1))
     B, D = bidiagonal_split(fam)
-    diag = tuple(b + d for b, d in zip(B, D))
-    # Where B_{i-1} D_i overflows (dual q-Krawtchouk with small q or large
-    # N), the square roots of its factors do not.
-    off = tuple(
+    return SymTridiagonal(diag=tuple(b + d for b, d in zip(B, D)), offdiag=_offdiag(B, D))
+
+
+def _offdiag(B: tuple[float, ...], D: tuple[float, ...]) -> tuple[float, ...]:
+    """Jacobi off-diagonal magnitudes E_i = sqrt(B_{i-1} D_i) of the factor
+    pair (B, D).  Where B_{i-1} D_i overflows (dual q-Krawtchouk with small
+    q or large N), the square roots of its factors do not."""
+    return tuple(
         math.sqrt(bd) if (bd := b * d) < math.inf
         else math.sqrt(abs(b)) * math.sqrt(abs(d))
         for b, d in zip(B, D[1:])
     )
-    return SymTridiagonal(diag=diag, offdiag=off)
 
 
 def interaction_spectrum(fam: JacobiFamily) -> tuple[float, ...]:
@@ -308,15 +315,31 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     normal float nor overflows near the largest.  The eigenvalues are
     scaled back at the end; c and s do not depend on the scale.
 
-    The scan for a negligible e_m first asks whether -hi <= e_m <= hi, one
-    chained comparison, and runs the exact test only on the entries that
-    pass; the zero e_(n-1) after the last row ends it.  The prefilter
-    drops no deflation: every |d_i| is at most ||M||_2 <= 3 max |entry| of
-    the scaled M, which is below 1, or below 2 where the shift is capped
-    at -1023, so the exact test passes only below 12 eps, and hi = 16 eps
-    leaves room for rounding.  The chase reads each e_i once and carries
-    d_i into the next step as its d_(i+1), with the operations of the
-    textbook loop in their order, so every bit is that loop's.
+    Each sweep runs on the block [l, m] for the first m >= l whose e_m
+    passes the deflation test.  No entry above hi = 16 eps passes it:
+    every |d_i| is at most ||M||_2 <= 3 max |entry| of the scaled M, which
+    is below 1, or below 2 where the shift is capped at -1023, so the exact
+    test passes only below 12 eps, and hi leaves room for rounding.  The
+    textbook loop rescans e from row l before every sweep; this one keeps
+    the deflation point instead:
+
+    - stop is a row known to pass the test: the m of the last sweep, whose
+      e_m it set to 0, or where a plain scan ended;
+    - flagged lists, descending, the rows in (l, m) whose e the last
+      chase rewrote to within hi.  A full chase rewrites all of them;
+    - invariant: every row in (l, stop) that is not flagged fails the test
+      with its current entries.  A deflation at l changes no entry.
+
+    So the first m is l when row l passes, else the first flagged row
+    above l that passes, else stop.  A chase that meets a rotation of zero
+    length at row j splits the block there: it sets e_j to 0 and changes
+    d_j, and leaves the rows above j - 1 as they were, so stop moves to j
+    and flagged holds row j - 1 alone.  A plain scan, which asks
+    -hi <= e_m <= hi with one chained comparison before the exact test
+    and ends at the zero e_(n-1) after the last row, runs only where l
+    has passed stop.  The chase reads each e_i once and carries d_i into
+    the next step as its d_(i+1), with the operations of the textbook loop
+    in their order, so every bit is that loop's.
 
     When Ut is given, each rotation (i, c, s) of rows i and i + 1 is
     recorded and Ut accumulates the transposed eigenvector matrix in the
@@ -338,19 +361,34 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     e = [-math.ldexp(x, shift) for x in M.offdiag] + [0.0]
     rows, cs, ss = array("q"), array("d"), array("d")
     add_row, add_c, add_s = rows.append, cs.append, ss.append
+    stop = -1
+    flagged = []
+    flag = flagged.append
     for l in range(n):
         sweeps = 0
         while True:
-            m = l
-            while True:
-                em = e[m]
-                if -hi <= em <= hi and (
-                    m == last or abs(em) <= eps * (abs(d[m]) + abs(d[m + 1]))
-                ):
-                    break
-                m += 1
-            if m == l:
+            em = e[l]
+            if -hi <= em <= hi and (
+                l == last or abs(em) <= eps * (abs(d[l]) + abs(d[l + 1]))
+            ):
                 break
+            if l < stop:
+                # Of the rows in (l, stop), only flagged ones can pass.
+                # Flagged rows at or below l have deflated since.
+                m = stop
+                for k in reversed(flagged):
+                    if k > l and abs(e[k]) <= eps * (abs(d[k]) + abs(d[k + 1])):
+                        m = k
+                        break
+            else:
+                m = l + 1
+                while True:
+                    em = e[m]
+                    if -hi <= em <= hi and (
+                        m == last or abs(em) <= eps * (abs(d[m]) + abs(d[m + 1]))
+                    ):
+                        break
+                    m += 1
             if sweeps >= sweep_budget:
                 raise NoConvergence(l)
             sweeps += 1
@@ -362,14 +400,24 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
             # j is i + 1 and dn is d[i + 1], carried from the step before.
             j = m
             dn = d[m]
+            flagged.clear()
             for i in range(m - 1, l - 1, -1):
                 ei = e[i]
                 f = s * ei
                 b = c * ei
                 r = hypot(f, g)
                 e[j] = r
-                if r == 0.0:
-                    break
+                if r <= hi:
+                    if r == 0.0:
+                        # Row j passes now, and row i = j - 1 may: d_j
+                        # changes below.  Rows l + 1 .. i - 1 keep their
+                        # entries, so they still fail.
+                        stop = j
+                        flagged.clear()
+                        flag(i)
+                        break
+                    if j < m:
+                        flag(j)
                 s = f / r
                 c = g / r
                 g = dn - p
@@ -388,6 +436,7 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
                         del rows[:], cs[:], ss[:]
             else:
                 e[l] = g
+                stop = m
             # A rotation of zero length splits the block at row j; a full
             # chase ends at row j = l.
             d[j] = dn - p

@@ -71,17 +71,33 @@ def _store_float(fp, name: str) -> float:
     Raises InvalidParams unless the field is a real number (a bool is not
     one) in float range.  A plain float, the common case, skips the tests."""
     value = getattr(fp, name)
+    if type(value) is not float:
+        value = _as_float(value, name)
+        object.__setattr__(fp, name, value)
+    return value
+
+
+def _as_float(value, what: str) -> float:
+    """value as a float.  Raises InvalidParams unless value is a real number
+    (a bool is not one) in float range.  A plain float, the common case,
+    skips the tests."""
     if type(value) is float:
         return value
     if not _is_real(value):
-        raise InvalidParams(f"{name} must be a real number, got {value!r}")
+        raise InvalidParams(f"{what} must be a real number, got {value!r}")
     try:
-        converted = float(value)
+        return float(value)
     except OverflowError:
         # No repr of the value: an int too long for one raises ValueError.
-        raise InvalidParams(f"{name} is outside float range") from None
-    object.__setattr__(fp, name, converted)
-    return converted
+        raise InvalidParams(f"{what} is outside float range") from None
+
+
+def _is_sequence(values) -> bool:
+    """True for a sequence: a tuple, list or range, or a one-dimensional
+    array; not a str."""
+    return not isinstance(values, (str, bytes)) and (
+        isinstance(values, abc.Sequence) or getattr(values, "ndim", None) == 1
+    )
 
 
 def _float_tuple(values, what: str) -> tuple[float, ...]:
@@ -91,9 +107,7 @@ def _float_tuple(values, what: str) -> tuple[float, ...]:
     plain floats, the common case, is returned as it is."""
     if type(values) is tuple and set(map(type, values)) <= {float}:
         return values
-    if isinstance(values, (str, bytes)) or not (
-        isinstance(values, abc.Sequence) or getattr(values, "ndim", None) == 1
-    ):
+    if not _is_sequence(values):
         raise InvalidParams(
             f"{what} must be a sequence of real numbers, got {type(values).__name__}"
         )
@@ -218,7 +232,9 @@ def lattice(fp: FamilyParams) -> tuple[LatticePoint, ...]:
 
 def pochhammer(a: float, n: int) -> float:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
-    Raises InvalidParams unless n is an integer >= 0."""
+    Raises InvalidParams unless a is a real number in float range and n is
+    an integer >= 0."""
+    a = _as_float(a, "a")
     _check_count(n, "order n")
     out = 1.0
     for m in range(n):
@@ -228,7 +244,10 @@ def pochhammer(a: float, n: int) -> float:
 
 def q_pochhammer(a: float, q: float, n: int) -> float:
     """q-shifted factorial (a; q)_n = prod_{m=0}^{n-1} (1 - a q^m).
-    Raises InvalidParams unless n is an integer >= 0."""
+    Raises InvalidParams unless a and q are real numbers in float range and
+    n is an integer >= 0."""
+    a = _as_float(a, "a")
+    q = _as_float(q, "q")
     _check_count(n, "order n")
     out = 1.0
     for m in range(n):

@@ -944,6 +944,28 @@ def test_figure_panel_patterns():
         assert spacing_profile(levels) is expected, interaction
 
 
+@pytest.mark.parametrize("levels", [None, ["a", "b", "c"], "abc", 3.0, (0.0, None, 1.0)])
+def test_spacing_profile_refuses_levels_that_are_not_a_sequence_of_reals(levels):
+    # None and the list of strings raised a raw TypeError.
+    with pytest.raises(InvalidParams):
+        spacing_profile(levels)
+
+
+@pytest.mark.parametrize("levels", [None, ["a", "b"], "ab", 3.0, (0.0, None)])
+def test_rescale_levels_refuses_levels_that_are_not_a_sequence_of_reals(levels):
+    # None and the list of strings raised a raw TypeError.
+    with pytest.raises(InvalidParams):
+        rescale_levels(levels)
+
+
+@pytest.mark.parametrize("occupations", [None, 0, 1.0, {0: 0, 1: 0}])
+def test_state_energy_refuses_occupations_that_are_not_a_sequence(occupations):
+    # None raised a raw TypeError from len().
+    two = _chain(KrawtchoukInteraction(), 2, 0.4)
+    with pytest.raises(InvalidParams, match="sequence"):
+        state_energy(two, occupations)
+
+
 def test_rescale_levels():
     assert rescale_levels((0.0, 1.0, 2.0)) == (0.0, 0.5, 1.0)
     levels = single_phonon_levels(_chain(KrawtchoukInteraction(), 6, 0.2))

@@ -649,8 +649,33 @@ def _sym_tridiagonals(draw):
     return SymTridiagonal(diag=tuple(diag), offdiag=tuple(off))
 
 
+# Forms that drive each part of the QL's deflation bookkeeping.  In the
+# first, the chase rewrites e_1 to within 16 eps of the scaled form, and the
+# exact test then fails on that flagged row; in the second, the block
+# [0, 2] deflates at its flagged row 1.
+_FLAGGED_FAILS_EXAMPLE = SymTridiagonal(diag=(0.0, 0.0, 1e-8), offdiag=(1e-16, 2e-16))
+_FLAGGED_DEFLATION_EXAMPLE = SymTridiagonal(diag=(0.0, 1e-8, 0.0), offdiag=(1e-16, 2e-16))
+# Exact zeros at rows 1 and 3: past the first block, l crosses into rows no
+# scan has read, and the zero at row 3 splits them again.
+_ZERO_TAIL_EXAMPLE = SymTridiagonal(
+    diag=(-3.0, -3.0, -1.0, 2.0, 2.0, 0.0), offdiag=(1.0, 0.0, 1.0, 0.0, 1.0)
+)
+# Rows 3 and 4 repeat the leading 2 x 2 block, so the first sweep's shift is
+# an eigenvalue of theirs up to rounding: the chase's g comes out exactly 0
+# at row 2, where s e_2 underflows, and the sweep splits at j = 3 with a
+# rotation of zero length.  That moves d_3 from 0 to about -0.03, and row 2
+# then passes the exact test that it failed before.
+_SPLIT_RETEST_EXAMPLE = SymTridiagonal(
+    diag=(0.0, 0.5, 0.0, 0.0, 0.5), offdiag=(0.125, 0.5, 5e-324, 0.125)
+)
+
+
 @given(_sym_tridiagonals())
 @example(_SPLIT_EXAMPLE)
+@example(_FLAGGED_FAILS_EXAMPLE)
+@example(_FLAGGED_DEFLATION_EXAMPLE)
+@example(_ZERO_TAIL_EXAMPLE)
+@example(_SPLIT_RETEST_EXAMPLE)
 @settings(max_examples=150, deadline=None)
 def test_property_eigenvalue_only_ql_matches_decomposition(m):
     # bit for bit, signed zeros included
@@ -714,6 +739,10 @@ _WIDE_DEFLATION_EXAMPLE = SymTridiagonal(
 @given(_sym_tridiagonals())
 @example(_SPLIT_EXAMPLE)
 @example(_WIDE_DEFLATION_EXAMPLE)
+@example(_FLAGGED_FAILS_EXAMPLE)
+@example(_FLAGGED_DEFLATION_EXAMPLE)
+@example(_ZERO_TAIL_EXAMPLE)
+@example(_SPLIT_RETEST_EXAMPLE)
 @settings(max_examples=300, deadline=None)
 def test_property_ql_entry_points_equal_column_ql_reference(m):
     # Both entry points share the sweep loop, so they are pinned to the

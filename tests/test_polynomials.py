@@ -94,6 +94,22 @@ def test_q_pochhammer_basics():
         q_pochhammer(2.0, 2.0, -1)
 
 
+@pytest.mark.parametrize("a", [10**400, -10**400, None, "1", True])
+def test_pochhammer_refuses_a_that_is_not_a_float_range_real(a):
+    # 10**400 raised a raw OverflowError, None and "1" a raw TypeError.
+    with pytest.raises(InvalidParams):
+        pochhammer(a, 2)
+
+
+@pytest.mark.parametrize(
+    "a, q", [(0.5, 10**400), (10**400, 0.5), (0.5, -10**400), (None, 0.5), (0.5, "2")]
+)
+def test_q_pochhammer_refuses_a_or_q_that_is_not_a_float_range_real(a, q):
+    # q = 10**400 raised a raw OverflowError.
+    with pytest.raises(InvalidParams):
+        q_pochhammer(a, q, 2)
+
+
 def test_gauss_kernel_values():
     # degree-1 Krawtchouk at p = 1/2
     fp = KrawtchoukParams(N=2, p=0.5)
