@@ -69,8 +69,6 @@ from .polynomials import (
     lattice_point,
     norm,
     orthonormal_eval,
-    pochhammer,
-    q_pochhammer,
     recurrence_eval,
     weight,
 )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import operator
 import sys
 from collections import abc
@@ -55,9 +54,12 @@ from .polynomials import (
     DualQKrawtchoukParams,
     HahnParams,
     KrawtchoukParams,
+    _as_count,
     _float_tuple,
     _is_real,
     _is_sequence,
+    _shown,
+    _store_float,
     bidiagonal_split,
 )
 
@@ -119,7 +121,8 @@ InteractionKind = Union[
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A chain of n unit-mass oscillators; hbar defaults to 1."""
+    """A chain of n unit-mass oscillators; hbar defaults to 1.  n is stored
+    as an int, omega, coupling, hbar and custom gammas as floats."""
 
     n: int
     omega: float
@@ -128,23 +131,19 @@ class ChainSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise InvalidParams(f"chain length must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise InvalidParams(f"chain length must be >= 1, got {self.n}")
-        for name in ("omega", "coupling", "hbar"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise InvalidParams(f"{name} must be a real number, got {value!r}")
-        if not _OMEGA_MIN <= self.omega <= _OMEGA_MAX:
+        object.__setattr__(self, "n", _as_count(self.n, "chain length", least=1))
+        omega = _store_float(self, "omega")
+        coupling = _store_float(self, "coupling")
+        hbar = _store_float(self, "hbar")
+        if not _OMEGA_MIN <= omega <= _OMEGA_MAX:
             raise InvalidParams(
                 f"omega must be positive with a normal, finite square (from "
-                f"{_OMEGA_MIN:.4g} to {_OMEGA_MAX:.4g}), got {self.omega}"
+                f"{_OMEGA_MIN:.4g} to {_OMEGA_MAX:.4g}), got {omega}"
             )
-        if not 0.0 <= self.coupling < math.inf:
-            raise InvalidParams(f"coupling must be >= 0 and finite, got {self.coupling}")
-        if not 0.0 < self.hbar < math.inf:
-            raise InvalidParams(f"hbar must be positive and finite, got {self.hbar}")
+        if not 0.0 <= coupling < math.inf:
+            raise InvalidParams(f"coupling must be >= 0 and finite, got {coupling}")
+        if not 0.0 < hbar < math.inf:
+            raise InvalidParams(f"hbar must be positive and finite, got {hbar}")
         kind = self.interaction
         if isinstance(kind, CustomInteraction):
             gammas = _float_tuple(kind.gammas, "coupling magnitudes")
@@ -158,11 +157,12 @@ class ChainSpec:
                     "coupling magnitudes must be real numbers >= 0 and finite "
                     "(a sign flip of any gamma_r leaves the spectrum unchanged)"
                 )
+            object.__setattr__(self, "interaction", CustomInteraction(gammas))
         elif isinstance(kind, InteractionKind):
             _family_params(self)  # parameter range check
         else:
             names = ", ".join(cls.__name__ for cls in get_args(InteractionKind))
-            raise InvalidParams(f"interaction must be one of {names}; got {kind!r}")
+            raise InvalidParams(f"interaction must be one of {names}; got {_shown(kind)}")
 
 
 def _family_params(chain: ChainSpec):
@@ -195,7 +195,7 @@ def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
     families gamma_r = 2 E_r with E_r the Jacobi off-diagonal.  Raises
     InvalidParams when 2 E_r overflows."""
     if isinstance(chain.interaction, CustomInteraction):
-        return _float_tuple(chain.interaction.gammas, "coupling magnitudes")
+        return chain.interaction.gammas
     gammas = tuple(2.0 * e for e in _family_offdiag(chain))
     if not all(map(math.isfinite, gammas)):
         raise InvalidParams("coupling magnitudes 2 E_r overflow float range")
@@ -288,7 +288,7 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     never has a square at or below the floor.
     """
     if method not in ("auto", "closed", "numeric"):
-        raise InvalidParams(f"unknown method {method!r}")
+        raise InvalidParams(f"unknown method {_shown(method)}")
     custom = isinstance(chain.interaction, CustomInteraction)
     floor = PD_TOL * chain.omega**2
     if method == "closed" or (method == "auto" and not custom):
@@ -445,7 +445,7 @@ class LevelTable(abc.Sequence[LevelGroup]):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         i = operator.index(index)
         if not -len(self) <= i < len(self):
-            raise IndexError(f"level {i} out of range for {len(self)} levels")
+            raise IndexError(f"level {_shown(i)} out of range for {len(self)} levels")
         i %= len(self)
         lo, hi = self.offsets[i : i + 2].tolist()
         return LevelGroup(
@@ -486,16 +486,12 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
     and CombinatorialLimit when the state count C(n + K, K) exceeds
     LEVEL_CAP.
     """
-    if isinstance(max_total, bool) or not isinstance(max_total, numbers.Integral):
-        raise InvalidParams(f"max_total must be an integer, got {max_total!r}")
-    max_total = int(max_total)
-    if max_total < 0:
-        raise InvalidParams(f"max_total must be >= 0, got {max_total}")
+    max_total = _as_count(max_total, "max_total")
     n = chain.n
     count = math.comb(n + max_total, max_total)
     if count > LEVEL_CAP:
         raise CombinatorialLimit(
-            f"{count} occupation states exceed the budget of {LEVEL_CAP}"
+            f"{_shown(count)} occupation states exceed the budget of {LEVEL_CAP}"
         )
     spectrum = mode_frequencies(chain)
     ground = ground_energy(chain, spectrum)

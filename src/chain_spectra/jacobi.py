@@ -71,9 +71,9 @@ from .polynomials import (
     FamilyParams,
     HahnParams,
     KrawtchoukParams,
-    _check_count,
     _float_tuple,
     _kappa,
+    _store_size,
     bidiagonal_split,
 )
 
@@ -96,7 +96,7 @@ class ConstantParams:
     N: int
 
     def __post_init__(self):
-        _check_count(self.N, "lattice size N")
+        _store_size(self)
 
 
 JacobiFamily = Union[ConstantParams, FamilyParams]

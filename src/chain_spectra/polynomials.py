@@ -16,6 +16,9 @@ spurious overflow on all valid parameter branches.
 
 The recurrence pair, weights and norms of the last family used are
 memoised, so a table of values computes each of them once.
+
+Its private converters decide, for the whole package, what an integer, a
+size and a real number are (README, "Input contract").
 """
 
 from __future__ import annotations
@@ -36,24 +39,46 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _MEMO_FAMILIES = 1
 
 
-def _check_count(n, what: str) -> None:
-    """Raise InvalidParams unless n is an integer >= 0 (a bool is not one).
-    A plain int, the common case, skips the type test."""
-    if type(n) is not int and (
-        isinstance(n, bool) or not isinstance(n, numbers.Integral)
-    ):
-        raise InvalidParams(f"{what} must be an integer, got {n!r}")
-    if n < 0:
-        raise InvalidParams(f"{what} must be >= 0, got {n}")
+def _shown(value) -> str:
+    """repr of a caller's value for a message.  Where that raises, as it
+    does for an int too long for one, an int is shown by its bit length and
+    anything else by its type."""
+    try:
+        return repr(value)
+    except Exception:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__}"
+        bound = f"2**{value.bit_length() - 1}"
+        return f"-{bound} or less" if value < 0 else f"{bound} or more"
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int (a numpy one would make the values computed from it
+    numpy floats).  Raises InvalidParams unless value is an integer (a bool
+    is not one).  A plain int, the common case, skips the type test."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParams(f"{what} must be an integer, got {_shown(value)}")
+    return int(value)
+
+
+def _as_count(value, what: str, least: int = 0) -> int:
+    """value as an int from least to sys.maxsize, the length of the longest
+    sequence Python can build.  Raises InvalidParams unless value is an
+    integer (a bool is not one) in that range."""
+    value = _as_int(value, what)
+    if value < least:
+        raise InvalidParams(f"{what} must be >= {least}, got {_shown(value)}")
+    if value > sys.maxsize:
+        raise InvalidParams(f"{what} must be <= {sys.maxsize}, got {_shown(value)}")
+    return value
 
 
 def _store_size(fp) -> None:
     """Check the lattice size N of the frozen family fp and store it as an
-    int: an equal numpy integer N would make the recurrence pair numpy
-    floats."""
-    _check_count(fp.N, "lattice size N")
-    if type(fp.N) is not int:
-        object.__setattr__(fp, "N", int(fp.N))
+    int."""
+    object.__setattr__(fp, "N", _as_count(fp.N, "lattice size N"))
 
 
 def _is_real(value) -> bool:
@@ -64,32 +89,23 @@ def _is_real(value) -> bool:
     )
 
 
-def _store_float(fp, name: str) -> float:
-    """Store field `name` of the frozen family fp as a float, and return it.
-    Equal families are then computed in the same arithmetic, whatever number
-    types they were built from; an int q would make powers q**k exact.
-    Raises InvalidParams unless the field is a real number (a bool is not
-    one) in float range.  A plain float, the common case, skips the tests."""
-    value = getattr(fp, name)
+def _store_float(obj, name: str) -> float:
+    """Store field `name` of the frozen dataclass obj as a float, and return
+    it.  Equal objects are then computed in the same arithmetic, whatever
+    number types they were built from; an int q would make powers q**k
+    exact.  Raises InvalidParams unless the field is a real number (a bool
+    is not one) in float range.  A plain float, the common case, skips the
+    tests."""
+    value = getattr(obj, name)
     if type(value) is not float:
-        value = _as_float(value, name)
-        object.__setattr__(fp, name, value)
+        if not _is_real(value):
+            raise InvalidParams(f"{name} must be a real number, got {_shown(value)}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InvalidParams(f"{name} is outside float range") from None
+        object.__setattr__(obj, name, value)
     return value
-
-
-def _as_float(value, what: str) -> float:
-    """value as a float.  Raises InvalidParams unless value is a real number
-    (a bool is not one) in float range.  A plain float, the common case,
-    skips the tests."""
-    if type(value) is float:
-        return value
-    if not _is_real(value):
-        raise InvalidParams(f"{what} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        # No repr of the value: an int too long for one raises ValueError.
-        raise InvalidParams(f"{what} is outside float range") from None
 
 
 def _is_sequence(values) -> bool:
@@ -113,7 +129,9 @@ def _float_tuple(values, what: str) -> tuple[float, ...]:
         )
     for x in values:
         if not _is_real(x):
-            raise InvalidParams(f"every entry of {what} must be a real number, got {x!r}")
+            raise InvalidParams(
+                f"every entry of {what} must be a real number, got {_shown(x)}"
+            )
     try:
         return tuple(map(float, values))
     except OverflowError:
@@ -188,16 +206,11 @@ FamilyParams = Union[KrawtchoukParams, HahnParams, DualQKrawtchoukParams]
 
 def _check_degree(fp: FamilyParams, i: int, what: str = "degree") -> int:
     """i as an int: raise InvalidParams unless i is an integer (a bool is
-    not one) and DegreeOutOfRange unless 0 <= i <= N.  A plain int, the
-    common case, skips the type test; a numpy integer would make the values
-    computed from it numpy floats."""
-    if type(i) is not int and (
-        isinstance(i, bool) or not isinstance(i, numbers.Integral)
-    ):
-        raise InvalidParams(f"{what} must be an integer, got {i!r}")
+    not one) and DegreeOutOfRange unless 0 <= i <= N."""
+    i = _as_int(i, what)
     if not 0 <= i <= fp.N:
-        raise DegreeOutOfRange(f"{what} {i} outside 0..{fp.N}")
-    return int(i)
+        raise DegreeOutOfRange(f"{what} {_shown(i)} outside 0..{fp.N}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -230,25 +243,16 @@ def lattice(fp: FamilyParams) -> tuple[LatticePoint, ...]:
     return tuple(lattice_point(fp, x) for x in range(fp.N + 1))
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
-    Raises InvalidParams unless a is a real number in float range and n is
-    an integer >= 0."""
-    a = _as_float(a, "a")
-    _check_count(n, "order n")
+def _pochhammer(a: float, n: int) -> float:
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     out = 1.0
     for m in range(n):
         out *= a + m
     return out
 
 
-def q_pochhammer(a: float, q: float, n: int) -> float:
-    """q-shifted factorial (a; q)_n = prod_{m=0}^{n-1} (1 - a q^m).
-    Raises InvalidParams unless a and q are real numbers in float range and
-    n is an integer >= 0."""
-    a = _as_float(a, "a")
-    q = _as_float(q, "q")
-    _check_count(n, "order n")
+def _q_pochhammer(a: float, q: float, n: int) -> float:
+    """q-shifted factorial (a; q)_n = prod_{m=0}^{n-1} (1 - a q^m)."""
     out = 1.0
     for m in range(n):
         out *= 1.0 - a * q**m
@@ -477,8 +481,8 @@ def _weight(fp: FamilyParams, x: int) -> float:
     if isinstance(fp, HahnParams):
         a, b = fp.alpha, fp.beta
         w = (
-            pochhammer(a + 1.0, x) / math.factorial(x)
-            * pochhammer(b + 1.0, N - x) / math.factorial(N - x)
+            _pochhammer(a + 1.0, x) / math.factorial(x)
+            * _pochhammer(b + 1.0, N - x) / math.factorial(N - x)
         )
         return _hahn_branch_sign(fp) * w
     q, cbar = fp.q, fp.cbar
@@ -526,7 +530,7 @@ def _norm(fp: FamilyParams, i: int) -> float:
                 h *= i + a + b + 1.0 + m
         return _hahn_branch_sign(fp) * h
     q, cbar = fp.q, fp.cbar
-    h = q_pochhammer(1.0 / cbar, q, N)
+    h = _q_pochhammer(1.0 / cbar, q, N)
     for m in range(1, i + 1):
         h *= (1.0 - q**m) * cbar * q ** (-N) / (1.0 - q ** (m - 1 - N))
     return h

@@ -184,6 +184,24 @@ def test_chainspec_accepts_real_numbers_of_any_type():
         assert mode_frequencies(chain).omegas == want
 
 
+def test_chainspec_stores_what_it_checked():
+    from fractions import Fraction
+
+    chain = ChainSpec(n=np.int64(3), omega=1, coupling=Fraction(1, 4),
+                      interaction=CustomInteraction(gammas=[1, np.float64(0.5)]),
+                      hbar=np.float32(2.0))
+    assert type(chain.n) is int and chain.n == 3
+    assert [(type(v), v) for v in (chain.omega, chain.coupling, chain.hbar)] == [
+        (float, 1.0), (float, 0.25), (float, 2.0)
+    ]
+    gammas = chain.interaction.gammas
+    assert type(gammas) is tuple
+    assert [(type(g), g) for g in gammas] == [(float, 1.0), (float, 0.5)]
+    assert coupling_coefficients(chain) is gammas
+    assert chain == ChainSpec(n=3, omega=1.0, coupling=0.25,
+                              interaction=CustomInteraction(gammas=(1.0, 0.5)), hbar=2.0)
+
+
 def test_chainspec_accepts_omega_range_ends():
     for omega in (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)):
         (w,) = mode_frequencies(_chain(KrawtchoukInteraction(), 1, 0.0, omega=omega)).omegas
@@ -783,7 +801,7 @@ def test_level_table_sequence_protocol():
     assert table[1:] == groups[1:] and type(table[1:]) is tuple
     assert table[::-2] == groups[::-2]
     assert table[5:] == ()
-    for i in (3, -4, 10**20):
+    for i in (3, -4, 10**20, -10**5000):
         with pytest.raises(IndexError):
             table[i]
     with pytest.raises(TypeError):

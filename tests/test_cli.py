@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -272,6 +273,47 @@ def test_out_of_range_chains_exit2_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not any(tmp_path.iterdir())
+
+
+def _run_bounded(argv):
+    """_run with 1 GiB of address space and 60 s, so that a run which
+    allocates without bound fails rather than filling the machine."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "chain_spectra.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit,
+    )
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bound", "verify"])
+def test_chain_length_past_sys_maxsize_exits2(command):
+    # 10**20 is past sys.maxsize.  spectrum raised a raw OverflowError and
+    # exited 1; bound and verify allocated until they were killed.
+    proc = _run_bounded([command, "--family", "krawtchouk", "--n", "100000000000000000000"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "chain length must be <= " in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "n, levels, count",
+    [("50", "8", "1916797311"), ("10000", "10000", "2**19992 or more")],
+)
+def test_export_over_budget_prints_its_state_count_and_exits4(n, levels, count):
+    # C(20000, 10000) has about 6,000 digits, more than Python turns into a
+    # string: the message raised a raw ValueError and exited 1.  A count
+    # short enough to print is printed as it was.
+    proc = _run_bounded(["export", "--family", "constant", "--n", n, "--levels", levels])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == f"{count} occupation states exceed the budget of 1000000\n"
+    assert proc.stdout == ""
 
 
 def test_small_q_chain_where_jacobi_products_overflow():
@@ -604,7 +646,7 @@ _PUBLIC_NAMES = [
     "enumerate_levels", "family_eval", "is_positive_definite", "lattice",
     "lattice_point", "max_coupling", "mode_frequencies", "norm",
     "numeric_decomposition", "numeric_eigenvalues", "orthonormal_eval",
-    "pochhammer", "q_pochhammer", "recurrence_eval", "rescale_levels",
+    "recurrence_eval", "rescale_levels",
     "single_phonon_levels", "spacing_profile", "state_energy", "weight",
 ]
 
