@@ -29,7 +29,7 @@ import math
 import operator
 import sys
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union, get_args
 
 from .errors import (
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .jacobi import (
     ConstantParams,
+    JacobiFamily,
     SymTridiagonal,
     _all_above,
     _offdiag,
@@ -129,6 +130,7 @@ class ChainSpec:
     coupling: float
     interaction: InteractionKind
     hbar: float = 1.0
+    family: JacobiFamily | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_count(self.n, "chain length", least=1))
@@ -144,10 +146,11 @@ class ChainSpec:
             raise InvalidParams(f"coupling must be >= 0 and finite, got {coupling}")
         if not 0.0 < hbar < math.inf:
             raise InvalidParams(f"hbar must be positive and finite, got {hbar}")
+        N = self.n - 1
         kind = self.interaction
         if isinstance(kind, CustomInteraction):
             gammas = _float_tuple(kind.gammas, "coupling magnitudes")
-            if len(gammas) != self.n - 1:
+            if len(gammas) != N:
                 raise DimensionMismatch(
                     f"{len(gammas)} coupling magnitudes for a chain of "
                     f"{self.n} sites"
@@ -158,45 +161,39 @@ class ChainSpec:
                     "(a sign flip of any gamma_r leaves the spectrum unchanged)"
                 )
             object.__setattr__(self, "interaction", CustomInteraction(gammas))
-        elif isinstance(kind, InteractionKind):
-            _family_params(self)  # parameter range check
+            family = None
+        # Each family's constructor checks its parameter range.
+        elif isinstance(kind, ConstantInteraction):
+            family = ConstantParams(N=N)
+        elif isinstance(kind, KrawtchoukInteraction):
+            family = KrawtchoukParams(N=N, p=0.5)
+        elif isinstance(kind, HahnInteraction):
+            family = HahnParams(N=N, alpha=kind.alpha, beta=kind.alpha)
+        elif isinstance(kind, DualQKrawtchoukInteraction):
+            family = DualQKrawtchoukParams(N=N, cbar=-1.0, q=kind.q)
         else:
             names = ", ".join(cls.__name__ for cls in get_args(InteractionKind))
             raise InvalidParams(f"interaction must be one of {names}; got {_shown(kind)}")
+        object.__setattr__(self, "family", family)
 
 
-def _family_params(chain: ChainSpec):
-    """Jacobi family backing the interaction.  Raises ClosedFormUnavailable
-    for custom interactions, which have none."""
-    N = chain.n - 1
-    kind = chain.interaction
-    if isinstance(kind, ConstantInteraction):
-        return ConstantParams(N=N)
-    if isinstance(kind, KrawtchoukInteraction):
-        return KrawtchoukParams(N=N, p=0.5)
-    if isinstance(kind, HahnInteraction):
-        return HahnParams(N=N, alpha=kind.alpha, beta=kind.alpha)
-    if isinstance(kind, DualQKrawtchoukInteraction):
-        return DualQKrawtchoukParams(N=N, cbar=-1.0, q=kind.q)
-    raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
-
-
-def _family_offdiag(chain: ChainSpec) -> tuple[float, ...]:
-    """Off-diagonal magnitudes E_r of the Jacobi matrix behind a built-in
-    interaction, without the rest of the matrix."""
-    fam = _family_params(chain)
+def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:
+    """Constant diagonal and off-diagonal magnitudes E_r of the interaction
+    matrix K of a built-in family, without the rest of the matrix: K = M,
+    diagonal 2 and E_r = 1, for the uniform chain, and K = M - F_0 I,
+    diagonal 0, otherwise."""
     if isinstance(fam, ConstantParams):
-        return (1.0,) * fam.N
-    return _offdiag(*bidiagonal_split(fam))
+        return 2.0, (1.0,) * fam.N
+    return 0.0, _offdiag(*bidiagonal_split(fam))
 
 
 def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
     """Interaction magnitudes gamma_1 .. gamma_{n-1}; for the built-in
     families gamma_r = 2 E_r with E_r the Jacobi off-diagonal.  Raises
     InvalidParams when 2 E_r overflows."""
-    if isinstance(chain.interaction, CustomInteraction):
+    if chain.family is None:
         return chain.interaction.gammas
-    gammas = tuple(2.0 * e for e in _family_offdiag(chain))
+    gammas = tuple(2.0 * e for e in _interaction_matrix(chain.family)[1])
     if not all(map(math.isfinite, gammas)):
         raise InvalidParams("coupling magnitudes 2 E_r overflow float range")
     return gammas
@@ -208,47 +205,43 @@ def assemble_quadratic_form(chain: ChainSpec) -> SymTridiagonal:
     magnitudes (c / 2) gamma_r, which is c E_r for the built-in families."""
     w2 = chain.omega**2
     c = chain.coupling
-    kind = chain.interaction
-    if isinstance(kind, ConstantInteraction):
-        diag = (w2 + 2.0 * c,) * chain.n
+    if chain.family is None:
+        diag = w2
+        off = tuple(0.5 * c * g for g in chain.interaction.gammas)
     else:
-        diag = (w2,) * chain.n
-    if isinstance(kind, CustomInteraction):
-        off = tuple(0.5 * c * g for g in kind.gammas)
-    else:
+        k_diag, offdiag = _interaction_matrix(chain.family)
+        diag = w2 + k_diag * c
         # c E_r rounds as (c / 2)(2 E_r) does, and stays finite near the
         # dual q-Krawtchouk range limit, where 2 E_r overflows.
-        off = tuple(c * e for e in _family_offdiag(chain))
-    return SymTridiagonal(diag=diag, offdiag=off)
+        off = tuple(c * e for e in offdiag)
+    return SymTridiagonal(diag=(diag,) * chain.n, offdiag=off)
 
 
 def max_coupling(chain: ChainSpec) -> float:
     """Supremum of coupling strengths keeping the chain positive definite,
     math.inf when every coupling is admissible.  Custom interactions have
     no closed-form bound."""
-    if isinstance(chain.interaction, CustomInteraction):
+    if chain.family is None:
         raise UnsupportedFamily("no closed-form coupling bound for custom gammas")
-    lowest = min(interaction_spectrum(_family_params(chain)))
+    lowest = min(interaction_spectrum(chain.family))
     return math.inf if lowest >= 0.0 else chain.omega**2 / -lowest
-
-
-# First family index of the mode labels: lattice nodes x = 0..n-1 for dual
-# q-Krawtchouk, j = 1..n otherwise.
-_FIRST_LABEL = {DualQKrawtchoukInteraction: 0}
 
 
 def _closed_squares(chain: ChainSpec) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Squared mode frequencies omega^2 + c mu in family order, with their
-    family indices."""
+    family indices: lattice nodes x = 0..n-1 for dual q-Krawtchouk, j = 1..n
+    otherwise."""
+    if chain.family is None:
+        raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
     w2 = chain.omega**2
     c = chain.coupling
-    squares = tuple(w2 + c * mu for mu in interaction_spectrum(_family_params(chain)))
+    squares = tuple(w2 + c * mu for mu in interaction_spectrum(chain.family))
     if not all(map(math.isfinite, squares)):
         raise InvalidParams(
             f"squared mode frequencies omega^2 + c mu overflow float range "
             f"(omega = {chain.omega}, c = {c})"
         )
-    first = _FIRST_LABEL.get(type(chain.interaction), 1)
+    first = 0 if isinstance(chain.family, DualQKrawtchoukParams) else 1
     return squares, tuple(range(first, first + chain.n))
 
 
@@ -289,7 +282,7 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidParams(f"unknown method {_shown(method)}")
-    custom = isinstance(chain.interaction, CustomInteraction)
+    custom = chain.family is None
     floor = PD_TOL * chain.omega**2
     if method == "closed" or (method == "auto" and not custom):
         squares, labels = _closed_squares(chain)
@@ -326,7 +319,7 @@ def is_positive_definite(chain: ChainSpec) -> bool:
     that floor it can disagree with the QL's smallest square, which
     numeric mode frequencies still check."""
     floor = PD_TOL * chain.omega**2
-    if isinstance(chain.interaction, CustomInteraction):
+    if chain.family is None:
         return _all_above(assemble_quadratic_form(chain), floor)
     return min(_closed_squares(chain)[0]) > floor
 

@@ -36,7 +36,6 @@ from .chain import (
     HahnInteraction,
     KrawtchoukInteraction,
     LevelTable,
-    _family_params,
     enumerate_levels,
     ground_energy,
     max_coupling,
@@ -46,6 +45,7 @@ from .chain import (
 )
 from .errors import (
     ChainSpectraError,
+    ClosedFormUnavailable,
     CombinatorialLimit,
     NotPositiveDefinite,
     UnsupportedFamily,
@@ -137,7 +137,7 @@ def _pd_failure(chain: ChainSpec) -> tuple[int, None]:
 
 def _cmd_spectrum(parser, args):
     chain = _chain_from_args(parser, args)
-    custom = isinstance(chain.interaction, CustomInteraction)
+    custom = chain.family is None
     try:
         numeric = mode_frequencies(chain, method="numeric")
         closed = None if custom else mode_frequencies(chain, method="closed")
@@ -187,7 +187,9 @@ def _cmd_spectrum(parser, args):
 
 
 def _cmd_verify(parser, args):
-    fam = _family_params(_chain_from_args(parser, args))
+    fam = _chain_from_args(parser, args).family
+    if fam is None:
+        raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
     eigenvalues, rows = verify_family(fam, perturb=args.perturb)
     lines = [
         "eigenvalues " + " ".join(format(v, ".6g") for v in eigenvalues),

@@ -377,9 +377,7 @@ def test_assembly_matches_shifted_jacobi():
     for interaction, shift_of in cases:
         for n in (2, 9, 32):
             chain = _chain(interaction, n, 0.01)
-            from chain_spectra.chain import _family_params
-
-            M = build_jacobi(_family_params(chain))
+            M = build_jacobi(chain.family)
             A = assemble_quadratic_form(chain)
             shift = shift_of(n, chain.coupling)
             for i in range(n):

@@ -19,7 +19,6 @@ from chain_spectra import cli, jacobi
 from chain_spectra.chain import (
     ChainSpec,
     CustomInteraction,
-    _family_params,
     assemble_quadratic_form,
 )
 from chain_spectra.errors import DimensionMismatch, InvalidParams, NoConvergence
@@ -950,7 +949,7 @@ _VERIFY_ARGV.append(["verify", "--family", "krawtchouk", "--n", "12", "--perturb
 def test_cli_verify_prints_the_rows_of_verify_family(argv, capsys):
     parser = cli._build_parser()
     args = parser.parse_args(argv)
-    fam = _family_params(cli._chain_from_args(parser, args))
+    fam = cli._chain_from_args(parser, args).family
     eigenvalues, rows = verify_family(fam, perturb=args.perturb)
     code = cli.main(argv)
     lines = capsys.readouterr().out.splitlines()
