@@ -20,6 +20,10 @@ tied energies fall into one level whatever their order, and each level's
 members are then sorted by state.  numpy is imported inside the
 level-table functions on purpose, so that mode frequencies and bounds
 never load it.
+
+A ChainSpec resolves its interaction to its Jacobi family once, when it is
+built, and keeps it as chain.family (None for a custom chain); every
+function here reads the family from there.
 """
 
 from __future__ import annotations
@@ -122,8 +126,13 @@ InteractionKind = Union[
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A chain of n unit-mass oscillators; hbar defaults to 1.  n is stored
-    as an int, omega, coupling, hbar and custom gammas as floats."""
+    """A chain of n unit-mass oscillators; hbar defaults to 1.
+
+    A chain stores what it checked: n as an int, omega, coupling, hbar and
+    custom gammas as floats, and family, the Jacobi family on 0..n-1 behind
+    a built-in interaction (None for a custom one).  family is derived, not
+    passed: dataclasses.replace recomputes it, and equality, hashing and
+    repr ignore it."""
 
     n: int
     omega: float
@@ -202,7 +211,8 @@ def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
 def assemble_quadratic_form(chain: ChainSpec) -> SymTridiagonal:
     """Quadratic form A of the chain: diagonal omega^2 (polynomial and
     custom couplings) or omega^2 + 2c (uniform coupling), off-diagonal
-    magnitudes (c / 2) gamma_r, which is c E_r for the built-in families."""
+    magnitudes (c / 2) gamma_r, which is c E_r for the built-in families.
+    Raises InvalidParams when an entry overflows."""
     w2 = chain.omega**2
     c = chain.coupling
     if chain.family is None:
@@ -214,6 +224,11 @@ def assemble_quadratic_form(chain: ChainSpec) -> SymTridiagonal:
         # c E_r rounds as (c / 2)(2 E_r) does, and stays finite near the
         # dual q-Krawtchouk range limit, where 2 E_r overflows.
         off = tuple(c * e for e in offdiag)
+    if not all(map(math.isfinite, (diag, *off))):
+        raise InvalidParams(
+            f"entries of the quadratic form omega^2 I + c K overflow float "
+            f"range (omega = {chain.omega}, c = {c})"
+        )
     return SymTridiagonal(diag=(diag,) * chain.n, offdiag=off)
 
 

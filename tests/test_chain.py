@@ -42,6 +42,7 @@ from chain_spectra.chain import (
     state_energy,
 )
 from chain_spectra.errors import (
+    ChainSpectraError,
     ClosedFormUnavailable,
     CombinatorialLimit,
     DegenerateRange,
@@ -52,13 +53,14 @@ from chain_spectra.errors import (
     UnsupportedFamily,
 )
 from chain_spectra.jacobi import (
+    ConstantParams,
     SymTridiagonal,
     _all_above,
     build_jacobi,
     numeric_decomposition,
     numeric_eigenvalues,
 )
-from chain_spectra.polynomials import HahnParams
+from chain_spectra.polynomials import DualQKrawtchoukParams, HahnParams, KrawtchoukParams
 
 CLOSED_VS_NUMERIC_RTOL = 1e-9
 
@@ -200,6 +202,81 @@ def test_chainspec_stores_what_it_checked():
     assert coupling_coefficients(chain) is gammas
     assert chain == ChainSpec(n=3, omega=1.0, coupling=0.25,
                               interaction=CustomInteraction(gammas=(1.0, 0.5)), hbar=2.0)
+
+
+# Each interaction on n sites, and its Jacobi family on N = n - 1 (None for
+# a custom chain).
+_FAMILY_CASES = [
+    (lambda n: ConstantInteraction(), lambda N: ConstantParams(N)),
+    (lambda n: KrawtchoukInteraction(), lambda N: KrawtchoukParams(N, 0.5)),
+    (lambda n: HahnInteraction(alpha=0.5), lambda N: HahnParams(N, 0.5, 0.5)),
+    (lambda n: DualQKrawtchoukInteraction(q=1.6), lambda N: DualQKrawtchoukParams(N, -1.0, 1.6)),
+    (lambda n: CustomInteraction(gammas=(1.0,) * (n - 1)), lambda N: None),
+]
+_FAMILY_IDS = ["constant", "krawtchouk", "hahn", "qkrawtchouk", "custom"]
+
+
+@pytest.mark.parametrize("interaction_of, family_of", _FAMILY_CASES, ids=_FAMILY_IDS)
+def test_chainspec_keeps_its_family(interaction_of, family_of):
+    chain = _chain(interaction_of(5), 5, 0.1)
+    assert chain.family == family_of(4)
+    longer = dataclasses.replace(chain, n=9, interaction=interaction_of(9))
+    assert longer.family == family_of(8)
+    if chain.family is not None:
+        assert dataclasses.replace(chain, n=9).family == family_of(8)
+    assert pickle.loads(pickle.dumps(chain)).family == family_of(4)
+    with pytest.raises(TypeError):
+        ChainSpec(n=5, omega=1.0, coupling=0.1, interaction=interaction_of(5),
+                  family=family_of(4))
+
+
+@pytest.mark.parametrize("interaction_of, family_of", _FAMILY_CASES, ids=_FAMILY_IDS)
+def test_chainspec_equality_hash_and_repr_ignore_its_family(interaction_of, family_of):
+    chain = _chain(interaction_of(5), 5, 0.1)
+    twin = copy.copy(chain)
+    object.__setattr__(twin, "family", ConstantParams(7))
+    assert twin == chain and hash(twin) == hash(chain) and repr(twin) == repr(chain)
+    assert repr(chain) == (
+        f"ChainSpec(n=5, omega=1.0, coupling=0.1, interaction={interaction_of(5)!r}, "
+        "hbar=1.0)"
+    )
+
+
+@pytest.mark.parametrize("interaction_of, family_of", _FAMILY_CASES, ids=_FAMILY_IDS)
+def test_chain_functions_build_no_family(monkeypatch, interaction_of, family_of):
+    # The family is built once, with the chain; no function builds it again.
+    family = family_of(3)
+    built = []
+    for name in ("ConstantParams", "KrawtchoukParams", "HahnParams", "DualQKrawtchoukParams"):
+        cls = getattr(chain_module, name)
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    chain = _chain(interaction_of(4), 4, 0.1)
+    assert built == ([] if family is None else [type(family).__name__])
+    built.clear()
+    spectrum = mode_frequencies(chain)
+    calls = [
+        lambda: coupling_coefficients(chain),
+        lambda: assemble_quadratic_form(chain),
+        lambda: max_coupling(chain),
+        lambda: mode_frequencies(chain, method="closed"),
+        lambda: mode_frequencies(chain, method="numeric"),
+        lambda: is_positive_definite(chain),
+        lambda: state_energy(chain, (0, 1, 0, 2)),
+        lambda: ground_energy(chain, spectrum),
+        lambda: single_phonon_levels(chain),
+        lambda: enumerate_levels(chain, 2),
+    ]
+    for call in calls:
+        try:
+            call()
+        except ChainSpectraError:  # the closed form and bound of a custom chain
+            assert family is None
+    assert built == []
 
 
 def test_chainspec_accepts_omega_range_ends():
@@ -388,6 +465,16 @@ def test_assembly_matches_shifted_jacobi():
                 assert A.offdiag[i] == pytest.approx(
                     chain.coupling * M.offdiag[i], rel=1e-12, abs=1e-300
                 )
+
+
+def test_assembly_refuses_entries_outside_float_range():
+    for chain in (
+        _chain(ConstantInteraction(), 3, 1e308, omega=1e154),  # omega^2 + 2c
+        _chain(KrawtchoukInteraction(), 9, 1e308),  # c E_r
+        _chain(CustomInteraction(gammas=(1e308,)), 2, 1e308),  # (c / 2) gamma_r
+    ):
+        with pytest.raises(InvalidParams, match=r"quadratic form omega\^2 I \+ c K overflow"):
+            assemble_quadratic_form(chain)
 
 
 # -- coupling bounds ---------------------------------------------------------------

@@ -275,6 +275,24 @@ def test_out_of_range_chains_exit2_without_traceback(argv, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, omega",
+    [
+        (["--family", "constant", "--n", "3", "--c", "1e308", "--omega", "1e154"], "1e+154"),
+        (["--family", "custom", "--n", "2", "--gamma", "1e308", "--c", "1e308"], "1.0"),
+    ],
+)
+def test_spectrum_names_omega_and_c_when_the_quadratic_form_overflows(argv, omega):
+    # Both printed SymTridiagonal's "matrix entries must be finite".
+    proc = _run(["spectrum", *argv])
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "entries of the quadratic form omega^2 I + c K overflow float range "
+        f"(omega = {omega}, c = 1e+308)\n"
+    )
+    assert proc.stdout == ""
+
+
 def _run_bounded(argv):
     """_run with 1 GiB of address space and 60 s, so that a run which
     allocates without bound fails rather than filling the machine."""
