@@ -242,10 +242,8 @@ def max_coupling(chain: ChainSpec) -> float:
     return math.inf if lowest >= 0.0 else chain.omega**2 / -lowest
 
 
-def _closed_squares(chain: ChainSpec) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Squared mode frequencies omega^2 + c mu in family order, with their
-    family indices: lattice nodes x = 0..n-1 for dual q-Krawtchouk, j = 1..n
-    otherwise."""
+def _closed_squares(chain: ChainSpec) -> tuple[float, ...]:
+    """Squared mode frequencies omega^2 + c mu in family order."""
     if chain.family is None:
         raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
     w2 = chain.omega**2
@@ -256,8 +254,7 @@ def _closed_squares(chain: ChainSpec) -> tuple[tuple[float, ...], tuple[int, ...
             f"squared mode frequencies omega^2 + c mu overflow float range "
             f"(omega = {chain.omega}, c = {c})"
         )
-    first = 0 if isinstance(chain.family, DualQKrawtchoukParams) else 1
-    return squares, tuple(range(first, first + chain.n))
+    return squares
 
 
 class SpectrumOrigin(enum.Enum):
@@ -267,16 +264,12 @@ class SpectrumOrigin(enum.Enum):
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Mode frequencies sorted ascending.
-
-    family_index pairs each ascending mode with its family label: j = 1..n
-    for the uniform, Krawtchouk and Hahn families, x = 0..n-1 for dual
-    q-Krawtchouk, and the ascending position itself for numeric spectra.
-    """
+    """Mode frequencies sorted ascending; in closed form the roots of
+    omega^2 + c mu, mu from jacobi.interaction_spectrum(chain.family), which
+    lists the modes in family order."""
 
     omegas: tuple[float, ...]
     origin: SpectrumOrigin
-    family_index: tuple[int, ...]
 
 
 def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
@@ -297,31 +290,21 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidParams(f"unknown method {_shown(method)}")
-    custom = chain.family is None
     floor = PD_TOL * chain.omega**2
-    if method == "closed" or (method == "auto" and not custom):
-        squares, labels = _closed_squares(chain)
+    if method == "closed" or method == "auto" and chain.family is not None:
+        squares = sorted(_closed_squares(chain))
         origin = SpectrumOrigin.CLOSED_FORM
     else:
         A = assemble_quadratic_form(chain)
         if not _all_above(A, floor):
-            raise NotPositiveDefinite(
-                f"a squared mode frequency is not above {floor:.6g}"
-            )
+            raise NotPositiveDefinite(f"a squared mode frequency is not above {floor:.6g}")
         squares = numeric_eigenvalues(A)
-        labels = tuple(range(chain.n))
         origin = SpectrumOrigin.NUMERIC
-    if min(squares) <= floor:
+    if squares[0] <= floor:
         raise NotPositiveDefinite(
-            f"smallest squared mode frequency {min(squares):.6g} is not "
-            f"above {floor:.6g}"
+            f"smallest squared mode frequency {squares[0]:.6g} is not above {floor:.6g}"
         )
-    order = sorted(range(len(squares)), key=lambda t: squares[t])
-    return ModeSpectrum(
-        omegas=tuple(math.sqrt(squares[t]) for t in order),
-        origin=origin,
-        family_index=tuple(labels[t] for t in order),
-    )
+    return ModeSpectrum(tuple(map(math.sqrt, squares)), origin)
 
 
 def is_positive_definite(chain: ChainSpec) -> bool:
@@ -336,7 +319,7 @@ def is_positive_definite(chain: ChainSpec) -> bool:
     floor = PD_TOL * chain.omega**2
     if chain.family is None:
         return _all_above(assemble_quadratic_form(chain), floor)
-    return min(_closed_squares(chain)[0]) > floor
+    return min(_closed_squares(chain)) > floor
 
 
 def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:

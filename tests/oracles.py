@@ -261,26 +261,22 @@ def hypergeometric_series_reference(fp, i: int, x: int) -> float:
     )
 
 
-def closed_squares_reference(chain) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Squared mode frequencies of a built-in chain in family order, with
-    their family indices."""
+def closed_squares_reference(chain) -> tuple[float, ...]:
+    """Squared mode frequencies of a built-in chain in family order."""
     n = chain.n
     w2 = chain.omega**2
     c = chain.coupling
     kind = chain.interaction
     if isinstance(kind, ConstantInteraction):
-        squares = tuple(
+        return tuple(
             w2 + 4.0 * c * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2
             for j in range(1, n + 1)
         )
-        return squares, tuple(range(1, n + 1))
     if isinstance(kind, (KrawtchoukInteraction, HahnInteraction)):
-        squares = tuple(w2 - c * (n - 2 * j + 1) / 2.0 for j in range(1, n + 1))
-        return squares, tuple(range(1, n + 1))
+        return tuple(w2 - c * (n - 2 * j + 1) / 2.0 for j in range(1, n + 1))
     assert isinstance(kind, DualQKrawtchoukInteraction)
     q = kind.q
-    squares = tuple(w2 + c * (q ** (x - n + 1) - q ** (-x)) for x in range(n))
-    return squares, tuple(range(n))
+    return tuple(w2 + c * (q ** (x - n + 1) - q ** (-x)) for x in range(n))
 
 
 def max_coupling_reference(chain) -> float:

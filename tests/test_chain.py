@@ -315,9 +315,7 @@ def test_frequencies_and_energies_outside_float_range():
 def test_energies_are_left_to_right_sums():
     # A compensated sum (built-in sum() from Python 3.12 on) gives 1e16 + 2.
     chain = _chain(KrawtchoukInteraction(), 3, 0.1)
-    spectrum = ModeSpectrum(
-        omegas=(1e16, 1.0, 1.0), origin=SpectrumOrigin.NUMERIC, family_index=(0, 1, 2)
-    )
+    spectrum = ModeSpectrum(omegas=(1e16, 1.0, 1.0), origin=SpectrumOrigin.NUMERIC)
     assert ground_energy(chain, spectrum) == 0.5e16
 
 
@@ -544,14 +542,6 @@ def test_mode_frequencies_frozen():
 
 
 def test_mode_frequencies_index_bookkeeping():
-    spectrum = mode_frequencies(_chain(KrawtchoukInteraction(), 5, 0.2))
-    assert spectrum.family_index == (1, 2, 3, 4, 5)
-    spectrum = mode_frequencies(_chain(DualQKrawtchoukInteraction(q=1.6), 5, 0.2))
-    assert spectrum.family_index == (0, 1, 2, 3, 4)
-    spectrum = mode_frequencies(_chain(DualQKrawtchoukInteraction(q=0.7), 5, 0.01))
-    assert spectrum.family_index == (4, 3, 2, 1, 0)
-    spectrum = mode_frequencies(_chain(KrawtchoukInteraction(), 5, 0.2), method="numeric")
-    assert spectrum.family_index == (0, 1, 2, 3, 4)
     with pytest.raises(InvalidParams):
         mode_frequencies(_chain(KrawtchoukInteraction(), 5, 0.2), method="fancy")
 

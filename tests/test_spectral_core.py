@@ -2,8 +2,10 @@
 QL eigensolver, the chain layer against the per-family closed forms it
 replaced, and CLI payloads against frozen goldens."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 
 import pytest
@@ -13,21 +15,26 @@ from hypothesis import strategies as st
 import oracles
 from chain_spectra import cli
 from chain_spectra.chain import (
+    PD_TOL,
     ChainSpec,
     ConstantInteraction,
+    CustomInteraction,
     DualQKrawtchoukInteraction,
     HahnInteraction,
     KrawtchoukInteraction,
     _closed_squares,
+    assemble_quadratic_form,
     max_coupling,
+    mode_frequencies,
 )
-from chain_spectra.errors import ClosedFormUnavailable
+from chain_spectra.errors import ClosedFormUnavailable, NotPositiveDefinite
 from chain_spectra.jacobi import (
     ConstantParams,
     SymTridiagonal,
     build_jacobi,
     interaction_spectrum,
     numeric_decomposition,
+    numeric_eigenvalues,
 )
 from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
@@ -130,6 +137,56 @@ def _builtin_chains(draw):
 def test_property_closed_forms_bit_equal_to_reference(chain):
     assert _closed_squares(chain) == oracles.closed_squares_reference(chain)
     assert max_coupling(chain) == oracles.max_coupling_reference(chain)
+
+
+def _hexes(values):
+    return [float.hex(v) for v in values]
+
+
+@given(chain=_builtin_chains())
+@settings(max_examples=400, deadline=None)
+def test_property_closed_omegas_are_roots_of_the_sorted_reference_squares(chain):
+    # Bit for bit: the closed route takes the reference squares ascending and
+    # their square roots, or raises when the smallest is not above the floor.
+    squares = sorted(oracles.closed_squares_reference(chain))
+    if squares[0] <= PD_TOL * chain.omega**2:
+        with pytest.raises(NotPositiveDefinite):
+            mode_frequencies(chain, "closed")
+    else:
+        omegas = mode_frequencies(chain, "closed").omegas
+        assert _hexes(omegas) == _hexes(map(math.sqrt, squares))
+
+
+@st.composite
+def _chains_above_the_floor(draw):
+    """A built-in chain at up to 0.95 of its coupling bound, or a custom chain
+    with gammas up to 3 and c up to 0.95 omega^2 / 3: by Gershgorin every
+    squared mode frequency is at least 0.05 omega^2."""
+    fraction = draw(st.floats(min_value=0.0, max_value=0.95))
+    if draw(st.booleans()):
+        chain = draw(_builtin_chains())
+        bound = max_coupling(chain)
+        c = chain.coupling if math.isinf(bound) else fraction * bound
+        return dataclasses.replace(chain, coupling=c)
+    n = draw(st.integers(min_value=1, max_value=40))
+    gammas = draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1, max_size=n - 1))
+    omega = draw(st.floats(min_value=0.05, max_value=20.0))
+    return ChainSpec(
+        n=n,
+        omega=omega,
+        coupling=fraction * omega**2 / 3.0,
+        interaction=CustomInteraction(tuple(gammas)),
+    )
+
+
+@given(chain=_chains_above_the_floor())
+@settings(max_examples=300, deadline=None)
+def test_property_numeric_omegas_are_roots_of_the_ql_squares(chain):
+    # Bit for bit: the numeric route takes the QL's ascending squares and
+    # their square roots.
+    squares = numeric_eigenvalues(assemble_quadratic_form(chain))
+    omegas = mode_frequencies(chain, "numeric").omegas
+    assert _hexes(omegas) == _hexes(map(math.sqrt, squares))
 
 
 # -- CLI payloads against goldens ---------------------------------------------
