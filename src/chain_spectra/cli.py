@@ -12,9 +12,11 @@ Each family takes at most one parameter flag: --alpha (hahn), --q
 rejected for every other family.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid flags or
-unsupported family/operation combinations (also an unwritable --out, and
-frequencies or energies outside float range), 3 chain not positive
-definite, 4 enumeration over budget.
+unsupported family/operation combinations (also an unwritable --out or
+stdout, and frequencies or energies outside float range), 3 chain not
+positive definite, 4 enumeration over budget.
+
+plot takes no --hbar: its levels are rescaled to [0, 1], where hbar cancels.
 
 Diagnostics (including wall-clock time) go to stderr; payloads go to
 stdout or --out, byte-deterministic for fixed inputs.
@@ -71,20 +73,13 @@ _FAMILIES = {
 }
 
 
-def _build_chain(parser, args, family: str, param, coupling: float) -> ChainSpec:
-    """The chain of a family, given the value of its parameter flag, with
-    args.n, args.omega and args.hbar; a usage error when the library
-    refuses it."""
+def _build_chain(parser, family: str, param, **fields) -> ChainSpec:
+    """The chain of a family, given the value of its parameter flag and the
+    other ChainSpec fields; a usage error when the library refuses it."""
     kind, flag = _FAMILIES[family]
     try:
         interaction = kind() if flag is None else kind(param)
-        return ChainSpec(
-            n=args.n,
-            omega=args.omega,
-            coupling=coupling,
-            interaction=interaction,
-            hbar=args.hbar,
-        )
+        return ChainSpec(interaction=interaction, **fields)
     except ChainSpectraError as exc:
         parser.error(str(exc))
 
@@ -104,7 +99,10 @@ def _chain_from_args(parser: argparse.ArgumentParser, args) -> ChainSpec:
             param = tuple(float(g) for g in param.split(",")) if param else ()
         except ValueError:
             parser.error(f"--gamma must be a comma-separated float list, got {param!r}")
-    return _build_chain(parser, args, args.family, param, args.c)
+    return _build_chain(
+        parser, args.family, param,
+        n=args.n, omega=args.omega, coupling=args.c, hbar=args.hbar,
+    )
 
 
 def _spec_echo(family: str, chain: ChainSpec) -> dict:
@@ -302,7 +300,10 @@ def _cmd_plot(parser, args):
     for idx, text in enumerate(specs):
         fam, keys = _parse_panel(parser, text)
         param = keys.get(_FAMILIES[fam][1])
-        chain = _build_chain(parser, args, fam, param, keys["c"])
+        # The levels are rescaled to [0, 1], so hbar cancels.
+        chain = _build_chain(
+            parser, fam, param, n=args.n, omega=args.omega, coupling=keys["c"]
+        )
         try:
             levels = single_phonon_levels(chain)
         except NotPositiveDefinite:
@@ -391,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--panel", action="append", default=None)
     p_plot.add_argument("--n", type=int, default=12)
     p_plot.add_argument("--omega", type=float, default=1.0)
-    p_plot.add_argument("--hbar", type=float, default=1.0)
     p_plot.add_argument("--out", type=str, required=True)
 
     p_export = sub.add_parser("export", help="CSV of enumerated levels")
@@ -424,18 +424,25 @@ def main(argv=None) -> int:
         return 2
     if text is not None:
         pieces = [text] if isinstance(text, str) else text
-        if args.out is None:
-            for piece in pieces:
-                sys.stdout.write(piece)
-        else:
+        to_stdout = args.out is None
+        try:
+            fh = sys.stdout if to_stdout else open(args.out, "w", encoding="utf-8")
             try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    for piece in pieces:
-                        fh.write(piece)
-            except OSError as exc:
-                reason = exc.strerror or exc
-                print(f"cannot write {args.out}: {reason}", file=sys.stderr)
-                return 2
+                for piece in pieces:
+                    fh.write(piece)
+                fh.flush()
+            finally:
+                if not to_stdout:
+                    fh.close()
+        except OSError as exc:
+            if to_stdout:
+                # What is left in the stdout buffer goes to os.devnull, so
+                # the flush at interpreter exit cannot fail again.
+                import os
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            name = "stdout" if to_stdout else args.out
+            print(f"cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"wall_ms={1e3 * (time.perf_counter() - t0):.3f}", file=sys.stderr)
     return code
 

@@ -3,6 +3,7 @@ the argv grammar property) in process."""
 
 import argparse
 import contextlib
+import errno
 import inspect
 import io
 import json
@@ -275,6 +276,33 @@ def test_out_of_range_chains_exit2_without_traceback(argv, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits2_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chain_spectra.cli", "bound", "--family", "krawtchouk",
+             "--n", "12"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_stdout_pipe_whose_reader_has_closed_exits2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chain_spectra.cli", "export", "--family", "krawtchouk",
+             "--n", "12", "--c", "0.1", "--levels", "6"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == f"cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
 @pytest.mark.parametrize(
     "argv, omega",
     [
@@ -489,7 +517,8 @@ def _argv(draw):
             argv.append("--perturb")
         if sub == "export":
             argv += ["--levels", draw(_value(("0", "1", "2", "3")))]
-    for flag in ("--omega", "--hbar"):
+    # plot takes no --hbar.
+    for flag in ("--omega",) if sub == "plot" else ("--omega", "--hbar"):
         if draw(st.booleans()):
             argv += [flag, draw(_value(("1", "0.7", "1.3")))]
     out = draw(st.sampled_from((None, "payload.out", "missing/payload.out")))
@@ -620,7 +649,6 @@ _CLI_SURFACE = {
         "--panel": (False, None, None),
         "--n": (False, None, 12),
         "--omega": (False, None, 1.0),
-        "--hbar": (False, None, 1.0),
         "--out": (True, None, None),
     },
     "export": {**_CHAIN_FLAGS, "--levels": (True, None, None)},
