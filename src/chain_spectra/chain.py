@@ -9,10 +9,14 @@ omega^2 + 2c), so the squared mode frequencies are omega^2 + c mu with mu
 the spectrum of K.  jacobi.interaction_spectrum is the single source of
 that closed-form spectrum; the coupling bound and the positive-definiteness
 test are read from it too.  Custom coupling patterns are diagonalized
-numerically.  Whether A is positive definite without a closed form is
-decided in O(n) by jacobi._all_above, the sign of every LDL^T pivot of
-A - PD_TOL omega^2 I: is_positive_definite on a custom chain runs no QL,
-and numeric mode frequencies run the QL only on a chain that passes.
+numerically, and so is any chain on request: numeric mode frequencies
+take mu = kappa_0 + t for the eigenvalues t of K's zero-diagonal part from
+the dqds kernel jacobi._zero_diagonal_eigenvalues, and form omega^2 + c mu
+with the code of the closed form, _squares.  Whether A is positive
+definite without a closed form is decided in O(n) by jacobi._all_above,
+the sign of every LDL^T pivot of A - PD_TOL omega^2 I:
+is_positive_definite on a custom chain runs no eigensolver, and numeric
+mode frequencies run dqds only on a chain that passes.
 The occupation table of enumerate_levels is built in place from the last
 mode up, each block of a mode a copy of a tail of the table of the modes
 after it.  Its energies are ordered by numpy's default, unstable sort:
@@ -52,8 +56,8 @@ from .jacobi import (
     SymTridiagonal,
     _all_above,
     _offdiag,
+    _zero_diagonal_eigenvalues,
     interaction_spectrum,
-    numeric_eigenvalues,
 )
 from .polynomials import (
     DualQKrawtchoukParams,
@@ -242,19 +246,52 @@ def max_coupling(chain: ChainSpec) -> float:
     return math.inf if lowest >= 0.0 else chain.omega**2 / -lowest
 
 
-def _closed_squares(chain: ChainSpec) -> tuple[float, ...]:
-    """Squared mode frequencies omega^2 + c mu in family order."""
-    if chain.family is None:
-        raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
+def _squares(chain: ChainSpec, mus) -> tuple[float, ...]:
+    """Squared mode frequencies omega^2 + c mu, one per eigenvalue mu of K,
+    in the order of mus: the one formula of both routes.
+
+    A product c mu below the smallest normal float, which would lose
+    digits, is formed from the frexp fractions of c and mu instead, scaled
+    by the power of two that takes omega^2 to [1/2, 1), and the sum is
+    scaled back.  Every other square has the bits of the plain formula.
+    Raises InvalidParams when a square overflows."""
     w2 = chain.omega**2
     c = chain.coupling
-    squares = tuple(w2 + c * mu for mu in interaction_spectrum(chain.family))
+    tiny = sys.float_info.min
+    squares = []
+    for mu in mus:
+        p = c * mu
+        if -tiny < p < tiny and c and mu:
+            k = -math.frexp(w2)[1]
+            (fc, ec), (fm, em) = math.frexp(c), math.frexp(mu)
+            p = math.ldexp(fc * fm, ec + em + k)
+            squares.append(math.ldexp(math.ldexp(w2, k) + p, -k))
+        else:
+            squares.append(w2 + p)
     if not all(map(math.isfinite, squares)):
         raise InvalidParams(
             f"squared mode frequencies omega^2 + c mu overflow float range "
             f"(omega = {chain.omega}, c = {c})"
         )
-    return squares
+    return tuple(squares)
+
+
+def _closed_squares(chain: ChainSpec) -> tuple[float, ...]:
+    """Squared mode frequencies omega^2 + c mu in family order."""
+    if chain.family is None:
+        raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
+    return _squares(chain, interaction_spectrum(chain.family))
+
+
+def _numeric_squares(chain: ChainSpec) -> tuple[float, ...]:
+    """Squared mode frequencies omega^2 + c mu, ascending, with mu = kappa_0
+    + t for the eigenvalues t of K's zero-diagonal part, from
+    jacobi._zero_diagonal_eigenvalues."""
+    if chain.family is None:
+        k_diag, offdiag = 0.0, tuple(0.5 * g for g in chain.interaction.gammas)
+    else:
+        k_diag, offdiag = _interaction_matrix(chain.family)
+    return _squares(chain, [k_diag + t for t in _zero_diagonal_eigenvalues(offdiag)])
 
 
 class SpectrumOrigin(enum.Enum):
@@ -276,15 +313,16 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     """Mode frequencies of the chain.
 
     method 'closed' uses the family's closed form (ClosedFormUnavailable
-    for custom interactions), 'numeric' diagonalizes the assembled
-    quadratic form, 'auto' prefers closed.  Raises NotPositiveDefinite when
-    the smallest squared frequency is not above the floor PD_TOL * omega^2,
-    and InvalidParams when a closed-form squared frequency overflows.
+    for custom interactions), 'numeric' the eigenvalues of K from dqds,
+    'auto' prefers closed.  Both form the squares omega^2 + c mu with
+    _squares.  Raises NotPositiveDefinite when the smallest squared
+    frequency is not above the floor PD_TOL * omega^2, and InvalidParams
+    when a squared frequency overflows.
 
     The numeric method first checks that every LDL^T pivot of A - floor I
-    is positive, an O(n) test, and raises before any QL when one is not.
-    Only a form that passes is diagonalized, and its smallest square is
-    still held against the floor.  Within rounding of the floor the two
+    is positive, an O(n) test, and raises before dqds runs when one is
+    not.  Only a form that passes is diagonalized, and its smallest square
+    is still held against the floor.  Within rounding of the floor the two
     tests can disagree, so either may raise there; a returned spectrum
     never has a square at or below the floor.
     """
@@ -295,10 +333,9 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         squares = sorted(_closed_squares(chain))
         origin = SpectrumOrigin.CLOSED_FORM
     else:
-        A = assemble_quadratic_form(chain)
-        if not _all_above(A, floor):
+        if not _all_above(assemble_quadratic_form(chain), floor):
             raise NotPositiveDefinite(f"a squared mode frequency is not above {floor:.6g}")
-        squares = numeric_eigenvalues(A)
+        squares = _numeric_squares(chain)
         origin = SpectrumOrigin.NUMERIC
     if squares[0] <= floor:
         raise NotPositiveDefinite(
@@ -312,9 +349,9 @@ def is_positive_definite(chain: ChainSpec) -> bool:
     every squared mode frequency is above PD_TOL * omega^2.
 
     A built-in family reads its smallest square off the closed form.  A
-    custom chain runs no QL: it passes when every LDL^T pivot of
+    custom chain runs no eigensolver: it passes when every LDL^T pivot of
     A - PD_TOL * omega^2 I is positive, an O(n) test.  Within rounding of
-    that floor it can disagree with the QL's smallest square, which
+    that floor it can disagree with the smallest numeric square, which
     numeric mode frequencies still check."""
     floor = PD_TOL * chain.omega**2
     if chain.family is None:

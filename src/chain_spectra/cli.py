@@ -19,7 +19,8 @@ positive definite, 4 enumeration over budget.
 plot takes no --hbar: its levels are rescaled to [0, 1], where hbar cancels.
 
 Diagnostics (including wall-clock time) go to stderr; payloads go to
-stdout or --out, byte-deterministic for fixed inputs.
+stdout or --out, byte-deterministic for fixed inputs.  A stderr that cannot
+be written loses the diagnostics but never changes the exit code.
 """
 
 from __future__ import annotations
@@ -120,16 +121,22 @@ def _spec_echo(family: str, chain: ChainSpec) -> dict:
     return echo
 
 
+def _diagnose(line: str) -> None:
+    """Write one line to stderr.  A lost diagnostic never changes the exit
+    code, so an OSError from stderr is swallowed."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _pd_failure(chain: ChainSpec) -> tuple[int, None]:
     try:
         bound = max_coupling(chain)
         hint = "unbounded" if math.isinf(bound) else repr(bound)
-        print(
-            f"chain is not positive definite; maximum admissible coupling: {hint}",
-            file=sys.stderr,
-        )
+        _diagnose(f"chain is not positive definite; maximum admissible coupling: {hint}")
     except UnsupportedFamily:
-        print("chain is not positive definite", file=sys.stderr)
+        _diagnose("chain is not positive definite")
     return 3, None
 
 
@@ -317,7 +324,7 @@ def _cmd_export(parser, args):
     try:
         table = enumerate_levels(chain, args.levels)
     except CombinatorialLimit as exc:
-        print(str(exc), file=sys.stderr)
+        _diagnose(str(exc))
         return 4, None
     except NotPositiveDefinite:
         return _pd_failure(chain)
@@ -420,7 +427,7 @@ def main(argv=None) -> int:
     try:
         code, text = _COMMANDS[args.command](parser, args)
     except ChainSpectraError as exc:
-        print(str(exc), file=sys.stderr)
+        _diagnose(str(exc))
         return 2
     if text is not None:
         pieces = [text] if isinstance(text, str) else text
@@ -441,9 +448,9 @@ def main(argv=None) -> int:
                 import os
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             name = "stdout" if to_stdout else args.out
-            print(f"cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
+            _diagnose(f"cannot write {name}: {exc.strerror or exc}")
             return 2
-        print(f"wall_ms={1e3 * (time.perf_counter() - t0):.3f}", file=sys.stderr)
+        _diagnose(f"wall_ms={1e3 * (time.perf_counter() - t0):.3f}")
     return code
 
 

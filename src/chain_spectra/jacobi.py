@@ -21,11 +21,11 @@ column gets the floating-point operations of its own scalar recurrence, so
 the vectors are bit for bit those of one eigenvalue at a time.
 The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweeps:
-numeric_eigenvalues runs it without eigenvectors (numeric mode frequencies
-and verify_family need no more), numeric_decomposition runs it with
-U^T.  It runs on M scaled by a power of two (see below), which has
-max |entry| below 2 even where the shift is capped at -1023, so the exact
-deflation test never passes above 12 eps.  It therefore finds each
+numeric_eigenvalues runs it without eigenvectors (verify_family needs no
+more), numeric_decomposition runs it with U^T.  It runs on M scaled by a
+power of two (see below), which has max |entry| below 2 even where the
+shift is capped at -1023, so the exact deflation test never passes above
+12 eps.  It therefore finds each
 sweep's deflation point without the textbook scan from the top row l: it
 keeps a row stop known to pass the test and
 the rows whose off-diagonal entry the last chase rewrote to within
@@ -43,17 +43,26 @@ bit those of one rotation at a time.
 verify_family is the one verify battery: the analytic decomposition and
 the QL eigenvalues against M, with the thresholds the CLI's verify prints.
 
+Numeric mode frequencies need the spectrum of a chain's K, a constant
+diagonal plus a zero-diagonal tridiagonal T, and no QL:
+_zero_diagonal_eigenvalues finds T's eigenvalues as +-sigma of a
+bidiagonal half T's size, by dqds on T's squared couplings.  Its
+transforms take no square root, and it finds each sigma to high relative
+accuracy, so a tiny eigenvalue of K keeps its digits where the QL's are
+good only relative to max |entry|.
+
 Positive definiteness needs no eigenvalue: _all_above decides whether every
 eigenvalue exceeds a shift sigma from the signs of the LDL^T pivots of
-M - sigma I, in O(n) against the QL's O(n^2).  The chain layer asks it
-first, so that the QL runs only on forms that pass.  Both work on M
-scaled by the one power of two of _unit_exponent, which is exact: a form
-near the smallest normal float keeps its digits and its deflations, and
-one near the largest does not overflow.
+M - sigma I, in O(n) against an eigensolver's O(n^2).  The chain layer
+asks it first, so that dqds runs only on forms that pass.  The pivot
+test, the QL and dqds all work on their entries scaled by the one power
+of two of _unit_exponent, which is exact: a form near the smallest normal
+float keeps its digits and its deflations, and one near the largest does
+not overflow.
 
-numpy is imported inside the array functions on purpose: the closed forms
-and the QL eigenvalues run on Python floats, so that callers needing no more,
-such as the CLI's bound, spectrum and plot, never load it.
+numpy is imported inside the array functions on purpose: the closed forms,
+the QL eigenvalues and dqds run on Python floats, so that callers needing
+no more, such as the CLI's bound, spectrum and plot, never load it.
 """
 
 from __future__ import annotations
@@ -79,7 +88,8 @@ from .polynomials import (
 
 # Threshold below which a leading eigenvector entry is sign-ambiguous.
 SIGN_TOL = 1e-12
-# Sweep budget per eigenvalue for the QL iteration.
+# Sweep budget per eigenvalue for the QL iteration, and transform budget
+# per eigenvalue of a qd array for dqds.
 MAX_SWEEPS = 64
 
 _EPS = sys.float_info.epsilon
@@ -470,6 +480,359 @@ def _all_above(M: SymTridiagonal, sigma: float) -> bool:
             return False
         b = ldexp(e, shift)
     return True
+
+
+def _zero_diagonal_eigenvalues(offdiag: tuple[float, ...]) -> list[float]:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix T with
+    zero diagonal and off-diagonal entries -E_i, by dqds.
+
+    With its even sites before its odd ones, T is [[0, B], [B^T, 0]] for a
+    bidiagonal B, so its eigenvalues are +-sigma for the singular values
+    sigma of B, and one 0 more when its size is odd.  B's squared entries
+    are T's squared couplings E_0^2, E_1^2, ..., alternately a diagonal
+    square q and an off-diagonal square e: the qd array on which dqds
+    finds each sigma^2 to high relative accuracy with no square root
+    (Fernando and Parlett, 1994; Parlett and Marques, 2000).
+
+    E is first scaled by one power of two to max E in [1/2, 1), as in
+    _all_above, so that no square overflows.  A square below the smallest
+    normal float, from an E below about 2^-511 max E, counts as 0, an error
+    far below eps max E: T splits there into blocks.  For the same reason,
+    an eigenvalue below about 2^-511 max E is found only to within that
+    bound, not to a relative accuracy.  A block of odd size has one e more
+    than q; a dqd step without shift on its array with a q = 0 appended
+    ends in its exact zero and leaves a square array.  Each array runs
+    _dqds.  Raises NoConvergence with the first row of a block
+    whose array takes more than MAX_SWEEPS transforms per eigenvalue.
+    """
+    tiny = sys.float_info.min
+    # Capped as in _ql, so that 2^-shift is a float.
+    shift = max(_unit_exponent(offdiag), -1023)
+    z = [math.ldexp(x, shift) ** 2 for x in offdiag]
+    z.append(0.0)
+    squares = []
+    zeros = start = 0
+    for i, x in enumerate(z):
+        if x < tiny:
+            q, e = z[start:i:2], z[start + 1 : i : 2]
+            if len(e) == len(q):
+                zeros += 1
+                if q:
+                    q, e = _drop_zero(q, e)
+            if q:
+                squares += _dqds(q, e, start)
+            start = i + 1
+    scale = 2.0**-shift
+    sigmas = sorted(math.sqrt(x) * scale for x in squares)
+    return [-s for s in reversed(sigmas)] + [0.0] * zeros + sigmas
+
+
+def _drop_zero(q: list[float], e: list[float]) -> tuple[list[float], list[float]]:
+    """The square qd array left by a dqd step without shift on the array
+    (q, e) of equal lengths with q = 0 appended: the step ends in the
+    exact zero that it splits off."""
+    d = q[0]
+    qh, eh = [], []
+    for qn, ei in zip(q[1:] + [0.0], e):
+        s = d + ei
+        t = qn / s
+        qh.append(s)
+        eh.append(ei * t)
+        d *= t
+    return qh, eh[:-1]
+
+
+def _dqds(q: list[float], e: list[float], row: int) -> list[float]:
+    """Eigenvalues of the qd array (q, e), q one longer than e and every
+    entry positive: the squared singular values of the bidiagonal with
+    diagonal sqrt(q) and off-diagonal sqrt(e).
+
+    An array whose least eigenvalue sits near its top is first reversed,
+    which keeps its eigenvalues.  Each transform of _dqds_step takes the
+    shift tau of _dqds_shift off the array, and the shifts add up in
+    sigma, compensated as in LAPACK's dlasq3.  A transform that would make
+    a d negative is retried with a smaller shift: tau + d for that d, which
+    bounds the least eigenvalue of the rows down to it from below (of the
+    whole array when d is the last), then tau / 4 from the fourth failure
+    on, and after five failures no shift at all, in the form of
+    _dqd_safe_step, which cannot fail.  The last eigenvalue deflates when
+    e_(m-1) <= eps^2 (sigma + q_m), the last two when e_(m-2) <= eps^2
+    sigma, by their 2 x 2 closed form.  After every 8 transforms without a
+    deflation, the array splits at each e <= eps^2 sigma, the split test of
+    LAPACK's dlasq2: a tiny eigenvalue far up the array, which the shifts
+    chase down to the underflow range, then no longer holds up the
+    deflations below it.  Raises NoConvergence(row) when the array takes
+    more than MAX_SWEEPS transforms per eigenvalue.
+    """
+    eps = _EPS
+    tol2 = eps * eps
+    budget = MAX_SWEEPS * len(q)
+    out = []
+    pending = [(q, e, 0.0, 0.0)]
+    while pending:
+        q, e, sigma, desig = pending.pop()
+        m = len(q)
+        if m > 2:
+            # The d of a dqd step without shift: where the least is in the
+            # top third and small against the last q, the least eigenvalue
+            # sits near the top, and the array is reversed (dlasq2).
+            d = dmin = q[0]
+            k = 0
+            for i in range(1, m):
+                t = d + e[i - 1]
+                d = q[i] * (d / t) if t else q[i]
+                if d <= dmin:
+                    dmin, k = d, i
+            if 2 * k < m - 1 - k and dmin <= 0.5 * q[-1]:
+                q.reverse()
+                e.reverse()
+        sweeps = 0
+        deflated = -1  # a fresh array starts with a transform without shift
+        while True:
+            while m > 2:
+                if e[-1] <= tol2 * (sigma + q[-1]):
+                    out.append(q.pop() + sigma)
+                    e.pop()
+                    m -= 1
+                elif e[-2] <= tol2 * sigma:
+                    out += _two_by_two(q[-2], e[-1], q[-1], sigma)
+                    del q[-2:], e[-2:]
+                    m -= 2
+                else:
+                    break
+                sweeps = 0
+                if deflated >= 0:
+                    deflated += 1
+            if m == 2:
+                out += _two_by_two(q[0], e[0], q[1], sigma)
+                break
+            if m == 1:
+                out.append(q[0] + sigma)
+                break
+            if sweeps and not sweeps % 8:
+                cut = [i for i, x in enumerate(e) if x <= tol2 * sigma]
+                if cut:
+                    lo = 0
+                    for i in cut:
+                        pending.append((q[lo : i + 1], e[lo:i], sigma, desig))
+                        lo = i + 1
+                    q, e = q[lo:], e[lo:]
+                    m = len(q)
+                    sweeps, deflated = 0, -1
+                    continue
+            tau = 0.0 if deflated < 0 else _dqds_shift(q, e, prev, deflated, step)
+            deflated = fails = 0
+            while True:
+                if not budget:
+                    raise NoConvergence(row)
+                budget -= 1
+                sweeps += 1
+                if fails > 4 or tau <= 0.0 and fails:
+                    step = _dqd_safe_step(q, e)
+                    tau = 0.0
+                else:
+                    step = _dqds_step(q, e, tau)
+                if step[0] is not None:
+                    break
+                fails += 1
+                t = tau + step[1]
+                tau = t * (1.0 - 2.0 * eps) if t > 0.0 and fails < 4 else 0.25 * tau
+            prev = q, e
+            q, e = step[0], step[1]
+            # sigma += tau, compensated.
+            if tau < sigma:
+                desig += tau
+                t = sigma + desig
+                desig -= t - sigma
+            else:
+                t = sigma + tau
+                desig = sigma - (t - tau) + desig
+            sigma = t
+    return out
+
+
+def _two_by_two(a: float, e: float, b: float, sigma: float) -> tuple[float, float]:
+    """sigma plus the eigenvalues of the qd array (a, e, b), by the
+    cancellation-free formula of LAPACK's dlasq3."""
+    if b > a:
+        a, b = b, a
+    t = 0.5 * ((a - b) + e)
+    if e > b * _EPS * _EPS and t != 0.0:
+        s = b * (e / t)
+        if s <= t:
+            s = b * (e / (t * (1.0 + math.sqrt(1.0 + s / t))))
+        else:
+            s = b * (e / (t + math.sqrt(t) * math.sqrt(t + s)))
+        t = a + (s + e)
+        b *= a / t
+        a = t
+    return a + sigma, b + sigma
+
+
+def _dqds_step(q: list[float], e: list[float], tau: float) -> tuple:
+    """One dqds transform of an array of m >= 3: the new (q, e) and the
+    least d of all, all but the last and all but the last two, and the last
+    three d (dmin, dmin1, dmin2, dn, dn1, dn2).  When a d is negative or
+    not finite, or q + e is 0, (None, d, late) instead, late when only the
+    last d is negative.
+    """
+    m = len(q)
+    d = q[0] - tau
+    if not d >= 0.0:
+        return None, d, False
+    dmin = d
+    qh, eh = [0.0] * m, [0.0] * (m - 1)
+    try:
+        for i in range(m - 3):
+            ei = e[i]
+            s = d + ei
+            t = q[i + 1] / s
+            qh[i] = s
+            eh[i] = ei * t
+            d = d * t - tau
+            if not d >= dmin:
+                if not d >= 0.0:
+                    return None, d, False
+                dmin = d
+        dn2, dmin2 = d, dmin
+        ei = e[m - 3]
+        s = d + ei
+        t = q[m - 2] / s
+        qh[m - 3] = s
+        eh[m - 3] = ei * t
+        dn1 = d = d * t - tau
+        if not d >= 0.0:
+            return None, d, False
+        dmin1 = min(dmin2, dn1)
+        ei = e[m - 2]
+        s = d + ei
+        t = q[m - 1] / s
+        qh[m - 2] = s
+        eh[m - 2] = ei * t
+        dn = d * t - tau
+    except ZeroDivisionError:
+        return None, -0.0, False
+    if not 0.0 <= dn < math.inf:
+        return None, dn, dn < 0.0
+    qh[m - 1] = dn
+    return qh, eh, min(dmin1, dn), dmin1, dmin2, dn, dn1, dn2
+
+
+def _dqd_safe_step(q: list[float], e: list[float]) -> tuple:
+    """A dqd transform without shift, in the form of LAPACK's dlasq6, which
+    neither overflows nor divides by zero, with the results of
+    _dqds_step.  Where q + e underflows to 0 it splits the array."""
+    d = q[0]
+    qh, eh, ds = [], [], [d]
+    for qn, ei in zip(q[1:], e):
+        s = d + ei
+        qh.append(s)
+        if s == 0.0:
+            eh.append(0.0)
+            d = qn
+        else:
+            eh.append(qn * (ei / s))
+            d = qn * (d / s)
+        ds.append(d)
+    qh.append(d)
+    dmin2, dmin1 = min(ds[:-2]), min(ds[:-1])
+    return qh, eh, min(dmin1, d), dmin1, dmin2, d, ds[-2], ds[-3]
+
+
+def _ratio_sum(q: list[float], e: list[float], k: int, a2: float, b2: float):
+    """a2 + b2 (1 + r_k + r_k r_(k-1) + ...) with r_i = e_i / q_i, up the
+    array from row k until a term no longer counts, or None where some
+    r_i >= 1 (also where e_i = q_i = 0): dlasq4's estimate of an
+    eigenvector's squared norm beyond its peak."""
+    a2 += b2
+    for i in range(k, -1, -1):
+        if b2 == 0.0:
+            break
+        b1 = b2
+        if e[i] >= q[i]:
+            return None
+        b2 *= e[i] / q[i]
+        a2 += b2
+        if 100.0 * max(b2, b1) < a2 or 0.563 < a2:
+            break
+    return a2
+
+
+def _dqds_shift(q: list[float], e: list[float], prev, deflated: int, step) -> float:
+    """The shift for the next transform, after LAPACK's dlasq4: from the d
+    of the last transform step (the result of _dqds_step), the bottom of
+    the array and prev, the array that the transform took, an estimate just
+    below the least eigenvalue.  deflated is the number of eigenvalues
+    deflated since that transform."""
+    _, _, dmin, dmin1, dmin2, dn, dn1, dn2 = step
+    m = len(q)
+    if deflated == 0:
+        if dmin <= 0.0:
+            return 0.0
+        if dmin == dn and dmin1 == dn1:
+            b1 = math.sqrt(q[-1]) * math.sqrt(e[-1])
+            b2 = math.sqrt(q[-2]) * math.sqrt(e[-2])
+            a2 = q[-2] + e[-1]
+            gap2 = 0.75 * dmin2 - a2
+            if gap2 > 0.0 and gap2 > b2:
+                gap1 = a2 - dn - (b2 / gap2) * b2
+            else:
+                gap1 = a2 - dn - (b1 + b2)
+            if gap1 > 0.0 and gap1 > b1:
+                return max(dn - (b1 / gap1) * b1, 0.5 * dmin)
+            s = dn - b1 if dn > b1 else 0.0
+            if a2 > b1 + b2:
+                s = min(s, a2 - (b1 + b2))
+            return max(s, dmin / 3.0)
+        if dmin in (dn, dn1, dn2):
+            # dmin is at one of the last three rows: a Rayleigh quotient
+            # residual bound, from ratios of the arrays before (q0, e0)
+            # and after the transform, of the eigenvector that peaks there.
+            s = 0.25 * dmin
+            q0, e0 = prev
+            if dmin == dn:
+                gam, a2, k = dn, 0.0, m - 2
+            elif dmin == dn1:
+                if e0[m - 2] >= q0[m - 1]:
+                    return s
+                gam, a2, k = dn1, e0[m - 2] / q0[m - 1], m - 3
+            else:
+                if e0[m - 3] >= q0[m - 2] or e0[m - 2] >= q0[m - 1]:
+                    return s
+                gam, k = dn2, m - 4
+                a2 = (e0[m - 3] / q0[m - 2]) * (1.0 + e0[m - 2] / q0[m - 1])
+            if k >= 0:
+                if e[k] >= q[k]:
+                    return s
+                a2 = _ratio_sum(q, e, k - 1, a2, e[k] / q[k])
+                if a2 is None:
+                    return s
+                a2 *= 1.05
+            if a2 < 0.563:
+                s = gam * (1.0 - math.sqrt(a2)) / (1.0 + a2)
+            return s
+        # No information on where the least eigenvalue is.
+        return 0.25 * dmin
+    if deflated == 1:
+        if dmin1 == dn1 and dmin2 == dn2:
+            # The bound above for the eigenvalue that peaks at the new
+            # last row, next to the one just deflated.
+            s = dmin1 / 3.0
+            if e[-1] >= q[-2]:
+                return s
+            b2 = _ratio_sum(q, e, m - 3, 0.0, e[-1] / q[-2])
+            if b2 is None:
+                return s
+            b2 = math.sqrt(1.05 * b2)
+            a2 = dmin1 / (1.0 + b2 * b2)
+            gap2 = 0.5 * dmin2 - a2
+            if gap2 > 0.0 and gap2 > b2 * a2:
+                return max(s, a2 * (1.0 - 1.01 * a2 * (b2 / gap2) * b2))
+            return max(s, a2 * (1.0 - 1.01 * b2))
+        return (0.5 if dmin1 == dn1 else 0.25) * dmin1
+    if deflated == 2:
+        return 0.25 * dmin2
+    return 0.0
 
 
 def _even_odd_positions(n: int) -> np.ndarray:

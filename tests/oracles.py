@@ -31,12 +31,16 @@ chain has a closed-form spectrum when its Jacobi matrix has a constant
 diagonal F_0, so that K = M - F_0 I.
 exact_inertia counts the eigenvalues of a float matrix below a shift from
 its LDL^T pivots in Fraction arithmetic, an exact eigenvalue oracle that
-needs neither the package's QL nor LAPACK.
+needs neither the package's QL nor LAPACK.  exact_eigenvalue pins one
+eigenvalue between two adjacent doubles with those counts, and measures a
+float estimate's error in ulps.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from fractions import Fraction as Fr
 from itertools import combinations_with_replacement
 
@@ -387,6 +391,59 @@ def exact_inertia(M, sigma) -> int:
         count += d is None or d < 0
         b2 = Fr(e) ** 2
     return count
+
+
+def _ordinal(x: float) -> int:
+    """The position of the double x among all doubles, ascending; -0.0 and
+    0.0 share position 0."""
+    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return -bits if x < 0.0 else bits
+
+
+def _from_ordinal(k: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return -x if k < 0 else x
+
+
+def exact_eigenvalue(M, k: int, estimate: float) -> tuple[float, int]:
+    """The k-th eigenvalue lambda_k (k from 0, ascending) of the
+    SymTridiagonal M of size n <= 64 to adjacent doubles, and the error of
+    a float estimate of it in ulps.
+
+    Returns (lo, ulps): lo is the largest double with at most k eigenvalues
+    below it by exact_inertia, so that lo <= lambda_k < the next double,
+    and ulps is the number of doubles from the estimate to lo.  The search
+    starts at the estimate and steps one double at a time, doubling the
+    step until the count changes side, then bisects between the last two
+    doubles it counted at.
+    """
+    assert M.size <= 64, "exact counts in Fraction arithmetic are kept to n <= 64"
+    assert math.isfinite(estimate)
+
+    def at_most_k_below(j: int) -> bool:
+        return exact_inertia(M, _from_ordinal(j)) <= k
+
+    top = _ordinal(sys.float_info.max)
+    start = _ordinal(estimate)
+    up = at_most_k_below(start)
+    step, near = 1, start
+    while True:
+        far = max(-top, min(top, start + (step if up else -step)))
+        if at_most_k_below(far) != up:
+            break
+        if abs(far) == top:
+            # lambda_k is past float range.
+            return _from_ordinal(far), abs(start - far)
+        near, step = far, 2 * step
+    lo, hi = (near, far) if up else (far, near)
+    # at_most_k_below(lo) holds and at_most_k_below(hi) does not.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most_k_below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return _from_ordinal(lo), abs(start - lo)
 
 
 def _first_entry_positive(U: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pickle
 import sys
 import tracemalloc
 from collections import abc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from chain_spectra.jacobi import (
     ConstantParams,
     SymTridiagonal,
     _all_above,
+    _zero_diagonal_eigenvalues,
     build_jacobi,
     numeric_decomposition,
     numeric_eigenvalues,
@@ -621,16 +623,16 @@ def test_custom_interaction_paths():
     )
 
 
-def test_pivot_test_spares_the_ql(monkeypatch):
-    # The O(n) pivot test decides positive definiteness; the QL runs only
-    # for a numeric spectrum of a chain that passes it.
+def test_pivot_test_spares_the_eigenvalue_kernel(monkeypatch):
+    # The O(n) pivot test decides positive definiteness; the dqds kernel
+    # runs only for a numeric spectrum of a chain that passes it.
     calls = []
 
-    def counting(A):
-        calls.append(A.size)
-        return numeric_eigenvalues(A)
+    def counting(offdiag):
+        calls.append(len(offdiag) + 1)
+        return _zero_diagonal_eigenvalues(offdiag)
 
-    monkeypatch.setattr(chain_module, "numeric_eigenvalues", counting)
+    monkeypatch.setattr(chain_module, "_zero_diagonal_eigenvalues", counting)
     custom = CustomInteraction(gammas=(1.0, 2.0, 1.0))
     below, above = _chain(custom, 4, 0.3), _chain(custom, 4, 3.0)
     assert is_positive_definite(below)
@@ -657,20 +659,37 @@ def _ulps(x, k):
 @pytest.mark.parametrize("steps", range(-4, 5))
 def test_numeric_spectrum_stays_above_the_floor(steps):
     # Couplings within a few ulps of the one that puts the smallest square
-    # on the floor PD_TOL * omega^2, where the pivot test and the QL can
-    # disagree: a spectrum is returned only when both pass.
+    # on the floor PD_TOL * omega^2, where the pivot test and the squares
+    # 1 + c mu of the dqds kernel's mu can disagree: a spectrum is returned
+    # only when both pass.
     reference = _chain(KrawtchoukInteraction(), 8, 0.0)
     custom = CustomInteraction(gammas=coupling_coefficients(reference))
     c = _ulps((1.0 - PD_TOL) * max_coupling(reference), steps)
     chain = _chain(custom, 8, c)
     A = assemble_quadratic_form(chain)
-    passes = _all_above(A, PD_TOL) and min(numeric_eigenvalues(A)) > PD_TOL
+    mus = _zero_diagonal_eigenvalues(tuple(0.5 * g for g in custom.gammas))
+    passes = _all_above(A, PD_TOL) and min(1.0 + c * mu for mu in mus) > PD_TOL
     try:
         spectrum = mode_frequencies(chain, method="numeric")
     except NotPositiveDefinite:
         assert not passes
     else:
         assert passes and len(spectrum.omegas) == 8
+
+
+def test_squares_keep_the_digits_of_a_product_below_the_normal_range():
+    # c mu = +-4.55e-318 is subnormal and keeps only 14 bits: omega^2 + c mu
+    # formed as written is an ulp off.  Both routes form it on factors
+    # scaled by powers of two instead, and give the rounded exact sum.
+    c, omega = 9.1e-318, 1.97e-154
+    w2 = omega**2
+    exact = [float(Fraction(w2) + Fraction(c) * Fraction(mu)) for mu in (-0.5, 0.5)]
+    assert [w2 + c * mu for mu in (-0.5, 0.5)] != exact
+    closed = _chain(KrawtchoukInteraction(), 2, c, omega=omega)
+    assert mode_frequencies(closed).omegas == tuple(map(math.sqrt, exact))
+    # The dqds kernel gives mu = +-0.5 exactly for gamma = 1.
+    custom = _chain(CustomInteraction(gammas=(1.0,)), 2, c, omega=omega)
+    assert mode_frequencies(custom).omegas == tuple(map(math.sqrt, exact))
 
 
 # -- energies and levels --------------------------------------------------------------

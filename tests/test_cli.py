@@ -288,6 +288,28 @@ def test_a_full_stdout_exits2_without_traceback():
     assert proc.stderr == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound", "--family", "krawtchouk", "--n", "12"], 0),
+        (["bound", "--family", "custom", "--n", "3", "--gamma", "1,1"], 2),
+        (["spectrum", "--family", "krawtchouk", "--n", "12", "--c", "5"], 3),
+        (["export", "--family", "constant", "--n", "50", "--levels", "8"], 4),
+    ],
+)
+def test_a_full_stderr_keeps_the_exit_code(argv, code):
+    # The wall_ms line, a typed error's message, the not-positive-definite
+    # lines and the budget message are lost, and the run exits as it would
+    # with a stderr that works: a full stderr made the first two exit 1.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chain_spectra.cli", *argv],
+            stdout=subprocess.PIPE, stderr=full, text=True, timeout=120,
+        )
+    assert proc.returncode == code
+    assert proc.stdout == ("0.18181818181818182\n" if code == 0 else "")
+
+
 def test_a_stdout_pipe_whose_reader_has_closed_exits2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -19,7 +19,9 @@ from chain_spectra import cli, jacobi
 from chain_spectra.chain import (
     ChainSpec,
     CustomInteraction,
+    _interaction_matrix,
     assemble_quadratic_form,
+    mode_frequencies,
 )
 from chain_spectra.errors import DimensionMismatch, InvalidParams, NoConvergence
 from chain_spectra.jacobi import (
@@ -27,6 +29,7 @@ from chain_spectra.jacobi import (
     Origin,
     SymTridiagonal,
     _all_above,
+    _zero_diagonal_eigenvalues,
     analytic_decomposition,
     build_jacobi,
     decomposition_residuals,
@@ -862,6 +865,116 @@ def test_numeric_eigenvalues_within_exact_inertia_bounds():
             else:
                 value = Fraction(value)
                 assert count(m, value - delta) <= k < count(m, value + delta), (m, k)
+
+
+# -- dqds kernel of zero-diagonal forms ----------------------------------------
+
+
+def _zero_diagonal(offdiag):
+    return SymTridiagonal((0.0,) * (len(offdiag) + 1), offdiag)
+
+
+def _blocks(offdiag):
+    """Sizes of the blocks that the zero couplings of offdiag split off."""
+    sizes, size = [], 1
+    for x in offdiag:
+        if x == 0.0:
+            sizes.append(size)
+            size = 0
+        size += 1
+    return sizes + [size]
+
+
+def _kernel_forms():
+    """Off-diagonal magnitudes of K for the four built-in families at odd
+    and even sizes, custom ones with zero couplings and ones spread over
+    10^+-6, each of the last also moved by 2^+-1000."""
+    forms = []
+    for N in (0, 1, 2, 7, 16, 31, 32):
+        for fam in (ConstantParams(N=N), KrawtchoukParams(N=N, p=0.5),
+                    HahnParams(N=N, alpha=0.5, beta=0.5), HahnParams(N=N, alpha=7.0, beta=7.0),
+                    DualQKrawtchoukParams(N=N, cbar=-1.0, q=0.7),
+                    DualQKrawtchoukParams(N=N, cbar=-1.0, q=1.6)):
+            forms.append(_interaction_matrix(fam)[1])
+    rng = np.random.default_rng(20261020)
+    for n in (3, 8, 21, 40):
+        gammas = rng.uniform(0.5, 2.0, n - 1)
+        gammas[rng.uniform(size=n - 1) < 0.25] = 0.0
+        wide = 10.0 ** rng.uniform(-6.0, 6.0, n - 1)
+        for offdiag in (tuple(gammas.tolist()), tuple(wide.tolist())):
+            forms += [tuple(math.ldexp(x, k) for x in offdiag) for k in (0, 1000, -1000)]
+    return forms
+
+
+def _check_kernel(offdiag, ks=None):
+    """The kernel's eigenvalues of tridiag(-E, 0, -E): ascending, in +-
+    pairs, an exact 0 for each block of odd size, and each checked one
+    within 2 n ulps of the exact eigenvalue.  Eigenvalues below 2^-500
+    max E, where the kernel's squares leave the normal range, are held to
+    that absolute bound instead."""
+    n = len(offdiag) + 1
+    values = _zero_diagonal_eigenvalues(offdiag)
+    assert len(values) == n
+    assert values == sorted(values)
+    assert values == [-v for v in reversed(values)]
+    zeros = sum(size % 2 for size in _blocks(offdiag))
+    assert values[(n - zeros) // 2 : (n + zeros) // 2] == [0.0] * zeros
+    floor = math.ldexp(max(offdiag, default=0.0), -500)
+    m = _zero_diagonal(offdiag)
+    for k in range(n // 2, n) if ks is None else ks:
+        exact, ulps = oracles.exact_eigenvalue(m, k, values[k])
+        if abs(exact) >= floor:
+            assert ulps <= 2 * n, (offdiag, k, values[k], exact, ulps)
+        else:
+            assert abs(values[k] - exact) <= floor, (offdiag, k, values[k], exact)
+
+
+def test_zero_diagonal_eigenvalues_within_2n_ulps_of_exact():
+    # Every positive eigenvalue of forms up to n = 40, whose negatives are
+    # their mirror images, against item-by-item exact counts.
+    for offdiag in _kernel_forms():
+        _check_kernel(offdiag)
+
+
+@st.composite
+def _zero_diagonal_forms(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    spread = draw(st.sampled_from([0.0, 1.0, 6.0]))
+    exponents = draw(st.lists(st.floats(-spread, spread), min_size=n - 1, max_size=n - 1))
+    zeros = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    k = draw(st.sampled_from([0, 1000, -1000]))
+    return tuple(
+        0.0 if zero else math.ldexp(10.0**x, k) for x, zero in zip(exponents, zeros)
+    )
+
+
+@given(offdiag=_zero_diagonal_forms())
+@example(offdiag=(1e-6, 1e6) * 20)
+@example(offdiag=(1e6, 1e-6) * 19 + (1e6,))
+@example(offdiag=(0.0,) * 5)
+@settings(max_examples=150, deadline=None)
+def test_property_zero_diagonal_eigenvalues_within_2n_ulps_of_exact(offdiag):
+    # The smallest and largest positive eigenvalue and one between them.
+    n = len(offdiag) + 1
+    _check_kernel(offdiag, sorted({n // 2, (3 * n) // 4, n - 1}))
+
+
+def test_zero_diagonal_eigenvalues_stop_at_the_sweep_budget(monkeypatch):
+    # An array past MAX_SWEEPS transforms per eigenvalue raises
+    # NoConvergence with the first row of its block: here the block after
+    # the 2 x 2 block of rows 0 and 1, which needs no transform.
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1)
+    krawtchouk = _interaction_matrix(KrawtchoukParams(N=31, p=0.5))[1]
+    with pytest.raises(NoConvergence) as info:
+        _zero_diagonal_eigenvalues(krawtchouk)
+    assert info.value.row == 0
+    with pytest.raises(NoConvergence) as info:
+        _zero_diagonal_eigenvalues((1.0, 0.0) + krawtchouk)
+    assert info.value.row == 2
+    chain = ChainSpec(n=32, omega=1.0, coupling=0.01,
+                      interaction=CustomInteraction(tuple(2.0 * e for e in krawtchouk)))
+    with pytest.raises(NoConvergence):
+        mode_frequencies(chain, method="numeric")
 
 
 def test_all_above_pivot_signs():

@@ -23,7 +23,6 @@ from chain_spectra.chain import (
     HahnInteraction,
     KrawtchoukInteraction,
     _closed_squares,
-    assemble_quadratic_form,
     max_coupling,
     mode_frequencies,
 )
@@ -31,10 +30,10 @@ from chain_spectra.errors import ClosedFormUnavailable, NotPositiveDefinite
 from chain_spectra.jacobi import (
     ConstantParams,
     SymTridiagonal,
+    _zero_diagonal_eigenvalues,
     build_jacobi,
     interaction_spectrum,
     numeric_decomposition,
-    numeric_eigenvalues,
 )
 from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
@@ -181,10 +180,18 @@ def _chains_above_the_floor(draw):
 
 @given(chain=_chains_above_the_floor())
 @settings(max_examples=300, deadline=None)
-def test_property_numeric_omegas_are_roots_of_the_ql_squares(chain):
-    # Bit for bit: the numeric route takes the QL's ascending squares and
-    # their square roots.
-    squares = numeric_eigenvalues(assemble_quadratic_form(chain))
+def test_property_numeric_omegas_are_roots_of_the_kernel_squares(chain):
+    # Bit for bit: the numeric route takes mu = kappa_0 + t for the dqds
+    # kernel's ascending eigenvalues t of K's zero-diagonal part, the
+    # squares omega^2 + c mu and their square roots.
+    if chain.family is None:
+        k_diag, offdiag = 0.0, tuple(0.5 * g for g in chain.interaction.gammas)
+    elif isinstance(chain.family, ConstantParams):
+        k_diag, offdiag = 2.0, (1.0,) * (chain.n - 1)
+    else:
+        k_diag, offdiag = 0.0, build_jacobi(chain.family).offdiag
+    mus = [k_diag + t for t in _zero_diagonal_eigenvalues(offdiag)]
+    squares = [chain.omega**2 + chain.coupling * mu for mu in mus]
     omegas = mode_frequencies(chain, "numeric").omegas
     assert _hexes(omegas) == _hexes(map(math.sqrt, squares))
 
