@@ -6,12 +6,13 @@ strength c has the quadratic form A = omega^2 I + c K.  For the built-in
 families K is the Jacobi matrix M of the interaction family less its
 constant diagonal F_0 (K = M for the uniform chain, whose diagonal stays
 omega^2 + 2c), so the squared mode frequencies are omega^2 + c mu with mu
-the spectrum of K.  jacobi.interaction_spectrum is the single source of
-that closed-form spectrum; the coupling bound and the positive-definiteness
-test are read from it too.  Custom coupling patterns are diagonalized
-numerically, and so is any chain on request: numeric mode frequencies
-take mu = kappa_0 + t for the eigenvalues t of K's zero-diagonal part from
-the dqds kernel jacobi._zero_diagonal_eigenvalues, and form omega^2 + c mu
+the spectrum of K.  jacobi writes K's entries and its closed-form
+spectrum, which the coupling bound and the positive-definiteness test
+read too; a custom chain's K is gamma_r / 2 off the zero diagonal.
+Custom coupling patterns are diagonalized numerically, and so is any
+chain on request: numeric mode frequencies build K once and take
+mu = kappa_0 + t for the eigenvalues t of its zero-diagonal part from the
+dqds kernel jacobi._zero_diagonal_eigenvalues, and form omega^2 + c mu
 with the code of the closed form, _squares.  Whether A is positive
 definite without a closed form is decided in O(n) by jacobi._all_above,
 the sign of every LDL^T pivot of A - PD_TOL omega^2 I:
@@ -55,7 +56,7 @@ from .jacobi import (
     JacobiFamily,
     SymTridiagonal,
     _all_above,
-    _offdiag,
+    _interaction_matrix,
     _zero_diagonal_eigenvalues,
     interaction_spectrum,
 )
@@ -69,7 +70,6 @@ from .polynomials import (
     _is_sequence,
     _shown,
     _store_float,
-    bidiagonal_split,
 )
 
 # A chain counts as positive definite when its smallest squared mode
@@ -190,20 +190,19 @@ class ChainSpec:
         object.__setattr__(self, "family", family)
 
 
-def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:
-    """Constant diagonal and off-diagonal magnitudes E_r of the interaction
-    matrix K of a built-in family, without the rest of the matrix: K = M,
-    diagonal 2 and E_r = 1, for the uniform chain, and K = M - F_0 I,
-    diagonal 0, otherwise."""
-    if isinstance(fam, ConstantParams):
-        return 2.0, (1.0,) * fam.N
-    return 0.0, _offdiag(*bidiagonal_split(fam))
+def _interaction(chain: ChainSpec) -> tuple[float, tuple[float, ...]]:
+    """Constant diagonal kappa_0 and off-diagonal magnitudes E_r of the
+    chain's interaction matrix K: jacobi._interaction_matrix of its family,
+    or kappa_0 = 0 and E_r = gamma_r / 2 for a custom chain."""
+    if chain.family is None:
+        return 0.0, tuple(0.5 * g for g in chain.interaction.gammas)
+    return _interaction_matrix(chain.family)
 
 
 def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
     """Interaction magnitudes gamma_1 .. gamma_{n-1}; for the built-in
     families gamma_r = 2 E_r with E_r the Jacobi off-diagonal.  Raises
-    InvalidParams when 2 E_r overflows."""
+    InvalidParams when an E_r is not finite or 2 E_r overflows."""
     if chain.family is None:
         return chain.interaction.gammas
     gammas = tuple(2.0 * e for e in _interaction_matrix(chain.family)[1])
@@ -215,19 +214,18 @@ def coupling_coefficients(chain: ChainSpec) -> tuple[float, ...]:
 def assemble_quadratic_form(chain: ChainSpec) -> SymTridiagonal:
     """Quadratic form A of the chain: diagonal omega^2 (polynomial and
     custom couplings) or omega^2 + 2c (uniform coupling), off-diagonal
-    magnitudes (c / 2) gamma_r, which is c E_r for the built-in families.
-    Raises InvalidParams when an entry overflows."""
+    magnitudes c E_r, which is c (gamma_r / 2) for a custom chain.  Raises
+    InvalidParams when an entry overflows."""
+    return _quadratic_form(chain, *_interaction(chain))
+
+
+def _quadratic_form(chain: ChainSpec, k_diag: float, offdiag) -> SymTridiagonal:
+    """omega^2 I + c K for the K of _interaction.  c E_r stays finite near
+    the dual q-Krawtchouk range limit, where 2 E_r overflows."""
     w2 = chain.omega**2
     c = chain.coupling
-    if chain.family is None:
-        diag = w2
-        off = tuple(0.5 * c * g for g in chain.interaction.gammas)
-    else:
-        k_diag, offdiag = _interaction_matrix(chain.family)
-        diag = w2 + k_diag * c
-        # c E_r rounds as (c / 2)(2 E_r) does, and stays finite near the
-        # dual q-Krawtchouk range limit, where 2 E_r overflows.
-        off = tuple(c * e for e in offdiag)
+    diag = w2 + k_diag * c
+    off = tuple(c * e for e in offdiag)
     if not all(map(math.isfinite, (diag, *off))):
         raise InvalidParams(
             f"entries of the quadratic form omega^2 I + c K overflow float "
@@ -283,17 +281,6 @@ def _closed_squares(chain: ChainSpec) -> tuple[float, ...]:
     return _squares(chain, interaction_spectrum(chain.family))
 
 
-def _numeric_squares(chain: ChainSpec) -> tuple[float, ...]:
-    """Squared mode frequencies omega^2 + c mu, ascending, with mu = kappa_0
-    + t for the eigenvalues t of K's zero-diagonal part, from
-    jacobi._zero_diagonal_eigenvalues."""
-    if chain.family is None:
-        k_diag, offdiag = 0.0, tuple(0.5 * g for g in chain.interaction.gammas)
-    else:
-        k_diag, offdiag = _interaction_matrix(chain.family)
-    return _squares(chain, [k_diag + t for t in _zero_diagonal_eigenvalues(offdiag)])
-
-
 class SpectrumOrigin(enum.Enum):
     CLOSED_FORM = "closed_form"
     NUMERIC = "numeric"
@@ -333,9 +320,11 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         squares = sorted(_closed_squares(chain))
         origin = SpectrumOrigin.CLOSED_FORM
     else:
-        if not _all_above(assemble_quadratic_form(chain), floor):
+        k_diag, offdiag = _interaction(chain)
+        if not _all_above(_quadratic_form(chain, k_diag, offdiag), floor):
             raise NotPositiveDefinite(f"a squared mode frequency is not above {floor:.6g}")
-        squares = _numeric_squares(chain)
+        mus = [k_diag + t for t in _zero_diagonal_eigenvalues(offdiag)]
+        squares = _squares(chain, mus)
         origin = SpectrumOrigin.NUMERIC
     if squares[0] <= floor:
         raise NotPositiveDefinite(

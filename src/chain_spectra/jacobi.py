@@ -7,9 +7,10 @@ the family's bidiagonal factor pair.  Its eigenvalues are exactly the
 recurrence coordinates kappa at the lattice nodes, and its eigenvectors are
 the orthonormal polynomial values.
 
-interaction_spectrum is the one place where the closed-form spectrum of a
-chain's interaction matrix K is written: K = M for the uniform chain and
-K = M - F_0 I for the families whose diagonal is the constant F_0.
+A chain's interaction matrix K is written only here: K = M for the
+uniform chain and K = M - F_0 I for the families whose diagonal is the
+constant F_0, its entries by _interaction_matrix and its closed-form
+spectrum by interaction_spectrum.
 
 The analytic route assembles each eigenvector by a two-sided minimal-solution
 recurrence stitched at the entry of largest weight, which keeps every column
@@ -25,7 +26,8 @@ numeric_eigenvalues runs it without eigenvectors (verify_family needs no
 more), numeric_decomposition runs it with U^T.  It runs on M scaled by a
 power of two (see below), which has max |entry| below 2 even where the
 shift is capped at -1023, so the exact deflation test never passes above
-12 eps.  It therefore finds each
+12 eps; an entry below the smallest normal float passes it too, even
+between zero diagonal entries.  It therefore finds each
 sweep's deflation point without the textbook scan from the top row l: it
 keeps a row stop known to pass the test and
 the rows whose off-diagonal entry the last chase rewrote to within
@@ -212,6 +214,18 @@ def interaction_spectrum(fam: JacobiFamily) -> tuple[float, ...]:
     raise ClosedFormUnavailable(f"no closed-form interaction spectrum for {fam}")
 
 
+def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:
+    """Constant diagonal and off-diagonal magnitudes E_r of a chain's K:
+    diagonal 2 and E_r = 1 for the uniform chain, diagonal 0 otherwise.
+    Raises InvalidParams, naming the family, when an E_r is not finite."""
+    if isinstance(fam, ConstantParams):
+        return 2.0, (1.0,) * fam.N
+    offdiag = _offdiag(*bidiagonal_split(fam))
+    if not all(map(math.isfinite, offdiag)):
+        raise InvalidParams(f"the interaction matrix K of {fam} is not finite")
+    return 0.0, offdiag
+
+
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Negate, in place, each column whose first entry of magnitude above
     SIGN_TOL is negative.  A column without such an entry has lead 0, whose
@@ -326,7 +340,9 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     scaled back at the end; c and s do not depend on the scale.
 
     Each sweep runs on the block [l, m] for the first m >= l whose e_m
-    passes the deflation test.  No entry above hi = 16 eps passes it:
+    passes the deflation test or is below the smallest normal float, a
+    floor below 2^-1021 max |entry|: between zero d_m and d_m+1 a subnormal
+    e_m never passed the test.  No entry above hi = 16 eps passes:
     every |d_i| is at most ||M||_2 <= 3 max |entry| of the scaled M, which
     is below 1, or below 2 where the shift is capped at -1023, so the exact
     test passes only below 12 eps, and hi leaves room for rounding.  The
@@ -361,14 +377,20 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     hypot, copysign = math.hypot, math.copysign
     eps = _EPS
     hi = 16.0 * eps
+    tiny = sys.float_info.min
     n = M.size
-    last = n - 1
     sweep_budget = MAX_SWEEPS
     # Capped so that 2^-shift is a float: an eigenvalue past float range
     # then comes back inf.
     shift = max(_unit_exponent(M.diag + M.offdiag), -1023)
     d = [math.ldexp(x, shift) for x in M.diag]
     e = [-math.ldexp(x, shift) for x in M.offdiag] + [0.0]
+
+    def passes(k):
+        # The deflation test of row k, or the floor; e_(n-1) is always 0.
+        x = abs(e[k])
+        return x < tiny or x <= eps * (abs(d[k]) + abs(d[k + 1]))
+
     rows, cs, ss = array("q"), array("d"), array("d")
     add_row, add_c, add_s = rows.append, cs.append, ss.append
     stop = -1
@@ -377,27 +399,19 @@ def _ql(M: SymTridiagonal, Ut: np.ndarray | None = None) -> list[float]:
     for l in range(n):
         sweeps = 0
         while True:
-            em = e[l]
-            if -hi <= em <= hi and (
-                l == last or abs(em) <= eps * (abs(d[l]) + abs(d[l + 1]))
-            ):
+            if -hi <= e[l] <= hi and passes(l):
                 break
             if l < stop:
                 # Of the rows in (l, stop), only flagged ones can pass.
                 # Flagged rows at or below l have deflated since.
                 m = stop
                 for k in reversed(flagged):
-                    if k > l and abs(e[k]) <= eps * (abs(d[k]) + abs(d[k + 1])):
+                    if k > l and passes(k):
                         m = k
                         break
             else:
                 m = l + 1
-                while True:
-                    em = e[m]
-                    if -hi <= em <= hi and (
-                        m == last or abs(em) <= eps * (abs(d[m]) + abs(d[m + 1]))
-                    ):
-                        break
+                while not (-hi <= e[m] <= hi and passes(m)):
                     m += 1
             if sweeps >= sweep_budget:
                 raise NoConvergence(l)
@@ -499,11 +513,12 @@ def _zero_diagonal_eigenvalues(offdiag: tuple[float, ...]) -> list[float]:
     normal float, from an E below about 2^-511 max E, counts as 0, an error
     far below eps max E: T splits there into blocks.  For the same reason,
     an eigenvalue below about 2^-511 max E is found only to within that
-    bound, not to a relative accuracy.  A block of odd size has one e more
-    than q; a dqd step without shift on its array with a q = 0 appended
-    ends in its exact zero and leaves a square array.  Each array runs
-    _dqds.  Raises NoConvergence with the first row of a block
-    whose array takes more than MAX_SWEEPS transforms per eigenvalue.
+    bound, not to a relative accuracy.  A block of odd size has as many e
+    as q: _dqds_step without shift on its array with a q = 0 appended ends
+    in its exact zero, and the array less its last q and e is square (a
+    single q_0 gives q_0 + e_0).  Each array runs _dqds.  Raises
+    NoConvergence with the first row of a block whose array takes more
+    than MAX_SWEEPS transforms per eigenvalue.
     """
     tiny = sys.float_info.min
     # Capped as in _ql, so that 2^-shift is a float.
@@ -517,29 +532,17 @@ def _zero_diagonal_eigenvalues(offdiag: tuple[float, ...]) -> list[float]:
             q, e = z[start:i:2], z[start + 1 : i : 2]
             if len(e) == len(q):
                 zeros += 1
-                if q:
-                    q, e = _drop_zero(q, e)
+                if len(q) > 1:
+                    q, e = _dqds_step(q + [0.0], e, 0.0)[:2]
+                    q, e = q[:-1], e[:-1]
+                elif q:
+                    q, e = [q[0] + e[0]], []
             if q:
                 squares += _dqds(q, e, start)
             start = i + 1
     scale = 2.0**-shift
     sigmas = sorted(math.sqrt(x) * scale for x in squares)
     return [-s for s in reversed(sigmas)] + [0.0] * zeros + sigmas
-
-
-def _drop_zero(q: list[float], e: list[float]) -> tuple[list[float], list[float]]:
-    """The square qd array left by a dqd step without shift on the array
-    (q, e) of equal lengths with q = 0 appended: the step ends in the
-    exact zero that it splits off."""
-    d = q[0]
-    qh, eh = [], []
-    for qn, ei in zip(q[1:] + [0.0], e):
-        s = d + ei
-        t = qn / s
-        qh.append(s)
-        eh.append(ei * t)
-        d *= t
-    return qh, eh[:-1]
 
 
 def _dqds(q: list[float], e: list[float], row: int) -> list[float]:

@@ -307,10 +307,14 @@ def constant_diagonal(M) -> float | None:
     return None
 
 
-def column_ql_reference(M, max_sweeps: int = 64) -> tuple[tuple, np.ndarray]:
+def column_ql_reference(
+    M, max_sweeps: int = 64, floor: float = 0.0
+) -> tuple[tuple, np.ndarray]:
     """Implicit-shift QL eigendecomposition of a SymTridiagonal, frozen in
     its first layout: eigenvalues ascending and eigenvector columns with
-    their first entry above SIGN_TOL made positive."""
+    their first entry above SIGN_TOL made positive.  An off-diagonal entry
+    below floor deflates too; at the default 0 the deflation test is the
+    first layout's."""
     n = M.size
     d = np.asarray(M.diag, dtype=float).copy()
     e = np.zeros(n)
@@ -322,7 +326,7 @@ def column_ql_reference(M, max_sweeps: int = 64) -> tuple[tuple, np.ndarray]:
         while True:
             m = l
             while m < n - 1:
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
+                if abs(e[m]) < floor or abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
                     break
                 m += 1
             if m == l:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chain_spectra import chain as chain_module
+from chain_spectra import jacobi as jacobi_module
 from chain_spectra.chain import (
     PD_TOL,
     ChainSpec,
@@ -471,10 +472,27 @@ def test_assembly_refuses_entries_outside_float_range():
     for chain in (
         _chain(ConstantInteraction(), 3, 1e308, omega=1e154),  # omega^2 + 2c
         _chain(KrawtchoukInteraction(), 9, 1e308),  # c E_r
-        _chain(CustomInteraction(gammas=(1e308,)), 2, 1e308),  # (c / 2) gamma_r
+        _chain(CustomInteraction(gammas=(1e308,)), 2, 1e308),  # c (gamma_r / 2)
     ):
         with pytest.raises(InvalidParams, match=r"quadratic form omega\^2 I \+ c K overflow"):
             assemble_quadratic_form(chain)
+
+
+def test_interaction_matrix_that_is_not_finite_names_the_family():
+    # At alpha = 1e154 every Hahn E_r is nan: the refusal names the family,
+    # not omega or c, on every route that builds K.  The closed route does
+    # not build K, and at c = 0 every mode is omega.
+    chain = _chain(HahnInteraction(alpha=1e154), 4, 0.0)
+    for build in (
+        lambda: mode_frequencies(chain, method="numeric"),
+        lambda: assemble_quadratic_form(chain),
+        lambda: coupling_coefficients(chain),
+    ):
+        with pytest.raises(InvalidParams) as info:
+            build()
+        message = str(info.value)
+        assert "HahnParams(N=3, alpha=1e+154" in message and "c =" not in message
+    assert mode_frequencies(chain, method="closed").omegas == (1.0,) * 4
 
 
 # -- coupling bounds ---------------------------------------------------------------
@@ -647,6 +665,26 @@ def test_pivot_test_spares_the_eigenvalue_kernel(monkeypatch):
     assert calls == []
     mode_frequencies(below, method="numeric")
     assert calls == [4]
+
+
+def test_numeric_spectrum_builds_the_interaction_matrix_once(monkeypatch):
+    # The pivot test and dqds share one K: its off-diagonal E_r is built
+    # once per numeric spectrum of a built-in chain.
+    calls = []
+
+    def counting(B, D):
+        calls.append(len(B))
+        return offdiag(B, D)
+
+    offdiag = jacobi_module._offdiag
+    monkeypatch.setattr(jacobi_module, "_offdiag", counting)
+    for interaction in (KrawtchoukInteraction(), HahnInteraction(alpha=0.5),
+                        DualQKrawtchoukInteraction(q=0.7)):
+        calls.clear()
+        numeric = mode_frequencies(_chain(interaction, 9, 0.05), method="numeric")
+        assert calls == [9]
+        closed = mode_frequencies(_chain(interaction, 9, 0.05))
+        assert numeric.omegas == pytest.approx(closed.omegas, rel=1e-14)
 
 
 def _ulps(x, k):

@@ -19,7 +19,6 @@ from chain_spectra import cli, jacobi
 from chain_spectra.chain import (
     ChainSpec,
     CustomInteraction,
-    _interaction_matrix,
     assemble_quadratic_form,
     mode_frequencies,
 )
@@ -29,6 +28,7 @@ from chain_spectra.jacobi import (
     Origin,
     SymTridiagonal,
     _all_above,
+    _interaction_matrix,
     _zero_diagonal_eigenvalues,
     analytic_decomposition,
     build_jacobi,
@@ -695,7 +695,8 @@ def _scaled(m, k):
 
 def _reference_outcome(m, max_sweeps=jacobi.MAX_SWEEPS):
     """oracles.column_ql_reference on m scaled by the QL's own power of
-    two, which is exact (the oracle itself does not scale): its eigenvalues
+    two, which is exact (the oracle itself does not scale), with the QL's
+    deflation floor, the smallest normal float: its eigenvalues
     scaled back, as float.hex, and its eigenvector columns, or its
     NoConvergence row and None.  Last, the runs [a, b) of eigenvalues that
     scaling back makes equal from distinct values, past float range or
@@ -704,7 +705,9 @@ def _reference_outcome(m, max_sweeps=jacobi.MAX_SWEEPS):
     # The QL caps its shift at -1023, so that 2^-shift is a float.
     shift = max(jacobi._unit_exponent(m.diag + m.offdiag), -1023)
     try:
-        values, vectors = oracles.column_ql_reference(_scaled(m, shift), max_sweeps)
+        values, vectors = oracles.column_ql_reference(
+            _scaled(m, shift), max_sweeps, sys.float_info.min
+        )
     except NoConvergence as exc:
         return ("NoConvergence", exc.row), None, []
     scale = 2.0**-shift
@@ -730,6 +733,11 @@ def _pinned_in_order(outcome, vectors, runs):
     return hexes, cols
 
 
+# A subnormal coupling between zero diagonal entries, which deflates only
+# by the floor: without it, the QL sweeps this block to +-e_0.
+_FLOOR_DEFLATION_EXAMPLE = SymTridiagonal(
+    diag=(0.0, 0.0, 1.0), offdiag=(2.225073858507203e-309, 0.0)
+)
 # A deflation at |e_m| = 2.03 eps of the scaled form, between the bound
 # 2 eps and eps (|d_m| + |d_m+1|): a scan prefilter tighter than the
 # package's 16 eps would miss it.
@@ -741,6 +749,7 @@ _WIDE_DEFLATION_EXAMPLE = SymTridiagonal(
 @given(_sym_tridiagonals())
 @example(_SPLIT_EXAMPLE)
 @example(_WIDE_DEFLATION_EXAMPLE)
+@example(_FLOOR_DEFLATION_EXAMPLE)
 @example(_FLAGGED_FAILS_EXAMPLE)
 @example(_FLAGGED_DEFLATION_EXAMPLE)
 @example(_ZERO_TAIL_EXAMPLE)
@@ -865,6 +874,21 @@ def test_numeric_eigenvalues_within_exact_inertia_bounds():
             else:
                 value = Fraction(value)
                 assert count(m, value - delta) <= k < count(m, value + delta), (m, k)
+
+
+@pytest.mark.parametrize(
+    "offdiag", [(1.0, 1e-320), (1.996610803422943e79, 2.2966214391122615e-244)]
+)
+def test_subnormal_coupling_between_zero_diagonal_entries_deflates(offdiag):
+    # The scaled e_1 is below the smallest normal float between d_1 = d_2
+    # = 0, where eps (|d_1| + |d_2|) = 0: only the floor deflates it.
+    # Without the floor these came out +-1.000257 and +-1.7886e79.  Each
+    # eigenvalue is within 8 n eps max |entry| of exact.
+    m = SymTridiagonal((0.0,) * 3, offdiag)
+    bound = 8 * 3 * sys.float_info.epsilon * max(offdiag)
+    for k, value in enumerate(numeric_eigenvalues(m)):
+        exact, _ = oracles.exact_eigenvalue(m, k, value)
+        assert abs(value - exact) <= bound, (k, value, exact)
 
 
 # -- dqds kernel of zero-diagonal forms ----------------------------------------
