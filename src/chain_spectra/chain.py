@@ -7,8 +7,12 @@ families K is the Jacobi matrix M of the interaction family less its
 constant diagonal F_0 (K = M for the uniform chain, whose diagonal stays
 omega^2 + 2c), so the squared mode frequencies are omega^2 + c mu with mu
 the spectrum of K.  jacobi writes K's entries and its closed-form
-spectrum, which the coupling bound and the positive-definiteness test
-read too; a custom chain's K is gamma_r / 2 off the zero diagonal.
+spectrum; a custom chain's K is gamma_r / 2 off the zero diagonal.
+Every closed form is monotone in family order, so the coupling bound and
+the positive-definiteness test of a built-in chain read only the two end
+values of mu, in O(1) of n, and the closed mode frequencies of a chain
+refused there, at or below the floor or with a square out of float
+range, build none of its n squares.
 Custom coupling patterns are diagonalized numerically, and so is any
 chain on request: numeric mode frequencies build K once and take
 mu = kappa_0 + t for the eigenvalues t of its zero-diagonal part from the
@@ -56,6 +60,7 @@ from .jacobi import (
     JacobiFamily,
     SymTridiagonal,
     _all_above,
+    _interaction_ends,
     _interaction_matrix,
     _zero_diagonal_eigenvalues,
     interaction_spectrum,
@@ -83,6 +88,9 @@ _OMEGA_MAX = math.sqrt(sys.float_info.max)
 GROUP_RTOL = 1e-9
 # Enumeration budget on the number of occupation states.
 LEVEL_CAP = 10**6
+# The state count stops at its first partial product above 2**_COUNT_BITS,
+# far above LEVEL_CAP: an exact count below it takes well under a second.
+_COUNT_BITS = 1 << 15
 # Iterating a LevelTable turns whole levels of about this many member rows
 # at a time into Python tuples.
 _READ_ROWS = 1 << 15
@@ -236,11 +244,12 @@ def _quadratic_form(chain: ChainSpec, k_diag: float, offdiag) -> SymTridiagonal:
 
 def max_coupling(chain: ChainSpec) -> float:
     """Supremum of coupling strengths keeping the chain positive definite,
-    math.inf when every coupling is admissible.  Custom interactions have
-    no closed-form bound."""
+    math.inf when every coupling is admissible: omega^2 / -min mu, read off
+    the ends of K's closed-form spectrum in O(1) of n.  Custom interactions
+    have no closed-form bound."""
     if chain.family is None:
         raise UnsupportedFamily("no closed-form coupling bound for custom gammas")
-    lowest = min(interaction_spectrum(chain.family))
+    lowest = min(_interaction_ends(chain.family))
     return math.inf if lowest >= 0.0 else chain.omega**2 / -lowest
 
 
@@ -274,11 +283,30 @@ def _squares(chain: ChainSpec, mus) -> tuple[float, ...]:
     return tuple(squares)
 
 
-def _closed_squares(chain: ChainSpec) -> tuple[float, ...]:
-    """Squared mode frequencies omega^2 + c mu in family order."""
+def _closed_family(chain: ChainSpec) -> JacobiFamily:
     if chain.family is None:
         raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
-    return _squares(chain, interaction_spectrum(chain.family))
+    return chain.family
+
+
+def _closed_squares(chain: ChainSpec) -> tuple[float, ...]:
+    """Squared mode frequencies omega^2 + c mu in family order."""
+    return _squares(chain, interaction_spectrum(_closed_family(chain)))
+
+
+def _end_squares(chain: ChainSpec) -> tuple[float, float]:
+    """The squares omega^2 + c mu of the two ends of K's closed-form
+    spectrum, in O(1) of n.  For c >= 0 a square is monotone in mu, so the
+    lesser is the float min(_closed_squares(chain)), and a square overflows
+    only if one of these does: _squares raises the same InvalidParams."""
+    return _squares(chain, _interaction_ends(_closed_family(chain)))
+
+
+def _check_floor(lowest: float, floor: float) -> None:
+    if lowest <= floor:
+        raise NotPositiveDefinite(
+            f"smallest squared mode frequency {lowest:.6g} is not above {floor:.6g}"
+        )
 
 
 class SpectrumOrigin(enum.Enum):
@@ -306,10 +334,12 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     frequency is not above the floor PD_TOL * omega^2, and InvalidParams
     when a squared frequency overflows.
 
-    The numeric method first checks that every LDL^T pivot of A - floor I
-    is positive, an O(n) test, and raises before dqds runs when one is
-    not.  Only a form that passes is diagonalized, and its smallest square
-    is still held against the floor.  Within rounding of the floor the two
+    The closed method first forms the two end squares, which hold the
+    smallest square and any overflow, and builds all n only for a chain
+    that passes.  The numeric method first checks that every LDL^T pivot
+    of A - floor I is positive, an O(n) test, and raises before dqds runs
+    when one is not.  Only a form that passes is diagonalized, and its
+    smallest square is still held against the floor.  Within rounding of the floor the two
     tests can disagree, so either may raise there; a returned spectrum
     never has a square at or below the floor.
     """
@@ -317,6 +347,7 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         raise InvalidParams(f"unknown method {_shown(method)}")
     floor = PD_TOL * chain.omega**2
     if method == "closed" or method == "auto" and chain.family is not None:
+        _check_floor(min(_end_squares(chain)), floor)
         squares = sorted(_closed_squares(chain))
         origin = SpectrumOrigin.CLOSED_FORM
     else:
@@ -325,11 +356,8 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
             raise NotPositiveDefinite(f"a squared mode frequency is not above {floor:.6g}")
         mus = [k_diag + t for t in _zero_diagonal_eigenvalues(offdiag)]
         squares = _squares(chain, mus)
+        _check_floor(squares[0], floor)
         origin = SpectrumOrigin.NUMERIC
-    if squares[0] <= floor:
-        raise NotPositiveDefinite(
-            f"smallest squared mode frequency {squares[0]:.6g} is not above {floor:.6g}"
-        )
     return ModeSpectrum(tuple(map(math.sqrt, squares)), origin)
 
 
@@ -337,15 +365,15 @@ def is_positive_definite(chain: ChainSpec) -> bool:
     """Whether the chain's quadratic form A is positive definite: whether
     every squared mode frequency is above PD_TOL * omega^2.
 
-    A built-in family reads its smallest square off the closed form.  A
-    custom chain runs no eigensolver: it passes when every LDL^T pivot of
-    A - PD_TOL * omega^2 I is positive, an O(n) test.  Within rounding of
-    that floor it can disagree with the smallest numeric square, which
-    numeric mode frequencies still check."""
+    A built-in family reads its smallest square off the two ends of the
+    closed form, in O(1) of n.  A custom chain runs no eigensolver: it
+    passes when every LDL^T pivot of A - PD_TOL * omega^2 I is positive,
+    an O(n) test.  Within rounding of that floor it can disagree with the
+    smallest numeric square, which numeric mode frequencies still check."""
     floor = PD_TOL * chain.omega**2
     if chain.family is None:
         return _all_above(assemble_quadratic_form(chain), floor)
-    return min(_closed_squares(chain)) > floor
+    return min(_end_squares(chain)) > floor
 
 
 def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
@@ -501,14 +529,16 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
     LevelGroup is built when a level is read.  Raises InvalidParams when
     max_total is not a non-negative integer or the highest energy overflows,
     and CombinatorialLimit when the state count C(n + K, K) exceeds
-    LEVEL_CAP.
+    LEVEL_CAP, in bounded time however large n and K are.
     """
     max_total = _as_count(max_total, "max_total")
     n = chain.n
-    count = math.comb(n + max_total, max_total)
+    count = _state_count(n, max_total)
     if count > LEVEL_CAP:
+        bits = count.bit_length()
+        shown = _shown(count) if bits <= _COUNT_BITS else f"2**{bits - 1} or more"
         raise CombinatorialLimit(
-            f"{_shown(count)} occupation states exceed the budget of {LEVEL_CAP}"
+            f"{shown} occupation states exceed the budget of {LEVEL_CAP}"
         )
     spectrum = mode_frequencies(chain)
     ground = ground_energy(chain, spectrum)
@@ -554,6 +584,20 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
     for column in occupations:
         column[:] = column[members]
     return LevelTable(energies, np.diff(offsets), offsets, occupations.T)
+
+
+def _state_count(n: int, max_total: int) -> int:
+    """C(n + K, K), K = max_total, as the product over i = 1..min(n, K) of
+    (max(n, K) + i) / i, or its first partial product above
+    2**_COUNT_BITS, a lower bound on it.  Each factor at least doubles the
+    product, so the loop stops within _COUNT_BITS + 1 factors."""
+    small, big = sorted((n, max_total))
+    count = 1
+    for i in range(1, small + 1):
+        count = count * (big + i) // i
+        if count.bit_length() > _COUNT_BITS:
+            break
+    return count
 
 
 def _occupation_columns(n: int, max_total: int) -> np.ndarray:

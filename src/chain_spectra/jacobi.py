@@ -10,7 +10,12 @@ the orthonormal polynomial values.
 A chain's interaction matrix K is written only here: K = M for the
 uniform chain and K = M - F_0 I for the families whose diagonal is the
 constant F_0, its entries by _interaction_matrix and its closed-form
-spectrum by interaction_spectrum.
+spectrum by _interaction_formula, one formula of the index in family
+order per family.  interaction_spectrum maps it over all n indices;
+_interaction_ends evaluates it at the first and the last only, which
+are the least and greatest eigenvalue because every closed form is
+monotone in family order: the coupling bound and the positive-definiteness
+test read them in O(1) of n.
 
 The analytic route assembles each eigenvector by a two-sided minimal-solution
 recurrence stitched at the entry of largest weight, which keeps every column
@@ -192,26 +197,49 @@ def _offdiag(B: tuple[float, ...], D: tuple[float, ...]) -> tuple[float, ...]:
     )
 
 
+def _interaction_formula(fam: JacobiFamily):
+    """The closed-form eigenvalue of a chain's K as a function of its index
+    in family order, and the range of those indices, for the families that
+    interaction_spectrum lists: the one place each formula is written.
+    Raises ClosedFormUnavailable for every other family."""
+    N = fam.N
+    if isinstance(fam, ConstantParams):
+        n = N + 1
+        denominator = 2.0 * (n + 1)
+        return (lambda j: 4.0 * math.sin(j * math.pi / denominator) ** 2), range(1, n + 1)
+    if (isinstance(fam, KrawtchoukParams) and fam.p == 0.5) or (
+        isinstance(fam, HahnParams) and fam.alpha == fam.beta
+    ):
+        half = N / 2.0
+        return (lambda x: x - half), range(N + 1)
+    if isinstance(fam, DualQKrawtchoukParams) and fam.cbar == -1.0:
+        q = fam.q
+        return (lambda x: q ** (x - N) - q ** (-x)), range(N + 1)
+    raise ClosedFormUnavailable(f"no closed-form interaction spectrum for {fam}")
+
+
 def interaction_spectrum(fam: JacobiFamily) -> tuple[float, ...]:
     """Closed-form eigenvalues of a chain's interaction matrix K, in family
     order: 4 sin^2(j pi / (2 (n + 1))), j = 1..n with n = N + 1, for the
     uniform chain (K = M); x - N/2, x = 0..N, for Krawtchouk p = 1/2 and
     Hahn alpha = beta; q^(x-N) - q^(-x), x = 0..N, for dual q-Krawtchouk
     cbar = -1.  Raises ClosedFormUnavailable for every other family."""
-    N = fam.N
-    if isinstance(fam, ConstantParams):
-        n = N + 1
-        return tuple(
-            4.0 * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2 for j in range(1, n + 1)
-        )
-    if (isinstance(fam, KrawtchoukParams) and fam.p == 0.5) or (
-        isinstance(fam, HahnParams) and fam.alpha == fam.beta
-    ):
-        return tuple(x - N / 2.0 for x in range(N + 1))
-    if isinstance(fam, DualQKrawtchoukParams) and fam.cbar == -1.0:
-        q = fam.q
-        return tuple(q ** (x - N) - q ** (-x) for x in range(N + 1))
-    raise ClosedFormUnavailable(f"no closed-form interaction spectrum for {fam}")
+    mu, indices = _interaction_formula(fam)
+    return tuple(map(mu, indices))
+
+
+def _interaction_ends(fam: JacobiFamily) -> tuple[float, float]:
+    """The first and the last value of interaction_spectrum(fam), in O(1)
+    of n: K's least and greatest eigenvalue, in one order or the other.
+
+    Every closed form is monotone in family order.  The angle j pi / (2 (n
+    + 1)) rises inside (0, pi/2), where sin^2 rises; x - N/2 rises with x;
+    and q^(x-N) and -q^(-x) both rise with x for q > 1 and both fall for
+    q < 1.  Rounding keeps that order, so the two ends are the min and max
+    of the whole tuple, bit for bit.  Raises ClosedFormUnavailable as
+    interaction_spectrum does."""
+    mu, indices = _interaction_formula(fam)
+    return mu(indices[0]), mu(indices[-1])
 
 
 def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:

@@ -266,18 +266,20 @@ def hypergeometric_series_reference(fp, i: int, x: int) -> float:
 
 
 def closed_squares_reference(chain) -> tuple[float, ...]:
-    """Squared mode frequencies of a built-in chain in family order."""
+    """Squared mode frequencies of a built-in chain in family order.  c
+    multiplies the whole eigenvalue of K, so that no intermediate product
+    overflows for c near float max where the square itself is finite."""
     n = chain.n
     w2 = chain.omega**2
     c = chain.coupling
     kind = chain.interaction
     if isinstance(kind, ConstantInteraction):
         return tuple(
-            w2 + 4.0 * c * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2
+            w2 + c * (4.0 * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2)
             for j in range(1, n + 1)
         )
     if isinstance(kind, (KrawtchoukInteraction, HahnInteraction)):
-        return tuple(w2 - c * (n - 2 * j + 1) / 2.0 for j in range(1, n + 1))
+        return tuple(w2 - c * ((n - 2 * j + 1) / 2.0) for j in range(1, n + 1))
     assert isinstance(kind, DualQKrawtchoukInteraction)
     q = kind.q
     return tuple(w2 + c * (q ** (x - n + 1) - q ** (-x)) for x in range(n))

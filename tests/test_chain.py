@@ -282,6 +282,40 @@ def test_chain_functions_build_no_family(monkeypatch, interaction_of, family_of)
     assert built == []
 
 
+@pytest.mark.parametrize("interaction_of, family_of", _FAMILY_CASES[:4], ids=_FAMILY_IDS[:4])
+def test_bound_and_refusals_build_no_spectrum(monkeypatch, interaction_of, family_of):
+    # The bound, the positive-definiteness test and a refusal of the closed
+    # route read the two ends of K's spectrum; only a chain that passes
+    # builds its n values.
+    built = []
+
+    def counting(fam, _spectrum=jacobi_module.interaction_spectrum):
+        built.append(fam)
+        return _spectrum(fam)
+
+    monkeypatch.setattr(chain_module, "interaction_spectrum", counting)
+    monkeypatch.setattr(jacobi_module, "interaction_spectrum", counting)
+    chain = _chain(interaction_of(6), 6, 0.1)
+    bound = max_coupling(chain)
+    assert is_positive_definite(chain)
+    # omega^2 = 1e308 and c = 1e308: the top square overflows float range.
+    overflowing = dataclasses.replace(chain, omega=1e154, coupling=1e308)
+    with pytest.raises(InvalidParams):
+        is_positive_definite(overflowing)
+    refusals = [(InvalidParams, overflowing)]
+    if not math.isinf(bound):  # the uniform chain has no bound
+        above = dataclasses.replace(chain, coupling=2.0 * bound)
+        assert not is_positive_definite(above)
+        refusals.append((NotPositiveDefinite, above))
+    for error, refused in refusals:
+        for method in ("auto", "closed"):
+            with pytest.raises(error):
+                mode_frequencies(refused, method)
+    assert built == []
+    mode_frequencies(chain, "closed")
+    assert built == [family_of(5)]
+
+
 def test_chainspec_accepts_omega_range_ends():
     for omega in (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)):
         (w,) = mode_frequencies(_chain(KrawtchoukInteraction(), 1, 0.0, omega=omega)).omegas
@@ -635,6 +669,9 @@ def test_custom_interaction_paths():
     assert spectrum.omegas == pytest.approx(closed.omegas, rel=1e-9)
     with pytest.raises(ClosedFormUnavailable):
         mode_frequencies(chain, method="closed")
+    # Refused as custom before any square is formed, even one that overflows.
+    with pytest.raises(ClosedFormUnavailable):
+        mode_frequencies(dataclasses.replace(chain, coupling=1e308), method="closed")
     assert is_positive_definite(chain)
     assert not is_positive_definite(
         _chain(CustomInteraction(gammas=(50.0,)), 2, 1.0)

@@ -343,19 +343,19 @@ def test_spectrum_names_omega_and_c_when_the_quadratic_form_overflows(argv, omeg
     assert proc.stdout == ""
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def _run_bounded(argv):
     """_run with 1 GiB of address space and 60 s, so that a run which
     allocates without bound fails rather than filling the machine."""
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     return subprocess.run(
         [sys.executable, "-m", "chain_spectra.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
-        preexec_fn=limit,
+        preexec_fn=_limit_address_space,
     )
 
 
@@ -372,12 +372,18 @@ def test_chain_length_past_sys_maxsize_exits2(command):
 
 @pytest.mark.parametrize(
     "n, levels, count",
-    [("50", "8", "1916797311"), ("10000", "10000", "2**19992 or more")],
+    [
+        ("50", "8", "1916797311"),
+        ("10000", "10000", "2**19992 or more"),
+        ("4000000", "4000000", "2**32770 or more"),
+    ],
 )
 def test_export_over_budget_prints_its_state_count_and_exits4(n, levels, count):
     # C(20000, 10000) has about 6,000 digits, more than Python turns into a
     # string: the message raised a raw ValueError and exited 1.  A count
-    # short enough to print is printed as it was.
+    # short enough to print is printed as it was.  C(8000000, 4000000) was
+    # still being counted after 60 s; the count now stops at its first
+    # partial product above 2**32768, a lower bound on it.
     proc = _run_bounded(["export", "--family", "constant", "--n", n, "--levels", levels])
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == f"{count} occupation states exceed the budget of 1000000\n"
@@ -900,6 +906,34 @@ def test_numpy_loads_only_for_verify_and_export(tmp_path):
         "not_positive_definite": (3, False),
         "over_level_cap": (4, False),
     }
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, code",
+    [
+        (["bound", "--family", "constant"], "unbounded\n", 0),
+        (["bound", "--family", "krawtchouk"], "2e-18\n", 0),
+        (["bound", "--family", "hahn", "--alpha", "0.5"], "2e-18\n", 0),
+        (["export", "--family", "constant", "--levels", "4000000"], "", 4),
+    ],
+    ids=["bound-constant", "bound-krawtchouk", "bound-hahn", "export"],
+)
+def test_huge_chain_lengths_answer_without_numpy_in_bounded_memory(argv, stdout, code):
+    # bound reads the two ends of K's spectrum, and export refuses a state
+    # count past its budget, at n = 10**18 (4e6 for export), under 1 GiB of
+    # address space: bound died with a raw MemoryError building all n
+    # values, and export was still counting after 60 s.
+    n = "4000000" if argv[0] == "export" else "1000000000000000000"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv, "--n", n],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.stdout == stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{code} False"
 
 
 def test_package_import_leaves_numpy_unloaded():

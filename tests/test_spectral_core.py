@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,16 @@ from chain_spectra.chain import (
     HahnInteraction,
     KrawtchoukInteraction,
     _closed_squares,
+    is_positive_definite,
     max_coupling,
     mode_frequencies,
 )
-from chain_spectra.errors import ClosedFormUnavailable, NotPositiveDefinite
+from chain_spectra.errors import (
+    ChainSpectraError,
+    ClosedFormUnavailable,
+    InvalidParams,
+    NotPositiveDefinite,
+)
 from chain_spectra.jacobi import (
     ConstantParams,
     SymTridiagonal,
@@ -136,6 +143,93 @@ def _builtin_chains(draw):
 def test_property_closed_forms_bit_equal_to_reference(chain):
     assert _closed_squares(chain) == oracles.closed_squares_reference(chain)
     assert max_coupling(chain) == oracles.max_coupling_reference(chain)
+
+
+@st.composite
+def _edge_chains(draw):
+    """_builtin_chains widened to the edges of the closed forms: the Hahn
+    branch alpha < -N up to alpha = -1e300, dual q-Krawtchouk with q within
+    1e-6 of 1 on both sides or N |ln q| within 10 of the float-range limit,
+    a single site, no coupling, and c near float max, where an end square
+    overflows."""
+    chain = draw(_builtin_chains())
+    if draw(st.booleans()):
+        chain = dataclasses.replace(chain, n=1)
+    N = chain.n - 1
+    edge = draw(st.sampled_from(["none", "hahn", "q_near_one", "q_range_limit"]))
+    if edge == "hahn":
+        alpha = draw(
+            st.just(math.nextafter(-N, -math.inf))
+            | st.floats(min_value=-1e300, max_value=-N, exclude_max=True)
+        )
+        chain = dataclasses.replace(chain, interaction=HahnInteraction(alpha=alpha))
+    elif edge == "q_near_one":
+        side = draw(st.sampled_from([1.0, -1.0]))
+        q = 1.0 + side * draw(st.floats(min_value=2.3e-16, max_value=1e-6))
+        chain = dataclasses.replace(chain, interaction=DualQKrawtchoukInteraction(q=q))
+    elif edge == "q_range_limit" and N > 0:
+        side = draw(st.sampled_from([1.0, -1.0]))
+        # ln(float max) = 709.7827...
+        log_q = side * draw(st.floats(min_value=700.0, max_value=709.78)) / N
+        q = math.exp(log_q)
+        chain = dataclasses.replace(chain, interaction=DualQKrawtchoukInteraction(q=q))
+    c = draw(
+        st.just(chain.coupling)
+        | st.just(0.0)
+        | st.floats(min_value=1e307, max_value=sys.float_info.max)
+    )
+    return dataclasses.replace(chain, coupling=c)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ChainSpectraError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_squares(chain):
+    """The closed-form squares in family order, refused as the full-tuple
+    computation refuses them when one overflows."""
+    squares = oracles.closed_squares_reference(chain)
+    if not all(map(math.isfinite, squares)):
+        raise InvalidParams(
+            f"squared mode frequencies omega^2 + c mu overflow float range "
+            f"(omega = {chain.omega}, c = {chain.coupling})"
+        )
+    return squares
+
+
+def _reference_positive_definite(chain):
+    return min(_reference_squares(chain)) > PD_TOL * chain.omega**2
+
+
+def _reference_closed_omegas(chain):
+    squares = sorted(_reference_squares(chain))
+    floor = PD_TOL * chain.omega**2
+    if squares[0] <= floor:
+        raise NotPositiveDefinite(
+            f"smallest squared mode frequency {squares[0]:.6g} is not above {floor:.6g}"
+        )
+    return tuple(map(math.sqrt, squares))
+
+
+@given(chain=_edge_chains())
+@settings(max_examples=600, deadline=None)
+def test_property_end_values_equal_the_full_tuple(chain):
+    # The bound, the positive-definiteness test and the closed route read
+    # the two ends of K's spectrum, and give the floats, or the exception
+    # type and text, of the computation over all n squares.
+    bound = max_coupling(chain)
+    assert bound == oracles.max_coupling_reference(chain)
+    lowest = min(interaction_spectrum(chain.family))
+    assert bound == (math.inf if lowest >= 0.0 else chain.omega**2 / -lowest)
+    assert _outcome(is_positive_definite, chain) == _outcome(
+        _reference_positive_definite, chain
+    )
+    for method in ("auto", "closed"):
+        got = _outcome(lambda: mode_frequencies(chain, method).omegas)
+        assert got == _outcome(_reference_closed_omegas, chain)
 
 
 def _hexes(values):
