@@ -7,16 +7,20 @@ Subcommands:
   plot      SVG level diagram, one column per panel
   export    CSV of enumerated energy levels with degeneracies
 
-Each family takes at most one parameter flag: --alpha (hahn), --q
-(qkrawtchouk) or --gamma (custom).  A family's flag is required for it and
-rejected for every other family.
+Each family takes at most one parameter: --alpha (hahn), --q (qkrawtchouk)
+or --gamma (custom), in a plot panel the key alpha or q.  One rule holds for
+flags and panels alike: a family's parameter is required for it and refused
+for every other family.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid flags or
-unsupported family/operation combinations (also an unwritable --out or
-stdout, and frequencies or energies outside float range), 3 chain not
-positive definite, 4 enumeration over budget.
+Exit codes: 0 success, 1 failed verification, 2 invalid flags, values the
+library refuses (one line, no usage banner) or unsupported family/operation
+combinations (also an unwritable --out or stdout, and frequencies or
+energies outside float range), 3 chain not positive definite, 4 enumeration
+over budget or a command that runs out of memory.
 
-plot takes no --hbar: its levels are rescaled to [0, 1], where hbar cancels.
+Only spectrum and export take --hbar, the two whose payloads hold energies:
+bound and verify never read it, and plot rescales its levels to [0, 1],
+where hbar cancels.
 
 Diagnostics (including wall-clock time) go to stderr; payloads go to
 stdout or --out, byte-deterministic for fixed inputs.  A stderr that cannot
@@ -74,35 +78,29 @@ _FAMILIES = {
 }
 
 
-def _build_chain(parser, family: str, param, **fields) -> ChainSpec:
-    """The chain of a family, given the value of its parameter flag and the
-    other ChainSpec fields; a usage error when the library refuses it."""
-    kind, flag = _FAMILIES[family]
-    try:
-        interaction = kind() if flag is None else kind(param)
-        return ChainSpec(interaction=interaction, **fields)
-    except ChainSpectraError as exc:
-        parser.error(str(exc))
+def _build_chain(parser, family: str, params: dict, **fields) -> ChainSpec:
+    """The chain of a family, from the parameters given, keyed by flag name,
+    and the other ChainSpec fields.  The family's own flag is required and
+    every other family's refused, so params is left with the family's
+    parameter alone.  A value the library refuses raises its error."""
+    for other, (_, flag) in _FAMILIES.items():
+        if other == family and flag is not None and flag not in params:
+            parser.error(f"--{flag} is required for the {family} family")
+        if other != family and flag in params:
+            parser.error(f"--{flag} only applies to the {other} family")
+    return ChainSpec(interaction=_FAMILIES[family][0](*params.values()), **fields)
 
 
 def _chain_from_args(parser: argparse.ArgumentParser, args) -> ChainSpec:
-    param = None
-    for family, (_, flag) in _FAMILIES.items():
-        value = None if flag is None else getattr(args, flag)
-        if family == args.family:
-            if flag is not None and value is None:
-                parser.error(f"--{flag} is required for the {family} family")
-            param = value
-        elif value is not None:
-            parser.error(f"--{flag} only applies to the {family} family")
-    if args.family == "custom":
+    params = {f: v for _, f in _FAMILIES.values() if f and (v := getattr(args, f)) is not None}
+    if args.family == "custom" and args.gamma is not None:
         try:
-            param = tuple(float(g) for g in param.split(",")) if param else ()
+            params["gamma"] = tuple(map(float, args.gamma.split(","))) if args.gamma else ()
         except ValueError:
-            parser.error(f"--gamma must be a comma-separated float list, got {param!r}")
+            parser.error(f"--gamma must be a comma-separated float list, got {args.gamma!r}")
+    hbar = {"hbar": args.hbar} if "hbar" in args else {}  # verify and bound take none
     return _build_chain(
-        parser, args.family, param,
-        n=args.n, omega=args.omega, coupling=args.c, hbar=args.hbar,
+        parser, args.family, params, n=args.n, omega=args.omega, coupling=args.c, **hbar
     )
 
 
@@ -230,6 +228,8 @@ def _parse_panel(parser, text: str):
             if not eq:
                 parser.error(f"panel entry {item!r} is not key=value")
             name = key.strip()
+            if name not in ("c", "alpha", "q"):
+                parser.error(f"panel key {name!r} is not c, alpha or q")
             if name in keys:
                 parser.error(f"panel key {name!r} is repeated")
             try:
@@ -238,12 +238,6 @@ def _parse_panel(parser, text: str):
                 parser.error(f"panel value for {key!r} is not a number")
     if "c" not in keys:
         parser.error(f"panel {text!r} must set c")
-    flag = _FAMILIES[fam][1]
-    extra = set(keys) - {"c", flag}
-    if extra:
-        parser.error(f"panel keys {sorted(extra)} not valid for {fam}")
-    if flag is not None and flag not in keys:
-        parser.error(f"{fam} panels must set {flag}")
     return fam, keys
 
 
@@ -306,11 +300,9 @@ def _cmd_plot(parser, args):
     panels = []
     for idx, text in enumerate(specs):
         fam, keys = _parse_panel(parser, text)
-        param = keys.get(_FAMILIES[fam][1])
+        params = {k: v for k, v in keys.items() if k != "c"}
         # The levels are rescaled to [0, 1], so hbar cancels.
-        chain = _build_chain(
-            parser, fam, param, n=args.n, omega=args.omega, coupling=keys["c"]
-        )
+        chain = _build_chain(parser, fam, params, n=args.n, omega=args.omega, coupling=keys["c"])
         try:
             levels = single_phonon_levels(chain)
         except NotPositiveDefinite:
@@ -381,11 +373,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--omega", type=float, default=1.0)
         p.add_argument("--c", type=float, default=0.0)
-        p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", type=str, default=None)
 
     p_spectrum = sub.add_parser("spectrum", help="mode frequencies and levels")
     add_chain_flags(p_spectrum)
+    p_spectrum.add_argument("--hbar", type=float, default=1.0)
     p_spectrum.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p_verify = sub.add_parser("verify", help="analytic-vs-numeric residual battery")
@@ -403,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="CSV of enumerated levels")
     add_chain_flags(p_export)
+    p_export.add_argument("--hbar", type=float, default=1.0)
     p_export.add_argument("--levels", type=int, required=True)
 
     return parser
@@ -429,6 +422,9 @@ def main(argv=None) -> int:
     except ChainSpectraError as exc:
         _diagnose(str(exc))
         return 2
+    except MemoryError:
+        _diagnose(f"{args.command} ran out of memory")
+        return 4
     if text is not None:
         pieces = [text] if isinstance(text, str) else text
         to_stdout = args.out is None

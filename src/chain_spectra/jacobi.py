@@ -704,13 +704,12 @@ def _dqds_step(q: list[float], e: list[float], tau: float) -> tuple:
     """One dqds transform of an array of m >= 3: the new (q, e) and the
     least d of all, all but the last and all but the last two, and the last
     three d (dmin, dmin1, dmin2, dn, dn1, dn2).  When a d is negative or
-    not finite, or q + e is 0, (None, d, late) instead, late when only the
-    last d is negative.
+    not finite, or q + e is 0, (None, d) instead.
     """
     m = len(q)
     d = q[0] - tau
     if not d >= 0.0:
-        return None, d, False
+        return None, d
     dmin = d
     qh, eh = [0.0] * m, [0.0] * (m - 1)
     try:
@@ -723,7 +722,7 @@ def _dqds_step(q: list[float], e: list[float], tau: float) -> tuple:
             d = d * t - tau
             if not d >= dmin:
                 if not d >= 0.0:
-                    return None, d, False
+                    return None, d
                 dmin = d
         dn2, dmin2 = d, dmin
         ei = e[m - 3]
@@ -733,7 +732,7 @@ def _dqds_step(q: list[float], e: list[float], tau: float) -> tuple:
         eh[m - 3] = ei * t
         dn1 = d = d * t - tau
         if not d >= 0.0:
-            return None, d, False
+            return None, d
         dmin1 = min(dmin2, dn1)
         ei = e[m - 2]
         s = d + ei
@@ -742,9 +741,9 @@ def _dqds_step(q: list[float], e: list[float], tau: float) -> tuple:
         eh[m - 2] = ei * t
         dn = d * t - tau
     except ZeroDivisionError:
-        return None, -0.0, False
+        return None, -0.0
     if not 0.0 <= dn < math.inf:
-        return None, dn, dn < 0.0
+        return None, dn
     qh[m - 1] = dn
     return qh, eh, min(dmin1, dn), dmin1, dmin2, dn, dn1, dn2
 

@@ -371,6 +371,24 @@ def test_chain_length_past_sys_maxsize_exits2(command):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--family", "constant", "--n", "1000000000", "--c", "0.1"],
+        ["verify", "--family", "krawtchouk", "--n", "30000"],
+    ],
+    ids=["spectrum", "verify"],
+)
+def test_a_command_out_of_memory_exits4_without_traceback(argv):
+    # Exit 1 means only a failed verification; these died with a raw
+    # MemoryError (numpy's, for verify) and exit 1.  Both fail their first
+    # large allocation, so the run stays small.
+    proc = _run_bounded(argv)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == f"{argv[0]} ran out of memory\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
     "n, levels, count",
     [
         ("50", "8", "1916797311"),
@@ -463,11 +481,11 @@ def test_flag_errors_exit2():
         == 2
     )
     assert _run(["spectrum", "--family", "krawtchouk", "--n", "0"]).returncode == 2
-    assert (
-        _run(
-            ["spectrum", "--family", "hahn", "--alpha", "-2.0", "--n", "4"]
-        ).returncode
-        == 2
+    # A value the library refuses is its one line, without a usage banner.
+    proc = _run(["spectrum", "--family", "hahn", "--alpha", "-2.0", "--n", "4"])
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "(alpha, beta) = (-2.0, -2.0) lies outside both valid branches for N = 3\n"
     )
     # A family's parameter flag is refused for every other family.
     for argv, flag, family in (
@@ -478,6 +496,36 @@ def test_flag_errors_exit2():
         proc = _run(["spectrum", *argv, "--n", "4"])
         assert proc.returncode == 2
         assert f"{flag} only applies to the {family} family" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "panel, argv, text",
+    [
+        ("constant:c=0.1,q=2", ["--family", "constant", "--q", "2"],
+         "--q only applies to the qkrawtchouk family"),
+        ("hahn:c=0.2", ["--family", "hahn"], "--alpha is required for the hahn family"),
+    ],
+)
+def test_plot_panels_and_chain_flags_share_one_family_rule(panel, argv, text, tmp_path):
+    # One family rule, in the same words, for argv flags and panel keys.
+    svg = tmp_path / "p.svg"
+    from_panel = _run(["plot", "--panel", panel, "--out", str(svg)])
+    from_flags = _run(["spectrum", *argv, "--n", "4"])
+    for proc in (from_panel, from_flags):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"chain-spectra: error: {text}"
+    assert not svg.exists()
+
+
+def test_only_spectrum_and_export_take_hbar():
+    # verify and bound never read hbar, so they refuse it as an unknown flag.
+    for command, code in (("verify", 2), ("bound", 2), ("spectrum", 0), ("export", 0)):
+        extra = ["--levels", "1"] if command == "export" else []
+        proc = _run([command, "--family", "krawtchouk", "--n", "4", "--hbar", "2", *extra])
+        assert proc.returncode == code, (command, proc.stderr)
+        if code == 2:
+            assert "unrecognized arguments: --hbar 2" in proc.stderr
+            assert proc.stdout == ""
 
 
 # -- argv grammar -------------------------------------------------------------
@@ -545,8 +593,8 @@ def _argv(draw):
             argv.append("--perturb")
         if sub == "export":
             argv += ["--levels", draw(_value(("0", "1", "2", "3")))]
-    # plot takes no --hbar.
-    for flag in ("--omega",) if sub == "plot" else ("--omega", "--hbar"):
+    # Only spectrum and export take --hbar.
+    for flag in ("--omega", "--hbar") if sub in ("spectrum", "export") else ("--omega",):
         if draw(st.booleans()):
             argv += [flag, draw(_value(("1", "0.7", "1.3")))]
     out = draw(st.sampled_from((None, "payload.out", "missing/payload.out")))
@@ -666,11 +714,14 @@ _CHAIN_FLAGS = {
     "--n": (True, None, None),
     "--omega": (False, None, 1.0),
     "--c": (False, None, 0.0),
-    "--hbar": (False, None, 1.0),
     "--out": (False, None, None),
 }
+# Only spectrum and export read hbar.
+_HBAR = {"--hbar": (False, None, 1.0)}
 _CLI_SURFACE = {
-    "spectrum": {**_CHAIN_FLAGS, "--format": (False, ("json", "csv", "text"), "json")},
+    "spectrum": {
+        **_CHAIN_FLAGS, **_HBAR, "--format": (False, ("json", "csv", "text"), "json")
+    },
     "verify": {**_CHAIN_FLAGS, "--perturb": (False, None, False)},
     "bound": _CHAIN_FLAGS,
     "plot": {
@@ -679,7 +730,7 @@ _CLI_SURFACE = {
         "--omega": (False, None, 1.0),
         "--out": (True, None, None),
     },
-    "export": {**_CHAIN_FLAGS, "--levels": (True, None, None)},
+    "export": {**_CHAIN_FLAGS, **_HBAR, "--levels": (True, None, None)},
 }
 
 
