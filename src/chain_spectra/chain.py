@@ -7,12 +7,14 @@ families K is the Jacobi matrix M of the interaction family less its
 constant diagonal F_0 (K = M for the uniform chain, whose diagonal stays
 omega^2 + 2c), so the squared mode frequencies are omega^2 + c mu with mu
 the spectrum of K.  jacobi writes K's entries and its closed-form
-spectrum; a custom chain's K is gamma_r / 2 off the zero diagonal.
-Every closed form is monotone in family order, so the coupling bound and
-the positive-definiteness test of a built-in chain read only the two end
-values of mu, in O(1) of n, and the closed mode frequencies of a chain
-refused there, at or below the floor or with a square out of float
-range, build none of its n squares.
+spectrum, jacobi._interaction_formula; a custom chain's K is gamma_r / 2
+off the zero diagonal.  Every closed form is monotone in family order, so
+the coupling bound and the positive-definiteness test of a built-in chain
+read only the two end values of mu, in O(1) of n.  Each call reads the
+formula once, through _closed_form (max_coupling, which forms no square,
+directly), and the closed mode frequencies of a chain refused at its end
+squares, at or below the floor or out of float range, build none of its
+n squares.
 Custom coupling patterns are diagonalized numerically, and so is any
 chain on request: numeric mode frequencies build K once and take
 mu = kappa_0 + t for the eigenvalues t of its zero-diagonal part from the
@@ -40,6 +42,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import re
 import sys
 from collections import abc
 from dataclasses import dataclass, field
@@ -60,10 +63,9 @@ from .jacobi import (
     JacobiFamily,
     SymTridiagonal,
     _all_above,
-    _interaction_ends,
+    _interaction_formula,
     _interaction_matrix,
     _zero_diagonal_eigenvalues,
-    interaction_spectrum,
 )
 from .polynomials import (
     DualQKrawtchoukParams,
@@ -86,7 +88,8 @@ _OMEGA_MIN = math.sqrt(sys.float_info.min)
 _OMEGA_MAX = math.sqrt(sys.float_info.max)
 # Levels within GROUP_RTOL * hbar * omega of each other form one group.
 GROUP_RTOL = 1e-9
-# Enumeration budget on the number of occupation states.
+# Budget on the number of occupation states that enumerate_levels builds,
+# and on the levels of all panels of the CLI's plot.
 LEVEL_CAP = 10**6
 # The state count stops at its first partial product above 2**_COUNT_BITS,
 # far above LEVEL_CAP: an exact count below it takes well under a second.
@@ -249,7 +252,8 @@ def max_coupling(chain: ChainSpec) -> float:
     have no closed-form bound."""
     if chain.family is None:
         raise UnsupportedFamily("no closed-form coupling bound for custom gammas")
-    lowest = min(_interaction_ends(chain.family))
+    mu, indices = _interaction_formula(chain.family)
+    lowest = min(mu(indices[0]), mu(indices[-1]))
     return math.inf if lowest >= 0.0 else chain.omega**2 / -lowest
 
 
@@ -283,23 +287,16 @@ def _squares(chain: ChainSpec, mus) -> tuple[float, ...]:
     return tuple(squares)
 
 
-def _closed_family(chain: ChainSpec) -> JacobiFamily:
+def _closed_form(chain: ChainSpec):
+    """K's closed form mu, its range of indices in family order, and the
+    squares of the first and the last mu, in O(1) of n.  For c >= 0 a
+    square is monotone in mu, so the lesser end is the least of all n
+    squares, and _squares raises InvalidParams on these two if on any.
+    Raises ClosedFormUnavailable for a custom chain."""
     if chain.family is None:
         raise ClosedFormUnavailable("custom interactions have no closed-form spectrum")
-    return chain.family
-
-
-def _closed_squares(chain: ChainSpec) -> tuple[float, ...]:
-    """Squared mode frequencies omega^2 + c mu in family order."""
-    return _squares(chain, interaction_spectrum(_closed_family(chain)))
-
-
-def _end_squares(chain: ChainSpec) -> tuple[float, float]:
-    """The squares omega^2 + c mu of the two ends of K's closed-form
-    spectrum, in O(1) of n.  For c >= 0 a square is monotone in mu, so the
-    lesser is the float min(_closed_squares(chain)), and a square overflows
-    only if one of these does: _squares raises the same InvalidParams."""
-    return _squares(chain, _interaction_ends(_closed_family(chain)))
+    mu, indices = _interaction_formula(chain.family)
+    return mu, indices, _squares(chain, (mu(indices[0]), mu(indices[-1])))
 
 
 def _check_floor(lowest: float, floor: float) -> None:
@@ -317,8 +314,7 @@ class SpectrumOrigin(enum.Enum):
 @dataclass(frozen=True)
 class ModeSpectrum:
     """Mode frequencies sorted ascending; in closed form the roots of
-    omega^2 + c mu, mu from jacobi.interaction_spectrum(chain.family), which
-    lists the modes in family order."""
+    omega^2 + c mu, mu the closed form of K in family order."""
 
     omegas: tuple[float, ...]
     origin: SpectrumOrigin
@@ -347,8 +343,9 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         raise InvalidParams(f"unknown method {_shown(method)}")
     floor = PD_TOL * chain.omega**2
     if method == "closed" or method == "auto" and chain.family is not None:
-        _check_floor(min(_end_squares(chain)), floor)
-        squares = sorted(_closed_squares(chain))
+        mu, indices, ends = _closed_form(chain)
+        _check_floor(min(ends), floor)
+        squares = sorted(_squares(chain, map(mu, indices)))
         origin = SpectrumOrigin.CLOSED_FORM
     else:
         k_diag, offdiag = _interaction(chain)
@@ -373,7 +370,7 @@ def is_positive_definite(chain: ChainSpec) -> bool:
     floor = PD_TOL * chain.omega**2
     if chain.family is None:
         return _all_above(assemble_quadratic_form(chain), floor)
-    return min(_end_squares(chain)) > floor
+    return min(_closed_form(chain)[2]) > floor
 
 
 def state_energy(chain: ChainSpec, occupations: Sequence[int]) -> float:
@@ -640,6 +637,16 @@ class SpacingProfile(enum.Enum):
     OTHER = "other"
 
 
+# Each shape as a pattern over the signs of successive gap differences, +
+# a rise and - a fall; a tie, =, matches none.
+_SHAPES = {
+    SpacingProfile.DECREASING: re.compile("-+"),
+    SpacingProfile.INCREASING: re.compile(r"\++"),
+    SpacingProfile.MID_PEAK: re.compile(r"\++-+"),
+    SpacingProfile.MID_DIP: re.compile(r"-+\++"),
+}
+
+
 def spacing_profile(levels: Sequence[float]) -> SpacingProfile:
     """Shape of the successive-gap sequence of at least three levels:
     strictly decreasing, strictly increasing, single strict interior
@@ -652,19 +659,10 @@ def spacing_profile(levels: Sequence[float]) -> SpacingProfile:
     if not all(map(math.isfinite, levels)):
         raise InvalidParams("levels must be finite")
     gaps = [b - a for a, b in zip(levels, levels[1:])]
-    L = len(gaps)
-    rising = [gaps[t + 1] > gaps[t] for t in range(L - 1)]
-    falling = [gaps[t + 1] < gaps[t] for t in range(L - 1)]
-    if all(falling):
-        return SpacingProfile.DECREASING
-    if all(rising):
-        return SpacingProfile.INCREASING
-    m = max(range(L), key=lambda t: gaps[t])
-    if 0 < m < L - 1 and all(rising[:m]) and all(falling[m:]):
-        return SpacingProfile.MID_PEAK
-    m = min(range(L), key=lambda t: gaps[t])
-    if 0 < m < L - 1 and all(falling[:m]) and all(rising[m:]):
-        return SpacingProfile.MID_DIP
+    signs = "".join("+" if b > a else "-" if b < a else "=" for a, b in zip(gaps, gaps[1:]))
+    for profile, shape in _SHAPES.items():
+        if shape.fullmatch(signs):
+            return profile
     return SpacingProfile.OTHER
 
 

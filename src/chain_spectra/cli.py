@@ -15,8 +15,10 @@ for every other family.
 Exit codes: 0 success, 1 failed verification, 2 invalid flags, values the
 library refuses (one line, no usage banner) or unsupported family/operation
 combinations (also an unwritable --out or stdout, and frequencies or
-energies outside float range), 3 chain not positive definite, 4 enumeration
-over budget or a command that runs out of memory.
+energies outside float range), 3 chain not positive definite, 4 over
+budget (export: more than chain.LEVEL_CAP occupation states; plot: more
+than LEVEL_CAP levels in all, n per panel) or a command that runs out of
+memory.
 
 Only spectrum and export take --hbar, the two whose payloads hold energies:
 bound and verify never read it, and plot rescales its levels to [0, 1],
@@ -36,6 +38,7 @@ import sys
 import time
 
 from .chain import (
+    LEVEL_CAP,
     ChainSpec,
     ConstantInteraction,
     CustomInteraction,
@@ -297,6 +300,10 @@ def _render_svg(panels) -> str:
 
 def _cmd_plot(parser, args):
     specs = args.panel if args.panel else list(_DEFAULT_PANELS)
+    # n levels per panel, refused before any panel's chain is built.
+    if len(specs) * args.n > LEVEL_CAP:
+        _diagnose(f"{len(specs)} x {args.n} plot levels exceed the budget of {LEVEL_CAP}")
+        return 4, None
     panels = []
     for idx, text in enumerate(specs):
         fam, keys = _parse_panel(parser, text)

@@ -11,11 +11,10 @@ A chain's interaction matrix K is written only here: K = M for the
 uniform chain and K = M - F_0 I for the families whose diagonal is the
 constant F_0, its entries by _interaction_matrix and its closed-form
 spectrum by _interaction_formula, one formula of the index in family
-order per family.  interaction_spectrum maps it over all n indices;
-_interaction_ends evaluates it at the first and the last only, which
-are the least and greatest eigenvalue because every closed form is
-monotone in family order: the coupling bound and the positive-definiteness
-test read them in O(1) of n.
+order per family, monotone in that order.  interaction_spectrum maps it
+over all n indices; the chain layer calls the formula itself, at the
+first and the last index for the coupling bound and the
+positive-definiteness test, in O(1) of n.
 
 The analytic route assembles each eigenvector by a two-sided minimal-solution
 recurrence stitched at the entry of largest weight, which keeps every column
@@ -201,7 +200,13 @@ def _interaction_formula(fam: JacobiFamily):
     """The closed-form eigenvalue of a chain's K as a function of its index
     in family order, and the range of those indices, for the families that
     interaction_spectrum lists: the one place each formula is written.
-    Raises ClosedFormUnavailable for every other family."""
+    Raises ClosedFormUnavailable for every other family.
+
+    Every formula is monotone in family order.  The angle j pi / (2 (n +
+    1)) rises inside (0, pi/2), where sin^2 rises; x - N/2 rises with x;
+    and q^(x-N) and -q^(-x) both rise with x for q > 1 and both fall for
+    q < 1.  Rounding keeps that order, so the values at the first and the
+    last index are K's least and greatest eigenvalue, bit for bit."""
     N = fam.N
     if isinstance(fam, ConstantParams):
         n = N + 1
@@ -226,20 +231,6 @@ def interaction_spectrum(fam: JacobiFamily) -> tuple[float, ...]:
     cbar = -1.  Raises ClosedFormUnavailable for every other family."""
     mu, indices = _interaction_formula(fam)
     return tuple(map(mu, indices))
-
-
-def _interaction_ends(fam: JacobiFamily) -> tuple[float, float]:
-    """The first and the last value of interaction_spectrum(fam), in O(1)
-    of n: K's least and greatest eigenvalue, in one order or the other.
-
-    Every closed form is monotone in family order.  The angle j pi / (2 (n
-    + 1)) rises inside (0, pi/2), where sin^2 rises; x - N/2 rises with x;
-    and q^(x-N) and -q^(-x) both rise with x for q > 1 and both fall for
-    q < 1.  Rounding keeps that order, so the two ends are the min and max
-    of the whole tuple, bit for bit.  Raises ClosedFormUnavailable as
-    interaction_spectrum does."""
-    mu, indices = _interaction_formula(fam)
-    return mu(indices[0]), mu(indices[-1])
 
 
 def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:

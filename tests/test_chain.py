@@ -284,36 +284,56 @@ def test_chain_functions_build_no_family(monkeypatch, interaction_of, family_of)
 
 @pytest.mark.parametrize("interaction_of, family_of", _FAMILY_CASES[:4], ids=_FAMILY_IDS[:4])
 def test_bound_and_refusals_build_no_spectrum(monkeypatch, interaction_of, family_of):
-    # The bound, the positive-definiteness test and a refusal of the closed
-    # route read the two ends of K's spectrum; only a chain that passes
-    # builds its n values.
-    built = []
+    # Every closed call reads K's closed form once.  The bound, the
+    # positive-definiteness test and a refusal of the closed route evaluate
+    # mu at the two ends alone; a chain that passes evaluates its n values
+    # besides.
+    n = 6
+    dispatched, evaluated = [], []
 
-    def counting(fam, _spectrum=jacobi_module.interaction_spectrum):
-        built.append(fam)
-        return _spectrum(fam)
+    def counting(fam, _formula=jacobi_module._interaction_formula):
+        dispatched.append(fam)
+        mu, indices = _formula(fam)
 
-    monkeypatch.setattr(chain_module, "interaction_spectrum", counting)
-    monkeypatch.setattr(jacobi_module, "interaction_spectrum", counting)
-    chain = _chain(interaction_of(6), 6, 0.1)
+        def counted(index):
+            evaluated.append(index)
+            return mu(index)
+
+        return counted, indices
+
+    monkeypatch.setattr(chain_module, "_interaction_formula", counting)
+    monkeypatch.setattr(jacobi_module, "_interaction_formula", counting)
+
+    def counts(call, *args, error=None):
+        dispatched.clear()
+        evaluated.clear()
+        if error is None:
+            call(*args)
+        else:
+            with pytest.raises(error):
+                call(*args)
+        assert dispatched == [family_of(n - 1)]
+        return len(evaluated)
+
+    chain = _chain(interaction_of(n), n, 0.1)
     bound = max_coupling(chain)
     assert is_positive_definite(chain)
     # omega^2 = 1e308 and c = 1e308: the top square overflows float range.
     overflowing = dataclasses.replace(chain, omega=1e154, coupling=1e308)
-    with pytest.raises(InvalidParams):
-        is_positive_definite(overflowing)
+    assert counts(max_coupling, overflowing) == 2  # forms no square
+    assert counts(is_positive_definite, chain) == 2
+    assert counts(is_positive_definite, overflowing, error=InvalidParams) == 2
     refusals = [(InvalidParams, overflowing)]
     if not math.isinf(bound):  # the uniform chain has no bound
         above = dataclasses.replace(chain, coupling=2.0 * bound)
         assert not is_positive_definite(above)
+        assert counts(max_coupling, above) == 2
         refusals.append((NotPositiveDefinite, above))
     for error, refused in refusals:
         for method in ("auto", "closed"):
-            with pytest.raises(error):
-                mode_frequencies(refused, method)
-    assert built == []
-    mode_frequencies(chain, "closed")
-    assert built == [family_of(5)]
+            assert counts(mode_frequencies, refused, method, error=error) <= 2
+    for method in ("auto", "closed"):
+        assert counts(mode_frequencies, chain, method) == n + 2
 
 
 def test_chainspec_accepts_omega_range_ends():

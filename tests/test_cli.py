@@ -987,6 +987,27 @@ def test_huge_chain_lengths_answer_without_numpy_in_bounded_memory(argv, stdout,
     assert proc.stderr.splitlines()[-1] == f"{code} False"
 
 
+def test_plot_over_budget_exits4_before_building_a_panel(tmp_path):
+    # One panel of 1,000,001 levels is past LEVEL_CAP: refused at once, in
+    # one line and without numpy.  At n = 10**11 the default panels grew
+    # lists for about 8 s until a MemoryError ended the run.
+    svg = tmp_path / "levels.svg"
+    argv = ["plot", "--panel", "constant:c=0.5", "--n", "1000001", "--out", str(svg)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.stderr.splitlines() == [
+        "1 x 1000001 plot levels exceed the budget of 1000000",
+        "4 False",
+    ]
+    assert proc.stdout == ""
+    assert not svg.exists()
+
+
 def test_package_import_leaves_numpy_unloaded():
     probe = """
 import sys

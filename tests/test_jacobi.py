@@ -1001,6 +1001,66 @@ def test_zero_diagonal_eigenvalues_stop_at_the_sweep_budget(monkeypatch):
         mode_frequencies(chain, method="numeric")
 
 
+def test_dqds_step_refuses_a_negative_first_pivot_and_a_zero_q_plus_e():
+    # The first pivot q_0 - tau < 0 is returned as it is.
+    assert jacobi._dqds_step([1.0, 1.0, 1.0], [0.5, 0.5], 2.0) == (None, -1.0)
+    # d + e_i = 0, in the last rows and inside the loop, gives d = -0.0.
+    for q, e in (([0.0, 1.0, 1.0], [0.0, 1.0]), ([0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0])):
+        step, d = jacobi._dqds_step(q, e, 0.0)
+        assert step is None and d == 0.0 and math.copysign(1.0, d) == -1.0
+    # The safe step splits the array there instead: e_0 becomes 0.
+    assert jacobi._dqd_safe_step([0.0, 1.0, 1.0], [0.0, 1.0]) == (
+        [0.0, 2.0, 0.5], [0.0, 0.5], 0.0, 0.0, 0.0, 0.5, 1.0, 0.0
+    )
+
+
+def _failing_steps(monkeypatch, k, at_zero):
+    """Make the first k dqds transforms of _dqds with a positive shift (at
+    a zero shift, with at_zero) fail as a d < 0 would, and count the safe
+    steps that follow.  The transform without shift that ends an odd
+    block's exact zero is left alone."""
+    step, safe_step = jacobi._dqds_step, jacobi._dqd_safe_step
+    failures, safe = [], []
+
+    def failing(q, e, tau):
+        if len(failures) < k and (tau == 0.0) == at_zero and q[-1] != 0.0:
+            failures.append(tau)
+            return None, -0.5 * tau if tau else -1.0
+        return step(q, e, tau)
+
+    def counted(q, e):
+        safe.append(len(q))
+        return safe_step(q, e)
+
+    monkeypatch.setattr(jacobi, "_dqds_step", failing)
+    monkeypatch.setattr(jacobi, "_dqd_safe_step", counted)
+    return failures, safe
+
+
+_LADDER_FORMS = {
+    "krawtchouk-32": _interaction_matrix(KrawtchoukParams(N=31, p=0.5))[1],
+    "hahn-17": _interaction_matrix(HahnParams(N=16, alpha=0.5, beta=0.5))[1],
+    "qkrawtchouk-24": _interaction_matrix(DualQKrawtchoukParams(N=23, cbar=-1.0, q=1.6))[1],
+    "wide-21": tuple(10.0 ** ((7 * r % 13 - 6) / 2.0) for r in range(20)),
+}
+
+
+@pytest.mark.parametrize("offdiag", _LADDER_FORMS.values(), ids=_LADDER_FORMS)
+@pytest.mark.parametrize("k, at_zero", [(4, False), (5, False), (1, True)])
+def test_dqds_retry_ladder_falls_back_to_the_safe_step(monkeypatch, offdiag, k, at_zero):
+    # A failed transform is retried with a smaller shift, and after five
+    # failures, or one at a zero shift, without a shift in the form of
+    # _dqd_safe_step: the eigenvalues stay within 2 n ulps of exact.
+    failures, safe = _failing_steps(monkeypatch, k, at_zero)
+    _check_kernel(offdiag)
+    assert len(failures) == k
+    assert bool(safe) == (k == 5 or at_zero)
+    failures.clear()
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence):
+        _zero_diagonal_eigenvalues(offdiag)
+
+
 def test_all_above_pivot_signs():
     M = SymTridiagonal
     # The eigenvalues of an empty matrix are vacuously above any shift; a

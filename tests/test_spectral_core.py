@@ -23,7 +23,7 @@ from chain_spectra.chain import (
     DualQKrawtchoukInteraction,
     HahnInteraction,
     KrawtchoukInteraction,
-    _closed_squares,
+    _squares,
     is_positive_definite,
     max_coupling,
     mode_frequencies,
@@ -141,7 +141,8 @@ def _builtin_chains(draw):
 @given(chain=_builtin_chains())
 @settings(max_examples=400, deadline=None)
 def test_property_closed_forms_bit_equal_to_reference(chain):
-    assert _closed_squares(chain) == oracles.closed_squares_reference(chain)
+    squares = _squares(chain, interaction_spectrum(chain.family))
+    assert squares == oracles.closed_squares_reference(chain)
     assert max_coupling(chain) == oracles.max_coupling_reference(chain)
 
 
