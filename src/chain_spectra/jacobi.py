@@ -16,14 +16,12 @@ over all n indices; the chain layer calls the formula itself, at the
 first and the last index for the coupling bound and the
 positive-definiteness test, in O(1) of n.
 
-The analytic route assembles each eigenvector by a two-sided minimal-solution
-recurrence stitched at the entry of largest weight, which keeps every column
-accurate to machine precision even where a one-sided recurrence diverges.
-_recurrence_sweep runs the recurrence for all eigenvalues at once, row by
-row over an n x n array with a column per eigenvalue, forward and on the
-reversed matrix; _stitched_vectors joins and norms the columns.  Each
-column gets the floating-point operations of its own scalar recurrence, so
-the vectors are bit for bit those of one eigenvalue at a time.
+The analytic route finds the eigenvectors by twisted factorization,
+_twisted_vectors, of K at its closed-form eigenvalues for the families
+with a constant diagonal, whose eigenvalues of M crowd near F_0 where K's
+keep their gaps, and of M at kappa for the others.  _pivots sweeps the
+LDL^T pivots for all eigenvalues at once, row by row over an n x n array
+with a column per eigenvalue, top-down and, reversed, bottom-up.
 The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweeps:
 numeric_eigenvalues runs it without eigenvectors (verify_family needs no
@@ -99,7 +97,6 @@ SIGN_TOL = 1e-12
 MAX_SWEEPS = 64
 
 _EPS = sys.float_info.epsilon
-_RESCALE_LIMIT = 1e250
 # The QL records at most this many rotations before it applies them to U^T,
 # which bounds the memory of the record.
 _ROTATION_CHUNK = 1 << 14
@@ -258,67 +255,62 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _recurrence_sweep(F: np.ndarray, E: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Solutions of the three-term recurrences of tridiag(-E, F, -E) - lam_j I
-    from u_0 = 1, one column per lam_j, found row by row for all columns at
-    once.  A column is rescaled, its prefix divided by |u_{i+1}|, whenever
-    its entry u_{i+1} passes _RESCALE_LIMIT.  On the reversed F and E it
-    gives the backward recurrences from the last entry."""
+def _pivots(A: np.ndarray, E: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The LDL^T pivots D_i = A_i - E_(i-1) (E_(i-1) / D_(i-1)) of
+    tridiag(-E, a, -E) for every column a of A, row by row into D, a zero
+    D_i replaced by eps E_i.  On A, D and E reversed, the bottom-up pivots."""
     import numpy as np
-    n = len(F)
-    u = np.empty((n, len(lam)))
-    u[0] = 1.0
-    if n > 1:
-        u[1] = (F[0] - lam) / E[0]
-    for i in range(1, n - 1):
-        u[i + 1] = ((F[i] - lam) * u[i] - E[i - 1] * u[i - 1]) / E[i]
-        big = np.flatnonzero(np.abs(u[i + 1]) > _RESCALE_LIMIT)
-        if big.size:
-            u[: i + 2, big] /= np.abs(u[i + 1, big])
-    return u
+    eps = _EPS
+    D[0] = A[0]
+    for i in range(len(E)):
+        if not D[i].all():
+            D[i][D[i] == 0.0] = eps * E[i]
+        np.divide(E[i], D[i], out=D[i + 1])
+        D[i + 1] *= E[i]
+        np.subtract(A[i + 1], D[i + 1], out=D[i + 1])
+    return D
 
 
-def _stitched_vectors(F: np.ndarray, E: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of tridiag(-E, F, -E), column j for eigenvalue lam_j.
+def _twisted_vectors(F: tuple, E: tuple, lam: tuple) -> np.ndarray:
+    """Unit eigenvectors of T = tridiag(-E, F, -E), column j for lam_j, by
+    twisted factorization (Fernando, 1997; Parlett and Dhillon, 1997).
 
-    Forward and backward recurrences each follow their stable direction;
-    each column's halves are joined at the index k of largest combined
-    magnitude (the last index where every product is 0): u v_k on rows up
-    to k and v u_k below.  The join is written in place into the forward
-    array, so the peak memory stays near three n x n arrays.
+    F, E and lam are scaled by the power of two of _unit_exponent.  With
+    D+ and D- the top-down and bottom-up pivots of T - lam_j I, gamma_i =
+    D+_i + (D-_i - (F_i - lam_j)) is 1 / ((T - lam_j I)^-1)_ii, so the
+    twist r, the first index of least |gamma_i|, is where the eigenvector
+    about peaks.  From z_r = 1, z_i = (E_i / D+_i) z_(i+1) above r and
+    z_i = (E_(i-1) / D-_i) z_(i-1) below: no column needs a rescale, and
+    every norm is at least 1.  Each column gets the operations of its own
+    scalar loop, so the vectors are bit for bit those of one eigenvalue at
+    a time, and the working set is three n x n arrays.
     """
     import numpy as np
-    n, cols = len(F), np.arange(len(lam))
-    U = _recurrence_sweep(F, E, lam)
-    V = _recurrence_sweep(F[::-1], E[::-1], lam)[::-1]
-    # |u| |v| with a row per eigenvalue, so that argmax reduces contiguous
-    # rows without a transposed copy; filled row by row, without an n x n
-    # temporary.
-    stitch = np.abs(U.T, order="C")
-    for j in cols:
-        stitch[j] *= np.abs(V[:, j])
-    k = np.argmax(stitch, axis=1)
-    k[stitch[cols, k] == 0.0] = n - 1
-    del stitch
-    uk, vk = U[k, cols], V[k, cols]
-    head = np.arange(n)[:, None] <= k
-    # Only the products of each half are formed: the others can overflow.
-    np.multiply(U, vk, out=U, where=head)
-    np.multiply(V, uk, out=U, where=~head)
-    del V, head
-    # Each eigenvector is normed as a contiguous row, where np.linalg.norm
-    # is one dot product.  Entries up to _RESCALE_LIMIT can overflow the sum
-    # of squares; the norm is then taken again of the vector scaled to
-    # max |entry| = 1.
-    vecs = U.T.copy()
-    with np.errstate(over="ignore"):
-        norms = np.array([np.linalg.norm(vec) for vec in vecs])
-    for j in np.flatnonzero(~((0.0 < norms) & (norms < math.inf))):
-        vecs[j] /= np.max(np.abs(vecs[j]))
-        norms[j] = np.linalg.norm(vecs[j])
-    vecs /= norms[:, None]
-    U[...] = vecs.T
-    return U
+    n = len(F)
+    shift = _unit_exponent(F + E + lam)
+    F, E, lam = (np.ldexp(np.array(v, dtype=float), shift) for v in (F, E, lam))
+    # A holds F_i - lam_j, then |gamma|, then the vectors.
+    A = np.subtract.outer(F, lam)
+    Dp = _pivots(A, E, np.empty_like(A))
+    Dm = _pivots(A[::-1], E[::-1], np.empty_like(A)[::-1])[::-1]
+    np.subtract(Dm, A, out=A)
+    np.add(Dp, A, out=A)
+    np.abs(A, out=A)
+    # By blocks of columns, argmin's copy of its operand stays small.
+    r = np.concatenate([np.argmin(A[:, j : j + 16], axis=0) for j in range(0, n, 16)])
+    # The multipliers in place of the pivots: _pivots formed each quotient
+    # already, so none overflows here that did not there.
+    np.divide(E[:, None], Dp[:-1], out=Dp[:-1])
+    np.divide(E[:, None], Dm[1:], out=Dm[1:])
+    Z = A
+    Z[r, np.arange(n)] = 1.0
+    for i in range(n - 2, -1, -1):
+        np.multiply(Dp[i], Z[i + 1], out=Z[i], where=i < r)
+    for i in range(1, n):
+        np.multiply(Dm[i], Z[i - 1], out=Z[i], where=i > r)
+    # sum over axis 0 adds the rows in order, as a scalar loop would.
+    Z /= np.sqrt(np.multiply(Z, Z, out=Dp).sum(axis=0))
+    return Z
 
 
 def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
@@ -333,10 +325,13 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
             eigenvalues=interaction_spectrum(fam), vectors=U, origin=Origin.ANALYTIC
         )
     M = build_jacobi(fam)
-    F = np.asarray(M.diag)
-    E = np.asarray(M.offdiag)
     eigenvalues = tuple(_kappa(fam, x) for x in range(fam.N + 1))
-    U = _stitched_vectors(F, E, np.array(eigenvalues))
+    try:
+        # K, whose eigenvalues keep the gaps that M's lose near F_0.
+        F, lam = (0.0,) * M.size, interaction_spectrum(fam)
+    except ClosedFormUnavailable:
+        F, lam = M.diag, eigenvalues
+    U = _twisted_vectors(F, M.offdiag, lam)
     return SpectralDecomposition(
         eigenvalues=eigenvalues, vectors=_fix_signs(U), origin=Origin.ANALYTIC
     )

@@ -7,13 +7,10 @@ literals were produced by separate oracle scripts (exact rational sums and
 an independent eigensolver) and are pinned here as plain constants.  The
 per-family closed forms of the squared mode frequencies and the coupling
 bound are written out family by family, in the float operation order whose
-bits the CLI payloads carry.  stitched_decomposition_reference is the
-analytic eigenvector recurrence as first written (a forward and a mirrored
-backward loop), kept to pin the one-loop recurrence bit for bit.
-stitched_vectors_reference is the one-loop recurrence run one eigenvalue at
-a time, with the norm taken again of the max-scaled column where the sum of
-squares overflows, kept to pin the all-eigenvalues-at-once kernel bit for
-bit, NaN columns included.  hypergeometric_series_reference is the
+bits the CLI payloads carry.  twisted_vectors_reference is the analytic
+eigenvector kernel, a twisted factorization, run one eigenvalue at a time
+in Python floats, kept to pin the all-eigenvalues-at-once kernel bit for
+bit.  hypergeometric_series_reference is the
 series evaluation as first written: two general terminating summers that
 find the degree and the denominator poles from the parameters, kept to
 pin the package's family_eval bit for bit.  column_ql_reference is
@@ -56,8 +53,8 @@ from chain_spectra.chain import (
     ground_energy,
     mode_frequencies,
 )
-from chain_spectra.errors import NoConvergence
-from chain_spectra.jacobi import SIGN_TOL, ConstantParams, build_jacobi
+from chain_spectra.errors import ClosedFormUnavailable, NoConvergence
+from chain_spectra.jacobi import SIGN_TOL, build_jacobi, interaction_spectrum
 from chain_spectra.polynomials import (
     DualQKrawtchoukParams,
     KrawtchoukParams,
@@ -462,102 +459,60 @@ def _first_entry_positive(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _two_loop_stitched_vector(F, E, lam) -> tuple[np.ndarray, float]:
+def _twisted_vector_reference(F, E, lam: float, shift: int) -> list[float]:
     n = len(F)
-    u = np.zeros(n)
-    u[0] = 1.0
-    if n > 1:
-        u[1] = (F[0] - lam) / E[0]
-    for i in range(1, n - 1):
-        u[i + 1] = ((F[i] - lam) * u[i] - E[i - 1] * u[i - 1]) / E[i]
-        if abs(u[i + 1]) > 1e250:
-            u[: i + 2] /= abs(u[i + 1])
-    v = np.zeros(n)
-    v[n - 1] = 1.0
-    if n > 1:
-        v[n - 2] = (F[n - 1] - lam) / E[n - 2]
-    for i in range(n - 2, 0, -1):
-        v[i - 1] = ((F[i] - lam) * v[i] - E[i] * v[i + 1]) / E[i - 1]
-        if abs(v[i - 1]) > 1e250:
-            v[i - 1 :] /= abs(v[i - 1])
-    stitch = np.abs(u) * np.abs(v)
-    k = int(np.argmax(stitch))
-    if stitch[k] == 0.0:
-        k = n - 1
-    vec = np.empty(n)
-    vec[: k + 1] = u[: k + 1] * v[k]
-    vec[k + 1 :] = v[k + 1 :] * u[k]
-    norm = float(np.linalg.norm(vec))
-    return vec / norm, norm
+    eps = _EPS
+    F = [math.ldexp(x, shift) for x in F]
+    E = [math.ldexp(x, shift) for x in E]
+    lam = math.ldexp(lam, shift)
+    a = [f - lam for f in F]
+    dp = [a[0]]
+    for i in range(n - 1):
+        if dp[i] == 0.0:
+            dp[i] = eps * E[i]
+        dp.append(a[i + 1] - (E[i] / dp[i]) * E[i])
+    dm = [0.0] * (n - 1) + [a[n - 1]]
+    for i in range(n - 2, -1, -1):
+        if dm[i + 1] == 0.0:
+            dm[i + 1] = eps * E[i]
+        dm[i] = a[i] - (E[i] / dm[i + 1]) * E[i]
+    r = 0
+    for i in range(n):
+        if abs(dp[i] + (dm[i] - a[i])) < abs(dp[r] + (dm[r] - a[r])):
+            r = i
+    z = [0.0] * n
+    z[r] = 1.0
+    for i in range(r - 1, -1, -1):
+        z[i] = (E[i] / dp[i]) * z[i + 1]
+    for i in range(r + 1, n):
+        z[i] = (E[i - 1] / dm[i]) * z[i - 1]
+    norm = 0.0
+    for x in z:
+        norm += x * x
+    norm = math.sqrt(norm)
+    return [x / norm for x in z]
 
 
-def stitched_decomposition_reference(fam) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic eigenvectors as first written: the two-sided recurrence with
-    a forward and a mirrored backward loop, each column divided by its norm
-    (the uniform chain by its sine formula instead), then every column's
-    first entry above SIGN_TOL made positive.  Returns the vectors and the
-    norms the columns were divided by (1 for the sine formula)."""
-    if isinstance(fam, ConstantParams):
-        n = fam.N + 1
-        i = np.arange(1, n + 1)
-        U = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, i) * np.pi / (n + 1))
-        norms = np.ones(n)
-    else:
-        M = build_jacobi(fam)
-        F = np.asarray(M.diag)
-        E = np.asarray(M.offdiag)
-        U = np.empty((M.size, M.size))
-        norms = np.empty(M.size)
-        with np.errstate(all="ignore"):
-            for j in range(M.size):
-                U[:, j], norms[j] = _two_loop_stitched_vector(F, E, _kappa(fam, j))
-    return _first_entry_positive(U), norms
-
-
-def _forward_recurrence_reference(F, E, lam) -> np.ndarray:
-    n = len(F)
-    u = np.zeros(n)
-    u[0] = 1.0
-    if n > 1:
-        u[1] = (F[0] - lam) / E[0]
-    for i in range(1, n - 1):
-        u[i + 1] = ((F[i] - lam) * u[i] - E[i - 1] * u[i - 1]) / E[i]
-        if abs(u[i + 1]) > 1e250:
-            u[: i + 2] /= abs(u[i + 1])
-    return u
-
-
-def _stitched_vector_reference(F, E, lam) -> np.ndarray:
-    n = len(F)
-    u = _forward_recurrence_reference(F, E, lam)
-    v = _forward_recurrence_reference(F[::-1], E[::-1], lam)[::-1]
-    stitch = np.abs(u) * np.abs(v)
-    k = int(np.argmax(stitch))
-    if stitch[k] == 0.0:
-        k = n - 1
-    vec = np.empty(n)
-    vec[: k + 1] = u[: k + 1] * v[k]
-    vec[k + 1 :] = v[k + 1 :] * u[k]
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vec)
-    if not 0.0 < norm < math.inf:
-        vec /= np.max(np.abs(vec))
-        norm = np.linalg.norm(vec)
-    return vec / norm
-
-
-def stitched_vectors_reference(fam) -> np.ndarray:
+def twisted_vectors_reference(fam) -> np.ndarray:
     """Analytic eigenvectors of a family other than the uniform chain, one
-    eigenvalue at a time: each column of the one-loop two-sided recurrence
-    is joined, divided by its norm (taken again of the column scaled to
-    max |entry| = 1 where the sum of squares overflows) and has its first
-    entry above SIGN_TOL made positive."""
+    eigenvalue at a time in Python floats, by twisted factorization: of K
+    at its closed-form eigenvalues for the families that have them, else of
+    M at kappa, with entries and eigenvalues scaled by the one power of two
+    that brings the largest to [1/2, 1).  Each column has the top-down and
+    bottom-up pivots, a zero pivot replaced by eps E_i, the twist at the
+    first least |gamma|, z_twist = 1 and the multipliers outward, is
+    divided by its norm and has its first entry above SIGN_TOL made
+    positive."""
     M = build_jacobi(fam)
-    F = np.asarray(M.diag)
-    E = np.asarray(M.offdiag)
+    try:
+        F, lam = (0.0,) * M.size, interaction_spectrum(fam)
+    except ClosedFormUnavailable:
+        F, lam = M.diag, tuple(_kappa(fam, x) for x in range(M.size))
+    values = F + M.offdiag + lam
+    shift = -math.frexp(max(map(abs, values)))[1]
     U = np.empty((M.size, M.size))
-    for j in range(M.size):
-        U[:, j] = _stitched_vector_reference(F, E, _kappa(fam, j))
+    for j, x in enumerate(lam):
+        U[:, j] = _twisted_vector_reference(F, M.offdiag, x, shift)
     return _first_entry_positive(U)
 
 

@@ -197,12 +197,22 @@ def test_verify_reports_integer_lattice():
 
 
 def test_verify_qkrawtchouk_passes():
-    # At q = 2, n = 49 the sum of squares of some stitched columns
-    # overflows before they are normalised.
     for q, n in (("1.6", "12"), ("2", "49")):
         proc = _run(["verify", "--family", "qkrawtchouk", "--q", q, "--n", n])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.startswith("eigenvalues 0 ")
+
+
+@pytest.mark.parametrize(
+    "q, n", [("1.6", "64"), ("0.7", "96"), ("2", "256"), ("10", "64"), ("0.01", "100")]
+)
+def test_verify_qkrawtchouk_passes_without_nan_or_warning(q, n):
+    # Eigenvalues of M that cluster near F_0 or span hundreds of decades:
+    # the analytic vectors come from K, scaled by a power of two.
+    proc = _run(["verify", "--family", "qkrawtchouk", "--q", q, "--n", n])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "nan" not in proc.stdout
+    assert "Warning" not in proc.stderr
 
 
 def test_verify_perturbed_matrix_fails():

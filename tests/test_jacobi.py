@@ -285,9 +285,11 @@ def test_analytic_residuals_over_grids():
         assert recon <= RECON_RTOL * scale, (fam, recon, scale)
 
 
-def _stitched_kinds(N):
-    # Eight kinds whose analytic vectors come from the stitched recurrence
-    # (the uniform chain's come from the sine form).
+def _twisted_kinds(N):
+    # Eight kinds whose analytic vectors come from the twisted
+    # factorization (the uniform chain's come from the sine form): of K for
+    # Krawtchouk p = 1/2, Hahn alpha = beta and dual q-Krawtchouk
+    # cbar = -1, of M for the other five.
     return [
         KrawtchoukParams(N=N, p=0.5),
         KrawtchoukParams(N=N, p=0.3),
@@ -300,24 +302,8 @@ def _stitched_kinds(N):
     ]
 
 
-def test_analytic_decomposition_equals_two_loop_reference():
-    # Bit for bit against the forward-and-mirrored-backward recurrence,
-    # wherever that gave a column of finite, positive norm.
-    fams = []
-    for N in (0, 1, 2, 5, 12, 31, 47, 63):
-        fams += [ConstantParams(N=N), *_stitched_kinds(N)]
-    compared = 0
-    for fam in fams:
-        got = analytic_decomposition(fam).vectors
-        want, norms = oracles.stitched_decomposition_reference(fam)
-        for j in np.flatnonzero((norms > 0.0) & (norms < math.inf)):
-            assert got[:, j].tobytes() == want[:, j].tobytes(), (fam, j)
-            compared += 1
-    assert compared > 0.95 * sum(fam.N + 1 for fam in fams)
-
-
-# Families whose recurrences rescale and whose stitched columns' sum of
-# squares overflows.
+# Families whose eigenvector entries span more than float range, so that a
+# column found from one end of the matrix would overflow.
 _OVERFLOWING = [
     KrawtchoukParams(N=300, p=0.02),
     KrawtchoukParams(N=150, p=0.001),
@@ -327,46 +313,33 @@ _OVERFLOWING = [
 
 @pytest.mark.parametrize("fam", _OVERFLOWING)
 def test_analytic_columns_stay_unit_where_sum_of_squares_overflows(fam):
-    # Stitched entries reach 1e250, so their sum of squares overflows and a
-    # plain division by the norm gives a zero column.
     ortho, _ = decomposition_residuals(build_jacobi(fam), analytic_decomposition(fam))
     assert ortho <= 1e-12
 
 
-_LARGE = _stitched_kinds(127) + _stitched_kinds(255)
-# At these sizes the dual q-Krawtchouk stitch products of some columns
-# underflow to 0 across the whole column, which then becomes 0/0 = NaN.
-_UNDERFLOWING = [f for f in _LARGE if isinstance(f, DualQKrawtchoukParams)]
-
-
 @pytest.mark.parametrize(
     "fam",
-    [f for f in _LARGE if f not in _UNDERFLOWING]
-    + [HahnParams(N=511, alpha=0.5, beta=0.5), *_OVERFLOWING],
+    [f for N in (0, 1, 2, 5, 12, 31, 63, 127, 255) for f in _twisted_kinds(N)]
+    + [
+        HahnParams(N=511, alpha=0.5, beta=0.5),
+        *_OVERFLOWING,
+        # Entries over 10^200 and eigenvalues down to 10^-63: the scaling
+        # by a power of two keeps every pivot finite.
+        DualQKrawtchoukParams(N=99, cbar=-1.0, q=0.01),
+        DualQKrawtchoukParams(N=63, cbar=-1.0, q=10.0),
+    ],
     ids=repr,
 )
 def test_analytic_decomposition_equals_one_at_a_time_reference(fam):
-    # Byte for byte against the recurrence run one eigenvalue at a time,
-    # rescales and the max-scaled norm included.
+    # Byte for byte against the twisted factorization run one eigenvalue at
+    # a time in Python floats, zero pivots (Krawtchouk p = 1/2 at even N,
+    # where mu = 0) included.
     got = analytic_decomposition(fam).vectors
-    want = oracles.stitched_vectors_reference(fam)
+    want = oracles.twisted_vectors_reference(fam)
     assert got.tobytes() == want.tobytes(), np.argwhere(got != want)[:5]
 
 
-@pytest.mark.parametrize("fam", _UNDERFLOWING, ids=repr)
-def test_analytic_underflow_columns_equal_one_at_a_time_reference(fam):
-    # A known defect, pinned as it is: the 0/0 warns, and the NaN columns
-    # match the reference NaN for NaN.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        got = analytic_decomposition(fam).vectors
-        want = oracles.stitched_vectors_reference(fam)
-    assert np.isnan(want).any()
-    assert np.array_equal(got, want, equal_nan=True)
-    assert got.tobytes() == want.tobytes()
-
-
-_recurrence_families = st.one_of(
+_analytic_families = st.one_of(
     st.builds(
         KrawtchoukParams,
         N=st.integers(0, 80),
@@ -375,22 +348,53 @@ _recurrence_families = st.one_of(
     st.builds(
         lambda N, a: HahnParams(N=N, alpha=a, beta=a),
         st.integers(0, 80),
-        st.floats(-0.5, 3.0, exclude_min=True, exclude_max=True),
+        st.floats(-0.5, 60.0, exclude_min=True, exclude_max=True),
+    ),
+    st.builds(
+        lambda N, a, b: HahnParams(N=N, alpha=a, beta=b),
+        st.integers(0, 80),
+        st.floats(-0.5, 60.0, exclude_min=True),
+        st.floats(-0.5, 60.0, exclude_min=True),
     ),
     st.builds(
         lambda N, q: DualQKrawtchoukParams(N=N, cbar=-1.0, q=q),
         st.integers(0, 80),
-        st.floats(0.6, 0.85) | st.floats(1.3, 2.0),
+        st.floats(0.01, 0.95) | st.floats(1.05, 20.0),
     ),
 )
 
 
-@given(_recurrence_families)
+@given(_analytic_families)
 @settings(max_examples=100, deadline=None)
 def test_property_analytic_decomposition_equals_one_at_a_time_reference(fam):
     got = analytic_decomposition(fam).vectors
-    want = oracles.stitched_vectors_reference(fam)
+    want = oracles.twisted_vectors_reference(fam)
     assert got.tobytes() == want.tobytes()
+
+
+@given(_analytic_families)
+@settings(max_examples=100, deadline=None)
+def test_property_analytic_vectors_are_orthonormal(fam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = analytic_decomposition(fam)
+    ortho, _ = decomposition_residuals(build_jacobi(fam), dec)
+    assert ortho <= 1e-12, ortho
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        HahnParams(N=1199, alpha=0.5, beta=0.5),
+        KrawtchoukParams(N=1499, p=0.5),
+        # mu = 0 at x = 300, where the top-down pivot of the first row is 0.
+        HahnParams(N=600, alpha=50.0, beta=50.0),
+    ],
+    ids=repr,
+)
+def test_verify_family_passes_at_large_n(fam):
+    _, rows = verify_family(fam)
+    assert all(passed for *_, passed in rows), rows
 
 
 def test_analytic_decomposition_peak_memory_within_four_matrices():
@@ -1174,10 +1178,11 @@ def test_verify_family_rows_and_negative_control():
     assert not all(passed for *_, passed in perturbed)
 
 
-def test_verify_family_nan_fails():
-    # The stitched columns of dual q-Krawtchouk at N = 255 underflow to 0
-    # and are normed as 0 / 0, which warns.
-    with pytest.warns(RuntimeWarning):
-        _, rows = verify_family(DualQKrawtchoukParams(N=255, cbar=-1.0, q=2.0))
+def test_verify_family_nan_fails(monkeypatch):
+    fam = KrawtchoukParams(N=5, p=0.5)
+    dec = analytic_decomposition(fam)
+    dec.vectors[0, 0] = math.nan
+    monkeypatch.setattr(jacobi, "analytic_decomposition", lambda _: dec)
+    _, rows = verify_family(fam)
     name, value, _, passed = rows[0]
     assert name == "orthogonality" and math.isnan(value) and passed is False
