@@ -33,6 +33,7 @@ from .chain import (
     state_energy,
 )
 from .errors import (
+    BudgetExceeded,
     ChainSpectraError,
     ClosedFormUnavailable,
     CombinatorialLimit,

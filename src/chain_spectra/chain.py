@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union, get_args
 
 from .errors import (
+    BudgetExceeded,
     ClosedFormUnavailable,
     CombinatorialLimit,
     DegenerateRange,
@@ -91,12 +92,16 @@ GROUP_RTOL = 1e-9
 # Budget on the number of occupation states that enumerate_levels builds,
 # and on the levels of all panels of the CLI's plot.
 LEVEL_CAP = 10**6
+# Budget on the chain length of numeric mode frequencies, whose dqds runs
+# in O(n^2) interpreted steps: 6-9 s and about 21 MiB of RSS for the
+# CLI's spectrum at n = 8192.
+NUMERIC_CAP = 8192
 # The state count stops at its first partial product above 2**_COUNT_BITS,
 # far above LEVEL_CAP: an exact count below it takes well under a second.
 _COUNT_BITS = 1 << 15
 # Iterating a LevelTable turns whole levels of about this many member rows
-# at a time into Python tuples.
-_READ_ROWS = 1 << 15
+# at a time into Python tuples, and holds one such block at a time.
+_READ_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,9 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
     for custom interactions), 'numeric' the eigenvalues of K from dqds,
     'auto' prefers closed.  Both form the squares omega^2 + c mu with
     _squares.  Raises NotPositiveDefinite when the smallest squared
-    frequency is not above the floor PD_TOL * omega^2, and InvalidParams
-    when a squared frequency overflows.
+    frequency is not above the floor PD_TOL * omega^2, InvalidParams
+    when a squared frequency overflows, and BudgetExceeded, before K is
+    built, for numeric frequencies of a chain longer than NUMERIC_CAP.
 
     The closed method first forms the two end squares, which hold the
     smallest square and any overflow, and builds all n only for a chain
@@ -348,6 +354,10 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         squares = sorted(_squares(chain, map(mu, indices)))
         origin = SpectrumOrigin.CLOSED_FORM
     else:
+        if chain.n > NUMERIC_CAP:
+            raise BudgetExceeded(
+                f"{chain.n} modes exceed the numeric budget of {NUMERIC_CAP}"
+            )
         k_diag, offdiag = _interaction(chain)
         if not _all_above(_quadratic_form(chain, k_diag, offdiag), floor):
             raise NotPositiveDefinite(f"a squared mode frequency is not above {floor:.6g}")
@@ -441,9 +451,11 @@ def single_phonon_levels(
     return tuple(ground + chain.hbar * w for w in spectrum.omegas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelGroup:
-    """An energy level with its degeneracy and member occupation vectors."""
+    """An energy level with its degeneracy and member occupation vectors.
+    One is built for each level read, so it has slots: no __dict__ and no
+    weak references."""
 
     energy: float
     degeneracy: int
@@ -460,8 +472,8 @@ class LevelTable(abc.Sequence[LevelGroup]):
     occupations (states x modes) are the members of level i.  A LevelGroup,
     with Python float, int and tuple fields, is built only when its level is
     read: by an index (negative ones too), by a slice, which gives a tuple,
-    or by iteration, which converts whole levels of about 2^15 member rows
-    at a time.
+    or by iteration, which converts whole levels of about 2^12 member rows
+    at a time and drops each block before it converts the next.
     """
 
     energies: np.ndarray
@@ -512,6 +524,9 @@ class LevelTable(abc.Sequence[LevelGroup]):
                 self.degeneracies[start:stop].tolist(),
                 (tuple(rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
             )
+            # Dropped before the next block is built, so that one block of
+            # member tuples is alive beside the levels the caller keeps.
+            del block, rows
             start = stop
 
 

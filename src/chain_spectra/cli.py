@@ -17,8 +17,9 @@ library refuses (one line, no usage banner) or unsupported family/operation
 combinations (also an unwritable --out or stdout, and frequencies or
 energies outside float range), 3 chain not positive definite, 4 over
 budget (export: more than chain.LEVEL_CAP occupation states; plot: more
-than LEVEL_CAP levels in all, n per panel) or a command that runs out of
-memory.
+than LEVEL_CAP levels in all, n per panel; spectrum: more than
+chain.NUMERIC_CAP modes; verify: more than jacobi.VERIFY_CAP modes), each
+refused before numpy is imported, or a command that runs out of memory.
 
 Only spectrum and export take --hbar, the two whose payloads hold energies:
 bound and verify never read it, and plot rescales its levels to [0, 1],
@@ -54,9 +55,9 @@ from .chain import (
     single_phonon_levels,
 )
 from .errors import (
+    BudgetExceeded,
     ChainSpectraError,
     ClosedFormUnavailable,
-    CombinatorialLimit,
     NotPositiveDefinite,
     UnsupportedFamily,
 )
@@ -302,8 +303,9 @@ def _cmd_plot(parser, args):
     specs = args.panel if args.panel else list(_DEFAULT_PANELS)
     # n levels per panel, refused before any panel's chain is built.
     if len(specs) * args.n > LEVEL_CAP:
-        _diagnose(f"{len(specs)} x {args.n} plot levels exceed the budget of {LEVEL_CAP}")
-        return 4, None
+        raise BudgetExceeded(
+            f"{len(specs)} x {args.n} plot levels exceed the budget of {LEVEL_CAP}"
+        )
     panels = []
     for idx, text in enumerate(specs):
         fam, keys = _parse_panel(parser, text)
@@ -322,9 +324,6 @@ def _cmd_export(parser, args):
     chain = _chain_from_args(parser, args)
     try:
         table = enumerate_levels(chain, args.levels)
-    except CombinatorialLimit as exc:
-        _diagnose(str(exc))
-        return 4, None
     except NotPositiveDefinite:
         return _pd_failure(chain)
     return 0, _csv_chunks(table, args.levels)
@@ -426,6 +425,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code, text = _COMMANDS[args.command](parser, args)
+    except BudgetExceeded as exc:
+        _diagnose(str(exc))
+        return 4
     except ChainSpectraError as exc:
         _diagnose(str(exc))
         return 2

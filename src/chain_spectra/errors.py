@@ -43,7 +43,14 @@ class UnsupportedFamily(ChainSpectraError):
     """The requested operation is not defined for this interaction family."""
 
 
-class CombinatorialLimit(ChainSpectraError):
+class BudgetExceeded(ChainSpectraError):
+    """A request exceeds one of the package's size budgets, checked before
+    any array is built: chain.LEVEL_CAP occupation states, chain.NUMERIC_CAP
+    modes for numeric mode frequencies, jacobi.VERIFY_CAP modes for
+    verify_family."""
+
+
+class CombinatorialLimit(BudgetExceeded):
     """A level enumeration would exceed the state-count budget."""
 
 

@@ -78,7 +78,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ClosedFormUnavailable, DimensionMismatch, InvalidParams, NoConvergence
+from .errors import (
+    BudgetExceeded,
+    ClosedFormUnavailable,
+    DimensionMismatch,
+    InvalidParams,
+    NoConvergence,
+)
 from .polynomials import (
     DualQKrawtchoukParams,
     FamilyParams,
@@ -95,6 +101,10 @@ SIGN_TOL = 1e-12
 # Sweep budget per eigenvalue for the QL iteration, and transform budget
 # per eigenvalue of a qd array for dqds.
 MAX_SWEEPS = 64
+# Budget on the size N + 1 of the matrix verify_family checks, whose
+# residuals hold about 4 (N + 1)^2 doubles: at 2048, verify peaks at about
+# 135 MiB of RSS and takes 1-3 s on the four families.
+VERIFY_CAP = 2048
 
 _EPS = sys.float_info.epsilon
 # The QL records at most this many rotations before it applies them to U^T,
@@ -975,7 +985,10 @@ def verify_family(fam: JacobiFamily, perturb: bool = False) -> tuple[tuple, tupl
     (name, value, threshold, passed) of its checks against its Jacobi matrix
     M, passed being value <= threshold, so that nan fails.  With perturb,
     M_00 is first moved by 1e-6 (1 + |M_00|), a negative control that some
-    check must fail."""
+    check must fail.  A family on more than VERIFY_CAP nodes raises
+    BudgetExceeded before any array is built."""
+    if fam.N >= VERIFY_CAP:
+        raise BudgetExceeded(f"{fam.N + 1} modes exceed the verify budget of {VERIFY_CAP}")
     M = build_jacobi(fam)
     if perturb:
         d0 = M.diag[0]

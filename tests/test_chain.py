@@ -44,6 +44,7 @@ from chain_spectra.chain import (
     state_energy,
 )
 from chain_spectra.errors import (
+    BudgetExceeded,
     ChainSpectraError,
     ClosedFormUnavailable,
     CombinatorialLimit,
@@ -744,6 +745,34 @@ def test_numeric_spectrum_builds_the_interaction_matrix_once(monkeypatch):
         assert numeric.omegas == pytest.approx(closed.omegas, rel=1e-14)
 
 
+def test_numeric_spectrum_budget_is_checked_before_k_is_built(monkeypatch):
+    # A chain of NUMERIC_CAP modes gets past the budget (to K, stubbed here
+    # so that nothing is built); one more is refused on the numeric route
+    # alone, from mode_frequencies and from enumerate_levels of a custom
+    # chain.  The closed route has no such budget.
+    class Reached(Exception):
+        pass
+
+    def reached(chain):
+        raise Reached
+
+    monkeypatch.setattr(chain_module, "_interaction", reached)
+    cap = chain_module.NUMERIC_CAP
+    custom = _chain(CustomInteraction(gammas=(1.0,) * cap), cap + 1, 0.1)
+    krawtchouk = _chain(KrawtchoukInteraction(), cap + 1, 1e-9)
+    with pytest.raises(Reached):
+        mode_frequencies(dataclasses.replace(krawtchouk, n=cap), method="numeric")
+    message = f"{cap + 1} modes exceed the numeric budget of {cap}$"
+    for call in (
+        lambda: mode_frequencies(krawtchouk, method="numeric"),
+        lambda: mode_frequencies(custom),
+        lambda: enumerate_levels(custom, 1),
+    ):
+        with pytest.raises(BudgetExceeded, match=message):
+            call()
+    assert len(mode_frequencies(krawtchouk).omegas) == cap + 1
+
+
 def _ulps(x, k):
     """x moved by k units in the last place (down for k < 0)."""
     for _ in range(abs(k)):
@@ -1010,11 +1039,50 @@ def test_level_table_sequence_protocol():
         table.energies = np.zeros(3)
 
 
+def test_level_group_is_a_frozen_slotted_record():
+    # Every level read from a table is one LevelGroup, so it has slots and
+    # no per-instance __dict__; it stays a frozen dataclass that compares,
+    # hashes, prints, pickles, copies and replaces as before.
+    chain = _chain(HahnInteraction(alpha=0.5), 4, 0.0)
+    groups = list(enumerate_levels(chain, 3))
+    assert groups == list(oracles.enumerate_levels_reference(chain, 3))
+    group = groups[1]
+    assert group.degeneracy == 4
+    assert LevelGroup.__slots__ == ("energy", "degeneracy", "occupations")
+    assert not hasattr(group, "__dict__")
+    for name, value in (("energy", 0.0), ("degeneracy", 1), ("occupations", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(group, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del group.energy
+    # No attribute can be added either.  For a name that is not a field,
+    # the frozen __setattr__ of a slotted dataclass raises TypeError on
+    # CPython 3.11: it calls super() on the class before slots were added.
+    with pytest.raises((AttributeError, TypeError)):
+        group.other = 0
+    copies = [
+        pickle.loads(pickle.dumps(group, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for copied in (*copies, copy.copy(group), copy.deepcopy(group)):
+        assert type(copied) is LevelGroup
+        assert copied == group and hash(copied) == hash(group)
+        assert copied.occupations == group.occupations
+    moved = dataclasses.replace(group, energy=group.energy + 1.0)
+    assert moved == LevelGroup(group.energy + 1.0, group.degeneracy, group.occupations)
+    assert moved != group
+    assert repr(group) == (
+        f"LevelGroup(energy={group.energy!r}, degeneracy=4, "
+        f"occupations={group.occupations!r})"
+    )
+
+
 def test_level_table_iteration_spans_conversion_chunks():
     # Iteration converts whole levels of at most _READ_ROWS members at a
     # time, or one larger level.  At c = 0 a Krawtchouk chain has K + 1
-    # levels: with n = 12 and K = 8 levels 0-6 fill the first chunk, level
-    # 7 (31,824 members) the second and level 8 (75,582) the third.
+    # levels: with n = 12 and K = 8 levels 0-4 (1,820 members) fill the
+    # first chunk, and levels 5-8 (4,368 to 75,582 members) are each one
+    # chunk of their own.
     table = enumerate_levels(_chain(KrawtchoukInteraction(), 12, 0.0), 8)
     assert [g.degeneracy for g in table] == [math.comb(11 + k, k) for k in range(9)]
     assert table[-1].degeneracy > chain_module._READ_ROWS
@@ -1042,6 +1110,26 @@ def test_enumerate_levels_peak_memory_per_state():
     states = len(table.occupations)
     assert states == 293_930
     assert peak <= 64 * states, peak / states
+
+
+def test_level_table_iteration_peak_memory():
+    # One pass holds one block of at most _READ_ROWS member tuples beside
+    # the group being read: 1.09 MiB traced for Krawtchouk n = 12, K = 9
+    # (293,930 states, 292,110 levels), against 13.28 MiB when blocks of
+    # 2^15 rows were built while the last was still alive and each
+    # LevelGroup had a __dict__, and 1.65 MiB with 2^12-row blocks when
+    # the last block is kept while the next is built.  The table itself
+    # is 10.5 MiB; 1.5 MiB leaves about 35 % headroom.
+    table = enumerate_levels(_chain(KrawtchoukInteraction(), 12, 0.1), 9)
+    assert (len(table.occupations), len(table)) == (293_930, 292_110)
+    tracemalloc.start()
+    try:
+        states = sum(g.degeneracy for g in table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states == 293_930
+    assert peak <= 1.5 * 2**20, peak / 2**20
 
 
 def _lexicographic_occupations(n, max_total):

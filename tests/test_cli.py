@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import chain_spectra
 import oracles
+from chain_spectra import chain as chain_module
 from chain_spectra import cli
 from chain_spectra.chain import (
     ChainSpec,
@@ -383,18 +384,55 @@ def test_chain_length_past_sys_maxsize_exits2(command):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--family", "constant", "--n", "1000000000", "--c", "0.1"],
-        ["verify", "--family", "krawtchouk", "--n", "30000"],
+        ["spectrum", "--family", "constant", "--n", "4", "--c", "0.1"],
+        ["verify", "--family", "krawtchouk", "--n", "12"],
     ],
     ids=["spectrum", "verify"],
 )
-def test_a_command_out_of_memory_exits4_without_traceback(argv):
-    # Exit 1 means only a failed verification; these died with a raw
-    # MemoryError (numpy's, for verify) and exit 1.  Both fail their first
-    # large allocation, so the run stays small.
-    proc = _run_bounded(argv)
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == f"{argv[0]} ran out of memory\n"
+def test_a_command_out_of_memory_exits4_without_traceback(argv, monkeypatch, capsys):
+    # Exit 1 means only a failed verification; spectrum at n = 10**9 and
+    # verify at n = 30000 died with a raw MemoryError (numpy's, for verify)
+    # and exit 1.  Those sizes are now refused by their budgets (below), so
+    # the backstop is shown with a command that raises MemoryError.
+    def out_of_memory(parser, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], out_of_memory)
+    assert cli.main(argv) == 4
+    assert capsys.readouterr() == ("", f"{argv[0]} ran out of memory\n")
+
+
+_GAMMAS_PAST_NUMERIC_CAP = ",".join(["1"] * chain_module.NUMERIC_CAP)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--family", "krawtchouk", "--n", "2049"],
+         "2049 modes exceed the verify budget of 2048"),
+        (["verify", "--family", "hahn", "--alpha", "0.5", "--n", "30000"],
+         "30000 modes exceed the verify budget of 2048"),
+        (["spectrum", "--family", "custom", "--n", "8193",
+          "--gamma", _GAMMAS_PAST_NUMERIC_CAP],
+         "8193 modes exceed the numeric budget of 8192"),
+        (["spectrum", "--family", "constant", "--n", "1000000000", "--c", "0.1"],
+         "1000000000 modes exceed the numeric budget of 8192"),
+    ],
+    ids=["verify", "verify-30000", "spectrum-custom", "spectrum-1e9"],
+)
+def test_sizes_past_a_budget_exit4_without_numpy(argv, message):
+    # verify holds about 4 n^2 doubles and numeric spectrum runs an O(n^2)
+    # dqds: n one past VERIFY_CAP or NUMERIC_CAP is refused in one line
+    # before numpy is imported or any array is built.  The two larger
+    # sizes once ran out of memory under 1 GiB of address space.
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.stderr.splitlines() == [message, "4 False"]
     assert proc.stdout == ""
 
 
@@ -767,7 +805,8 @@ def test_cli_surface_is_pinned():
 
 
 _PUBLIC_NAMES = [
-    "ChainSpec", "ChainSpectraError", "ClosedFormUnavailable", "CombinatorialLimit",
+    "BudgetExceeded", "ChainSpec", "ChainSpectraError", "ClosedFormUnavailable",
+    "CombinatorialLimit",
     "ConstantInteraction", "ConstantParams", "CustomInteraction", "DegenerateRange",
     "DegreeOutOfRange", "DimensionMismatch",
     "DualQKrawtchoukInteraction", "DualQKrawtchoukParams", "FamilyParams",

@@ -22,7 +22,12 @@ from chain_spectra.chain import (
     assemble_quadratic_form,
     mode_frequencies,
 )
-from chain_spectra.errors import DimensionMismatch, InvalidParams, NoConvergence
+from chain_spectra.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    InvalidParams,
+    NoConvergence,
+)
 from chain_spectra.jacobi import (
     ConstantParams,
     Origin,
@@ -1176,6 +1181,25 @@ def test_verify_family_rows_and_negative_control():
     perturbed_eigenvalues, perturbed = verify_family(fam, perturb=True)
     assert perturbed_eigenvalues == eigenvalues
     assert not all(passed for *_, passed in perturbed)
+
+
+def test_verify_family_budget_is_checked_before_any_array(monkeypatch):
+    # A family on VERIFY_CAP nodes gets past the budget (to build_jacobi,
+    # stubbed here so that nothing is allocated); one more is refused.
+    class Reached(Exception):
+        pass
+
+    def reached(fam):
+        raise Reached
+
+    monkeypatch.setattr(jacobi, "build_jacobi", reached)
+    cap = jacobi.VERIFY_CAP
+    for fam in (KrawtchoukParams(N=cap - 1, p=0.5), ConstantParams(N=cap - 1)):
+        with pytest.raises(Reached):
+            verify_family(fam)
+    for fam in (KrawtchoukParams(N=cap, p=0.5), HahnParams(N=10**9, alpha=0.5, beta=0.5)):
+        with pytest.raises(BudgetExceeded, match=f"modes exceed the verify budget of {cap}$"):
+            verify_family(fam)
 
 
 def test_verify_family_nan_fails(monkeypatch):
