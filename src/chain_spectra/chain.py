@@ -26,11 +26,12 @@ is_positive_definite on a custom chain runs no eigensolver, and numeric
 mode frequencies run dqds only on a chain that passes.
 The occupation table of enumerate_levels is built in place from the last
 mode up, each block of a mode a copy of a tail of the table of the modes
-after it.  Its energies are ordered by numpy's default, unstable sort:
-tied energies fall into one level whatever their order, and each level's
-members are then sorted by state.  numpy is imported inside the
-level-table functions on purpose, so that mode frequencies and bounds
-never load it.
+after it, and each mode's values written once.  Its energies are ordered
+by numpy's default, unstable sort: tied energies fall into one level
+whatever their order, and the members of each level of two or more states
+are then sorted by state; a level of one state needs no sort.  numpy is
+imported inside the level-table functions on purpose, so that mode
+frequencies and bounds never load it.
 
 A ChainSpec resolves its interaction to its Jacobi family once, when it is
 built, and keeps it as chain.family (None for a custom chain); every
@@ -102,6 +103,9 @@ _COUNT_BITS = 1 << 15
 # Iterating a LevelTable turns whole levels of about this many member rows
 # at a time into Python tuples, and holds one such block at a time.
 _READ_ROWS = 1 << 12
+# enumerate_levels gathers the states of shared levels into their sort keys
+# this many positions at a time.
+_SORT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -579,22 +583,32 @@ def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:
     del cuts
     energies = energy[offsets[:-1]]
     del energy
-    # States are numbered in lexicographic order, so sorting the keys
-    # group * count + state puts each group's members in that order.  The
-    # keys are distinct, so any sort gives that order; the stable sort
-    # merges runs, and where most levels hold one state the keys arrive
-    # sorted and it takes about a sixth of the default sort's time.
-    members = np.zeros(count, dtype=np.int64)
-    members[offsets[1:-1]] = count
-    np.cumsum(members, out=members)
-    members += order
-    del order
-    members.sort(kind="stable")
-    members %= count
+    # States are numbered in lexicographic order, so a level's members are
+    # in that order when sorted by state, and a level of one state already
+    # is.  Only the members of shared levels are sorted, by the distinct
+    # keys level * count + state, and written back to their positions in
+    # order.  The level sizes and those positions are int32, and the states
+    # are added to the keys a block of positions at a time: beside order
+    # and the keys no other full-size array is built, even when every
+    # level is shared.
+    sizes = np.subtract(offsets[1:], offsets[:-1], dtype=np.int32)
+    shared = sizes > 1
+    heads, sizes = offsets[:-1][shared], sizes[shared]
+    positions = np.repeat((heads - (np.cumsum(sizes) - sizes)).astype(np.int32), sizes)
+    positions += np.arange(len(positions), dtype=np.int32)
+    keys = np.repeat(np.arange(len(sizes)) * count, sizes)
+    for start in range(0, len(keys), _SORT_BLOCK):
+        block = slice(start, start + _SORT_BLOCK)
+        keys[block] += order[positions[block]]
+    keys.sort()
+    keys %= count
+    order[positions] = keys
+    del shared, positions, keys
     # Permuted in place, one mode at a time: the transpose is the
     # occupation matrix, with no second copy of it in memory.
     for column in occupations:
-        column[:] = column[members]
+        column[:] = column[order]
+    del order
     return LevelTable(energies, np.diff(offsets), offsets, occupations.T)
 
 
@@ -624,23 +638,27 @@ def _occupation_columns(n: int, max_total: int) -> np.ndarray:
     those modes with at most K - k phonons: the sub-table less its first k
     blocks of mode j+1, with mode j+1 lowered by k.  That is a copy of the
     sub-table's last C(m + K - k, m) columns, m = n - j - 1 being the modes
-    it spans: K slice copies per mode and no index arrays."""
+    it spans: K slice copies per mode and no index arrays.  Mode j's values
+    k, and the lowering of mode j+1, are then written once for the mode,
+    from one np.repeat of 0..K in the table's dtype."""
     import numpy as np
     count = math.comb(n + max_total, max_total)
     columns = np.empty((n, count), dtype=np.min_scalar_type(max_total))
     columns[-1, : max_total + 1] = np.arange(max_total + 1)
     for j in range(n - 2, -1, -1):
         m = n - j - 1
-        size = math.comb(m + max_total, m)
+        sizes = [math.comb(m + max_total - k, m) for k in range(max_total + 1)]
+        size = sizes[0]
         sub = columns[j + 1 :]
-        columns[j, :size] = 0
         start = size
-        for k in range(1, max_total + 1):
-            stop = start + math.comb(m + max_total - k, m)
-            sub[:, start:stop] = sub[:, size - (stop - start) : size]
-            sub[0, start:stop] -= k
-            columns[j, start:stop] = k
-            start = stop
+        for width in sizes[1:]:
+            sub[:, start : start + width] = sub[:, size - width : size]
+            start += width
+        values = np.repeat(np.arange(max_total + 1, dtype=columns.dtype), sizes)
+        columns[j, :start] = values
+        sub[0, size:start] -= values[size:]
+        # Dropped before the next mode's block copies, which numpy buffers.
+        del values
     return columns
 
 

@@ -103,13 +103,17 @@ SIGN_TOL = 1e-12
 MAX_SWEEPS = 64
 # Budget on the size N + 1 of the matrix verify_family checks, whose
 # residuals hold about 4 (N + 1)^2 doubles: at 2048, verify peaks at about
-# 135 MiB of RSS and takes 1-3 s on the four families.
+# 135 MiB of RSS and takes 1-3 s on the four families.  It is also the
+# budget of the n x n decompositions, analytic_decomposition and
+# numeric_decomposition.
 VERIFY_CAP = 2048
 
 _EPS = sys.float_info.epsilon
 # The QL records at most this many rotations before it applies them to U^T,
 # which bounds the memory of the record.
 _ROTATION_CHUNK = 1 << 14
+# _fix_signs looks for each column's lead this many rows at a time.
+_SIGN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -255,13 +259,24 @@ def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Negate, in place, each column whose first entry of magnitude above
     SIGN_TOL is negative.  A column without such an entry has lead 0, whose
-    entry is then not below -SIGN_TOL either."""
+    entry is then not below -SIGN_TOL either.  The rows are read _SIGN_ROWS
+    at a time, each block only in the columns whose lead it has not found
+    yet, and the columns are negated by a product with signs +-1, which is
+    exact: no n x n temporary is built."""
     import numpy as np
-    if U.shape[0]:
-        cols = np.arange(U.shape[1])
-        lead = np.argmax(np.abs(U) > SIGN_TOL, axis=0)
-        flip = U[lead, cols] < -SIGN_TOL
-        U[:, flip] = -U[:, flip]
+    flip = np.zeros(U.shape[1], dtype=bool)
+    cols = np.arange(U.shape[1])
+    unknown = slice(None)
+    for start in range(0, U.shape[0], _SIGN_ROWS):
+        block = U[start : start + _SIGN_ROWS, unknown]
+        above = np.abs(block) > SIGN_TOL
+        # A column with no entry above SIGN_TOL here reads its first one,
+        # not below -SIGN_TOL, until a later block finds its lead.
+        flip[unknown] = block[above.argmax(axis=0), np.arange(block.shape[1])] < -SIGN_TOL
+        unknown = cols[unknown][~above.any(axis=0)]
+        if not unknown.size:
+            break
+    U *= np.where(flip, -1.0, 1.0)
     return U
 
 
@@ -324,7 +339,13 @@ def _twisted_vectors(F: tuple, E: tuple, lam: tuple) -> np.ndarray:
 
 
 def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
-    """Closed-form eigendecomposition, eigenvalues in family order."""
+    """Closed-form eigendecomposition, eigenvalues in family order.  A
+    family on more than VERIFY_CAP nodes raises BudgetExceeded before any
+    array is built."""
+    if fam.N >= VERIFY_CAP:
+        raise BudgetExceeded(
+            f"{fam.N + 1} nodes exceed the decomposition budget of {VERIFY_CAP}"
+        )
     import numpy as np
     if isinstance(fam, ConstantParams):
         n = fam.N + 1
@@ -941,10 +962,13 @@ def numeric_decomposition(M: SymTridiagonal) -> SpectralDecomposition:
     """Implicit-shift QL eigendecomposition, eigenvalues ascending.
 
     Raises NoConvergence with the offending row index when a deflation
-    exceeds the sweep budget.
+    exceeds the sweep budget, and BudgetExceeded before any array is built
+    when M has more than VERIFY_CAP rows.
     """
-    import numpy as np
     n = M.size
+    if n > VERIFY_CAP:
+        raise BudgetExceeded(f"{n} nodes exceed the decomposition budget of {VERIFY_CAP}")
+    import numpy as np
     pos = _even_odd_positions(n)
     Ut = np.zeros((n, n))
     Ut[pos, np.arange(n)] = 1.0

@@ -989,6 +989,28 @@ def test_state_energy_equals_level_and_single_phonon_energies():
                     assert state_energy(chain, occ) == level, where
 
 
+@pytest.mark.parametrize("sort_block", [None, 5], ids=["default_block", "block_of_5"])
+def test_enumerate_levels_interleaves_shared_and_single_levels(monkeypatch, sort_block):
+    # Two sites coupled to nothing have equal mode frequencies, so a state
+    # shares its level with those that move phonons between the two, and a
+    # state with no phonon there is a level of its own: shared and single
+    # levels alternate.  In some levels the tied sums differ in their last
+    # bits and tie only within GROUP_RTOL.  Blocks of 5 positions make the
+    # keys of the shared levels gather their states over many blocks.
+    if sort_block is not None:
+        monkeypatch.setattr(chain_module, "_SORT_BLOCK", sort_block)
+    chain = _chain(CustomInteraction((0.0, 0.0, 1.0)), 4, 0.3, omega=1.1, hbar=0.7)
+    got = enumerate_levels(chain, 6)
+    shared = (got.degeneracies > 1).tolist()
+    assert any(a and not b and c for a, b, c in zip(shared, shared[1:], shared[2:]))
+    assert any(len({state_energy(chain, k) for k in g.occupations}) > 1 for g in got)
+    want = oracles.enumerate_levels_reference(chain, 6)
+    assert [g.energy.hex() for g in got] == [g.energy.hex() for g in want]
+    assert [(g.degeneracy, g.occupations) for g in got] == [
+        (g.degeneracy, g.occupations) for g in want
+    ]
+
+
 def test_enumerate_levels_budget_and_validation():
     chain = _chain(ConstantInteraction(), 50, 1.0)
     with pytest.raises(CombinatorialLimit):
@@ -1098,18 +1120,22 @@ def test_enumerate_levels_peak_memory_per_state():
     # Krawtchouk n = 12, K = 9 (293,930 states), against 52 while the level
     # cuts were kept beside the offsets and 345 when every state was a
     # tuple in a LevelGroup.  64 bytes leaves about 45 % headroom; one
-    # 12-int tuple per state alone is 152.
-    chain = _chain(KrawtchoukInteraction(), 12, 0.1)
-    enumerate_levels(chain, 2)
-    tracemalloc.start()
-    try:
-        table = enumerate_levels(chain, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    states = len(table.occupations)
-    assert states == 293_930
-    assert peak <= 64 * states, peak / states
+    # 12-int tuple per state alone is 152.  At c = 0 the same table has 10
+    # levels, all shared, so every state's sort key is built: 37 bytes per
+    # state, or 44 with int64 positions and the states gathered into the
+    # keys in one piece.
+    for c, levels in ((0.1, 292_110), (0.0, 10)):
+        chain = _chain(KrawtchoukInteraction(), 12, c)
+        enumerate_levels(chain, 2)
+        tracemalloc.start()
+        try:
+            table = enumerate_levels(chain, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states = len(table.occupations)
+        assert (states, len(table)) == (293_930, levels)
+        assert peak <= 64 * states, (c, peak / states)
 
 
 def test_level_table_iteration_peak_memory():

@@ -1202,6 +1202,54 @@ def test_verify_family_budget_is_checked_before_any_array(monkeypatch):
             verify_family(fam)
 
 
+def test_decomposition_budgets_are_checked_before_any_array(monkeypatch):
+    # analytic_decomposition and numeric_decomposition share verify's
+    # budget: VERIFY_CAP nodes get past it (to the first call that builds
+    # an array, stubbed here so that nothing is allocated); one more is
+    # refused.
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(jacobi, "build_jacobi", reached)
+    monkeypatch.setattr(jacobi, "_even_odd_positions", reached)
+    cap = jacobi.VERIFY_CAP
+    message = f"nodes exceed the decomposition budget of {cap}$"
+    with pytest.raises(Reached):
+        analytic_decomposition(KrawtchoukParams(N=cap - 1, p=0.5))
+    with pytest.raises(Reached):
+        numeric_decomposition(SymTridiagonal((0.0,) * cap, (1.0,) * (cap - 1)))
+    for fam in (KrawtchoukParams(N=cap, p=0.5), ConstantParams(N=cap),
+                HahnParams(N=10**9, alpha=0.5, beta=0.5)):
+        with pytest.raises(BudgetExceeded, match=f"^{fam.N + 1} {message}"):
+            analytic_decomposition(fam)
+    with pytest.raises(BudgetExceeded, match=f"^{cap + 1} {message}"):
+        numeric_decomposition(SymTridiagonal((0.0,) * (cap + 1), (1.0,) * cap))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_fix_signs_equals_column_by_column_reference(layout):
+    # Leads spread over many row blocks, columns whose entries are all
+    # within SIGN_TOL (negative ones and -0.0 among them), and entries at
+    # +-SIGN_TOL exactly, which are not leads.  The numeric decomposition
+    # passes a transposed (F-ordered) array.
+    rng = np.random.default_rng(7)
+    n = 5 * jacobi._SIGN_ROWS + 3
+    U = rng.standard_normal((n, n))
+    depth = rng.integers(0, n + 1, size=n)
+    for j, d in enumerate(depth):
+        tiny = [0.0, -0.0, jacobi.SIGN_TOL, -jacobi.SIGN_TOL, 1e-13, -1e-13]
+        U[:d, j] = rng.choice(tiny, size=d)
+    U = np.asarray(U, order=layout)
+    want = oracles._first_entry_positive(U.copy())
+    got = jacobi._fix_signs(U)
+    assert got is U
+    assert got.tobytes() == want.tobytes()
+    assert jacobi._fix_signs(np.empty((0, 0))).shape == (0, 0)
+
+
 def test_verify_family_nan_fails(monkeypatch):
     fam = KrawtchoukParams(N=5, p=0.5)
     dec = analytic_decomposition(fam)
