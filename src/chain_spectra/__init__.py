@@ -20,7 +20,6 @@ from .chain import (
     LevelTable,
     ModeSpectrum,
     SpacingProfile,
-    SpectrumOrigin,
     assemble_quadratic_form,
     coupling_coefficients,
     enumerate_levels,

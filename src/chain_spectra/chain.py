@@ -63,6 +63,7 @@ from .errors import (
 from .jacobi import (
     ConstantParams,
     JacobiFamily,
+    Origin,
     SymTridiagonal,
     _all_above,
     _interaction_formula,
@@ -315,18 +316,14 @@ def _check_floor(lowest: float, floor: float) -> None:
         )
 
 
-class SpectrumOrigin(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    NUMERIC = "numeric"
-
-
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Mode frequencies sorted ascending; in closed form the roots of
-    omega^2 + c mu, mu the closed form of K in family order."""
+    """Mode frequencies sorted ascending; origin Origin.ANALYTIC for the
+    roots of omega^2 + c mu, mu the closed form of K in family order, and
+    Origin.NUMERIC for those of its eigenvalues from dqds."""
 
     omegas: tuple[float, ...]
-    origin: SpectrumOrigin
+    origin: Origin
 
 
 def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
@@ -356,7 +353,7 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         mu, indices, ends = _closed_form(chain)
         _check_floor(min(ends), floor)
         squares = sorted(_squares(chain, map(mu, indices)))
-        origin = SpectrumOrigin.CLOSED_FORM
+        origin = Origin.ANALYTIC
     else:
         if chain.n > NUMERIC_CAP:
             raise BudgetExceeded(
@@ -368,7 +365,7 @@ def mode_frequencies(chain: ChainSpec, method: str = "auto") -> ModeSpectrum:
         mus = [k_diag + t for t in _zero_diagonal_eigenvalues(offdiag)]
         squares = _squares(chain, mus)
         _check_floor(squares[0], floor)
-        origin = SpectrumOrigin.NUMERIC
+        origin = Origin.NUMERIC
     return ModeSpectrum(tuple(map(math.sqrt, squares)), origin)
 
 

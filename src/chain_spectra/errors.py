@@ -45,9 +45,11 @@ class UnsupportedFamily(ChainSpectraError):
 
 class BudgetExceeded(ChainSpectraError):
     """A request exceeds one of the package's size budgets, checked before
-    any array is built: chain.LEVEL_CAP occupation states, chain.NUMERIC_CAP
-    modes for numeric mode frequencies, jacobi.VERIFY_CAP modes for
-    verify_family."""
+    any array is built: chain.LEVEL_CAP occupation states, and levels of
+    all panels of the CLI's plot; chain.NUMERIC_CAP modes for numeric mode
+    frequencies; jacobi.VERIFY_CAP nodes for verify_family and for the
+    n x n decompositions, analytic_decomposition and
+    numeric_decomposition."""
 
 
 class CombinatorialLimit(BudgetExceeded):

@@ -17,11 +17,14 @@ first and the last index for the coupling bound and the
 positive-definiteness test, in O(1) of n.
 
 The analytic route finds the eigenvectors by twisted factorization,
-_twisted_vectors, of K at its closed-form eigenvalues for the families
-with a constant diagonal, whose eigenvalues of M crowd near F_0 where K's
-keep their gaps, and of M at kappa for the others.  _pivots sweeps the
-LDL^T pivots for all eigenvalues at once, row by row over an n x n array
-with a column per eigenvalue, top-down and, reversed, bottom-up.
+_twisted_vectors: of K at its closed-form eigenvalues for the uniform,
+Krawtchouk p = 1/2 and Hahn alpha = beta chains, whose eigenvalues of M
+crowd near F_0 where K's keep their gaps; of T = M - (1 + cbar q^-N) I at
+its eigenvalues -lambda(x) for every dual q-Krawtchouk family, where
+kappa crowds for every cbar (T is K at cbar = -1); and of M at kappa for
+the others.  _pivots sweeps the LDL^T pivots for all eigenvalues at once,
+row by row over an n x n array with a column per eigenvalue, top-down
+and, reversed, bottom-up.
 The numeric route is an implicit-shift QL iteration and serves as an
 independent cross-check.  One kernel, _ql, holds its sweeps:
 numeric_eigenvalues runs it without eigenvectors (verify_family needs no
@@ -94,6 +97,7 @@ from .polynomials import (
     _kappa,
     _store_size,
     bidiagonal_split,
+    lattice_point,
 )
 
 # Threshold below which a leading eigenvector entry is sign-ambiguous.
@@ -169,6 +173,8 @@ class SymTridiagonal:
 
 
 class Origin(enum.Enum):
+    """Whether a spectrum comes from a closed form or a numeric solver."""
+
     ANALYTIC = "analytic"
     NUMERIC = "numeric"
 
@@ -247,13 +253,28 @@ def interaction_spectrum(fam: JacobiFamily) -> tuple[float, ...]:
 def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:
     """Constant diagonal and off-diagonal magnitudes E_r of a chain's K:
     diagonal 2 and E_r = 1 for the uniform chain, diagonal 0 otherwise.
-    Raises InvalidParams, naming the family, when an E_r is not finite."""
+    Raises ClosedFormUnavailable for a family that has no K, the families
+    _interaction_formula refuses, and InvalidParams, naming the family,
+    when an E_r is not finite."""
+    # The family test of the closed form, O(1) in n.
+    _interaction_formula(fam)
     if isinstance(fam, ConstantParams):
         return 2.0, (1.0,) * fam.N
     offdiag = _offdiag(*bidiagonal_split(fam))
     if not all(map(math.isfinite, offdiag)):
         raise InvalidParams(f"the interaction matrix K of {fam} is not finite")
     return 0.0, offdiag
+
+
+def _shifted_dual_q(fam: DualQKrawtchoukParams) -> tuple[tuple, tuple]:
+    """Diagonal -(1 + cbar) q^(i-N) and eigenvalues -lambda(x), lambda from
+    lattice_point, of T = M - (1 + cbar q^-N) I for a dual q-Krawtchouk
+    family.  They keep the gaps that kappa(x) = (1 + cbar q^-N) - lambda(x)
+    loses.  At cbar = -1, T is K bit for bit: the diagonal is 0.0, and
+    0 - lambda(x) rounds as K's closed form mu(x) does."""
+    q, cbar, N = fam.q, fam.cbar, fam.N
+    diag = tuple((-1.0 - cbar) * q ** (i - N) for i in range(N + 1))
+    return diag, tuple(0.0 - lattice_point(fam, x).value for x in range(N + 1))
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
@@ -357,11 +378,14 @@ def analytic_decomposition(fam: JacobiFamily) -> SpectralDecomposition:
         )
     M = build_jacobi(fam)
     eigenvalues = tuple(_kappa(fam, x) for x in range(fam.N + 1))
-    try:
-        # K, whose eigenvalues keep the gaps that M's lose near F_0.
-        F, lam = (0.0,) * M.size, interaction_spectrum(fam)
-    except ClosedFormUnavailable:
-        F, lam = M.diag, eigenvalues
+    if isinstance(fam, DualQKrawtchoukParams):
+        F, lam = _shifted_dual_q(fam)
+    else:
+        try:
+            # K, whose eigenvalues keep the gaps that M's lose near F_0.
+            F, lam = (0.0,) * M.size, interaction_spectrum(fam)
+        except ClosedFormUnavailable:
+            F, lam = M.diag, eigenvalues
     U = _twisted_vectors(F, M.offdiag, lam)
     return SpectralDecomposition(
         eigenvalues=eigenvalues, vectors=_fix_signs(U), origin=Origin.ANALYTIC

@@ -495,19 +495,26 @@ def _twisted_vector_reference(F, E, lam: float, shift: int) -> list[float]:
 
 def twisted_vectors_reference(fam) -> np.ndarray:
     """Analytic eigenvectors of a family other than the uniform chain, one
-    eigenvalue at a time in Python floats, by twisted factorization: of K
-    at its closed-form eigenvalues for the families that have them, else of
-    M at kappa, with entries and eigenvalues scaled by the one power of two
-    that brings the largest to [1/2, 1).  Each column has the top-down and
-    bottom-up pivots, a zero pivot replaced by eps E_i, the twist at the
-    first least |gamma|, z_twist = 1 and the multipliers outward, is
-    divided by its norm and has its first entry above SIGN_TOL made
-    positive."""
+    eigenvalue at a time in Python floats, by twisted factorization: of
+    T = M - (1 + cbar q^-N) I, diagonal -(1 + cbar) q^(i-N), at the
+    eigenvalues -lambda(x) = -(q^-x + cbar q^(x-N)) for dual q-Krawtchouk,
+    of K at its closed-form eigenvalues for the other families that have
+    them, else of M at kappa, with entries and eigenvalues scaled by the
+    one power of two that brings the largest to [1/2, 1).  Each column has
+    the top-down and bottom-up pivots, a zero pivot replaced by eps E_i,
+    the twist at the first least |gamma|, z_twist = 1 and the multipliers
+    outward, is divided by its norm and has its first entry above SIGN_TOL
+    made positive."""
     M = build_jacobi(fam)
-    try:
-        F, lam = (0.0,) * M.size, interaction_spectrum(fam)
-    except ClosedFormUnavailable:
-        F, lam = M.diag, tuple(_kappa(fam, x) for x in range(M.size))
+    if isinstance(fam, DualQKrawtchoukParams):
+        q, cbar, N = fam.q, fam.cbar, fam.N
+        F = tuple((-1.0 - cbar) * q ** (i - N) for i in range(N + 1))
+        lam = tuple(0.0 - (q ** (-x) + cbar * q ** (x - N)) for x in range(N + 1))
+    else:
+        try:
+            F, lam = (0.0,) * M.size, interaction_spectrum(fam)
+        except ClosedFormUnavailable:
+            F, lam = M.diag, tuple(_kappa(fam, x) for x in range(M.size))
     values = F + M.offdiag + lam
     shift = -math.frexp(max(map(abs, values)))[1]
     U = np.empty((M.size, M.size))

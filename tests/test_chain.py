@@ -30,7 +30,6 @@ from chain_spectra.chain import (
     LevelTable,
     ModeSpectrum,
     SpacingProfile,
-    SpectrumOrigin,
     assemble_quadratic_form,
     coupling_coefficients,
     enumerate_levels,
@@ -57,6 +56,7 @@ from chain_spectra.errors import (
 )
 from chain_spectra.jacobi import (
     ConstantParams,
+    Origin,
     SymTridiagonal,
     _all_above,
     _zero_diagonal_eigenvalues,
@@ -373,7 +373,7 @@ def test_frequencies_and_energies_outside_float_range():
 def test_energies_are_left_to_right_sums():
     # A compensated sum (built-in sum() from Python 3.12 on) gives 1e16 + 2.
     chain = _chain(KrawtchoukInteraction(), 3, 0.1)
-    spectrum = ModeSpectrum(omegas=(1e16, 1.0, 1.0), origin=SpectrumOrigin.NUMERIC)
+    spectrum = ModeSpectrum(omegas=(1e16, 1.0, 1.0), origin=Origin.NUMERIC)
     assert ground_energy(chain, spectrum) == 0.5e16
 
 
@@ -605,10 +605,10 @@ def test_krawtchouk_flip_confirmed_by_numeric_eigenvalue():
 
 def test_mode_frequencies_frozen():
     spectrum = mode_frequencies(_chain(KrawtchoukInteraction(), 4, 0.4))
-    assert spectrum.origin is SpectrumOrigin.CLOSED_FORM
+    assert spectrum.origin is Origin.ANALYTIC
     assert spectrum.omegas == pytest.approx(oracles.OMEGAS_KRAWTCHOUK_N4_C04, rel=1e-15)
     numeric = mode_frequencies(_chain(KrawtchoukInteraction(), 4, 0.4), method="numeric")
-    assert numeric.origin is SpectrumOrigin.NUMERIC
+    assert numeric.origin is Origin.NUMERIC
     assert numeric.omegas == pytest.approx(spectrum.omegas, rel=1e-10)
     spectrum = mode_frequencies(_chain(DualQKrawtchoukInteraction(q=2.0), 3, 0.1))
     assert spectrum.omegas == pytest.approx(oracles.OMEGAS_DUALQ_Q2_N3_C01, rel=1e-15)
@@ -685,7 +685,7 @@ def test_custom_interaction_paths():
     reference = _chain(KrawtchoukInteraction(), 6, 0.2)
     chain = _chain(CustomInteraction(gammas=coupling_coefficients(reference)), 6, 0.2)
     spectrum = mode_frequencies(chain)
-    assert spectrum.origin is SpectrumOrigin.NUMERIC
+    assert spectrum.origin is Origin.NUMERIC
     closed = mode_frequencies(reference)
     assert spectrum.omegas == pytest.approx(closed.omegas, rel=1e-9)
     with pytest.raises(ClosedFormUnavailable):

@@ -814,7 +814,7 @@ _PUBLIC_NAMES = [
     "JacobiFamily", "KrawtchoukInteraction", "KrawtchoukParams", "LatticePoint",
     "LevelGroup", "LevelTable", "ModeSpectrum", "NoConvergence",
     "NotPositiveDefinite", "Origin", "SpacingProfile", "SpectralDecomposition",
-    "SpectrumOrigin", "SymTridiagonal", "TooFewLevels", "UnsupportedFamily",
+    "SymTridiagonal", "TooFewLevels", "UnsupportedFamily",
     "analytic_decomposition", "assemble_quadratic_form", "bidiagonal_split",
     "build_jacobi", "coupling_coefficients", "decomposition_residuals",
     "enumerate_levels", "family_eval", "is_positive_definite", "lattice",

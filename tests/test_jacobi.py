@@ -34,10 +34,12 @@ from chain_spectra.jacobi import (
     SymTridiagonal,
     _all_above,
     _interaction_matrix,
+    _shifted_dual_q,
     _zero_diagonal_eigenvalues,
     analytic_decomposition,
     build_jacobi,
     decomposition_residuals,
+    interaction_spectrum,
     numeric_decomposition,
     numeric_eigenvalues,
     verify_family,
@@ -55,6 +57,7 @@ ORTHO_TOL = 1e-10
 RECON_RTOL = 1e-9
 EIG_RTOL = 1e-8
 VEC_TOL = 1e-7
+EPS = sys.float_info.epsilon
 
 
 def _grid(sizes):
@@ -293,8 +296,9 @@ def test_analytic_residuals_over_grids():
 def _twisted_kinds(N):
     # Eight kinds whose analytic vectors come from the twisted
     # factorization (the uniform chain's come from the sine form): of K for
-    # Krawtchouk p = 1/2, Hahn alpha = beta and dual q-Krawtchouk
-    # cbar = -1, of M for the other five.
+    # Krawtchouk p = 1/2 and Hahn alpha = beta, of T = M - (1 + cbar q^-N) I
+    # for the three dual q-Krawtchouk kinds (K itself at cbar = -1), of M
+    # for the other three.
     return [
         KrawtchoukParams(N=N, p=0.5),
         KrawtchoukParams(N=N, p=0.3),
@@ -344,6 +348,53 @@ def test_analytic_decomposition_equals_one_at_a_time_reference(fam):
     assert got.tobytes() == want.tobytes(), np.argwhere(got != want)[:5]
 
 
+_DUALQ_CBARS = (-0.05, -0.3, -0.9, -1.0, -1.5, -2.5, -10.0)
+_DUALQ_QS = (0.01, 0.3, 0.7, 0.95, 1.05, 1.6, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("cbar", _DUALQ_CBARS)
+def test_verify_family_passes_dualq_for_every_cbar(cbar):
+    # Where kappa coincides in double, from N = 63 at cbar = -2.5, q = 2,
+    # the vectors of M lost orthogonality without an error or a warning;
+    # those of T keep it.  Every family here is within float range.
+    failed = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in _DUALQ_QS:
+            for N in (0, 1, 2, 5, 12, 31, 63, 95, 127):
+                _, rows = verify_family(DualQKrawtchoukParams(N=N, cbar=cbar, q=q))
+                failed += [(q, N, name, value) for name, value, _, ok in rows if not ok]
+    assert not failed
+
+
+@pytest.mark.parametrize("q", _DUALQ_QS)
+def test_shifted_dualq_matrix_is_k_bit_for_bit_at_cbar_minus_one(q):
+    # Even N included, where lambda(N / 2) = 0 and mu(N / 2) = +0.0.
+    for N in (0, 1, 2, 5, 12, 31, 64, 127):
+        fam = DualQKrawtchoukParams(N=N, cbar=-1.0, q=q)
+        diag, lam = _shifted_dual_q(fam)
+        assert list(map(float.hex, diag)) == [float.hex(0.0)] * (N + 1)
+        assert list(map(float.hex, lam)) == list(map(float.hex, interaction_spectrum(fam)))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [DualQKrawtchoukParams(N=40, cbar=c, q=q) for c in (-0.3, -2.5) for q in (0.7, 1.6)],
+    ids=repr,
+)
+def test_shifted_dualq_matrix_is_m_less_a_multiple_of_the_identity(fam):
+    # T + (1 + cbar q^-N) I has M's diagonal and eigenvalues kappa(x),
+    # within rounding of the largest of the terms.
+    q, cbar, N = fam.q, fam.cbar, fam.N
+    s = 1.0 + cbar * q ** (-N)
+    diag, lam = _shifted_dual_q(fam)
+    scale = max(map(abs, (s, *diag, *lam)))
+    M = build_jacobi(fam)
+    assert max(abs(t + s - f) for t, f in zip(diag, M.diag)) <= 8 * EPS * scale
+    kappa = analytic_decomposition(fam).eigenvalues
+    assert max(abs(t + s - k) for t, k in zip(lam, kappa)) <= 8 * EPS * scale
+
+
 _analytic_families = st.one_of(
     st.builds(
         KrawtchoukParams,
@@ -364,6 +415,12 @@ _analytic_families = st.one_of(
     st.builds(
         lambda N, q: DualQKrawtchoukParams(N=N, cbar=-1.0, q=q),
         st.integers(0, 80),
+        st.floats(0.01, 0.95) | st.floats(1.05, 20.0),
+    ),
+    st.builds(
+        lambda N, c, q: DualQKrawtchoukParams(N=N, cbar=c, q=q),
+        st.integers(0, 80),
+        st.floats(-10.0, -0.05),
         st.floats(0.01, 0.95) | st.floats(1.05, 20.0),
     ),
 )

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chain_spectra import cli
+from chain_spectra import cli, jacobi
 from chain_spectra.chain import (
     PD_TOL,
     ChainSpec,
@@ -37,6 +37,7 @@ from chain_spectra.errors import (
 from chain_spectra.jacobi import (
     ConstantParams,
     SymTridiagonal,
+    _interaction_matrix,
     _zero_diagonal_eigenvalues,
     build_jacobi,
     interaction_spectrum,
@@ -91,12 +92,27 @@ def test_interaction_spectrum_matches_ql(n):
         KrawtchoukParams(N=4, p=0.3),
         HahnParams(N=4, alpha=0.5, beta=1.5),
         DualQKrawtchoukParams(N=4, cbar=-2.0, q=1.6),
+        DualQKrawtchoukParams(N=4, cbar=-2.5, q=2.0),
     ],
 )
 def test_interaction_spectrum_unavailable(fam):
     with pytest.raises(ClosedFormUnavailable):
         interaction_spectrum(fam)
+    # K = M - F_0 I needs the constant diagonal F_0 that M lacks here.
+    with pytest.raises(ClosedFormUnavailable):
+        _interaction_matrix(fam)
     assert oracles.constant_diagonal(build_jacobi(fam)) is None
+
+
+def test_interaction_matrix_refuses_before_any_entry(monkeypatch):
+    # The family test is O(1) in n: it comes before K's entries, which the
+    # stub stands for, are formed.
+    def entries(fam):
+        raise AssertionError(f"K's entries were formed for {fam}")
+
+    monkeypatch.setattr(jacobi, "bidiagonal_split", entries)
+    with pytest.raises(ClosedFormUnavailable):
+        _interaction_matrix(KrawtchoukParams(N=10**12, p=0.3))
 
 
 def test_constant_diagonal_values():
