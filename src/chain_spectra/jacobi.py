@@ -95,9 +95,9 @@ from .polynomials import (
     KrawtchoukParams,
     _float_tuple,
     _kappa,
+    _lattice_formula,
     _store_size,
     bidiagonal_split,
-    lattice_point,
 )
 
 # Threshold below which a leading eigenvector entry is sign-ambiguous.
@@ -219,11 +219,17 @@ def _interaction_formula(fam: JacobiFamily):
     interaction_spectrum lists: the one place each formula is written.
     Raises ClosedFormUnavailable for every other family.
 
+    Dual q-Krawtchouk cbar = -1 reads the lattice of polynomials'
+    _lattice_formula: mu(x) = 0 - lambda(x), which is q^(x-N) - q^(-x),
+    and +0.0, not -0.0, where lambda(x) is 0 at even N.
+
     Every formula is monotone in family order.  The angle j pi / (2 (n +
-    1)) rises inside (0, pi/2), where sin^2 rises; x - N/2 rises with x;
-    and q^(x-N) and -q^(-x) both rise with x for q > 1 and both fall for
-    q < 1.  Rounding keeps that order, so the values at the first and the
-    last index are K's least and greatest eigenvalue, bit for bit."""
+    1)) rises inside (0, pi/2), where sin^2 rises; x - N/2 rises with x.
+    At cbar = -1, lambda(x) = q^-x - q^(x-N): for q > 1, q^-x and
+    -q^(x-N) both fall with x, so lambda falls, and for q < 1 it rises.
+    Rounding keeps each order, and 0 - lambda reverses lambda's, so the
+    values at the first and the last index are K's least and greatest
+    eigenvalue, bit for bit."""
     N = fam.N
     if isinstance(fam, ConstantParams):
         n = N + 1
@@ -235,8 +241,8 @@ def _interaction_formula(fam: JacobiFamily):
         half = N / 2.0
         return (lambda x: x - half), range(N + 1)
     if isinstance(fam, DualQKrawtchoukParams) and fam.cbar == -1.0:
-        q = fam.q
-        return (lambda x: q ** (x - N) - q ** (-x)), range(N + 1)
+        lam = _lattice_formula(fam)
+        return (lambda x: 0.0 - lam(x)), range(N + 1)
     raise ClosedFormUnavailable(f"no closed-form interaction spectrum for {fam}")
 
 
@@ -267,14 +273,16 @@ def _interaction_matrix(fam: JacobiFamily) -> tuple[float, tuple[float, ...]]:
 
 
 def _shifted_dual_q(fam: DualQKrawtchoukParams) -> tuple[tuple, tuple]:
-    """Diagonal -(1 + cbar) q^(i-N) and eigenvalues -lambda(x), lambda from
-    lattice_point, of T = M - (1 + cbar q^-N) I for a dual q-Krawtchouk
-    family.  They keep the gaps that kappa(x) = (1 + cbar q^-N) - lambda(x)
-    loses.  At cbar = -1, T is K bit for bit: the diagonal is 0.0, and
-    0 - lambda(x) rounds as K's closed form mu(x) does."""
+    """Diagonal -(1 + cbar) q^(i-N) and eigenvalues 0 - lambda(x), lambda
+    from polynomials' _lattice_formula, of T = M - (1 + cbar q^-N) I for a
+    dual q-Krawtchouk family.  They keep the gaps that kappa(x) =
+    (1 + cbar q^-N) - lambda(x) loses.  At cbar = -1, T is K by
+    construction: the diagonal is 0.0, and the eigenvalues are
+    _interaction_formula's mu(x) = 0 - lambda(x)."""
     q, cbar, N = fam.q, fam.cbar, fam.N
     diag = tuple((-1.0 - cbar) * q ** (i - N) for i in range(N + 1))
-    return diag, tuple(0.0 - lattice_point(fam, x).value for x in range(N + 1))
+    lam = _lattice_formula(fam)
+    return diag, tuple(0.0 - lam(x) for x in range(N + 1))
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:

@@ -226,21 +226,31 @@ class LatticePoint:
     value: float
 
 
-def lattice_point(fp: FamilyParams, x: int) -> LatticePoint:
-    """Build the lattice point at node x for the given family.  Raises
-    InvalidParams unless x is an integer and DegreeOutOfRange outside
-    0..N, as every evaluator does for its degree and node."""
-    x = _check_degree(fp, x, "lattice node")
+def _lattice_formula(fp: FamilyParams):
+    """The lattice coordinate lambda as a function of an int node x in
+    0..N, which it does not check: float for Krawtchouk and Hahn, and
+    q^-x + cbar q^(x-N) for dual q-Krawtchouk, the one place that lattice
+    is written.  jacobi reads K's closed-form spectrum at cbar = -1 and
+    the eigenvalues of its shifted matrix from it, as 0 - lambda(x)."""
     if isinstance(fp, DualQKrawtchoukParams):
-        value = fp.q ** (-x) + fp.cbar * fp.q ** (x - fp.N)
-    else:
-        value = float(x)
-    return LatticePoint(x=x, value=value)
+        q, cbar, N = fp.q, fp.cbar, fp.N
+        return lambda x: q ** (-x) + cbar * q ** (x - N)
+    return float
+
+
+def lattice_point(fp: FamilyParams, x: int) -> LatticePoint:
+    """Build the lattice point at node x for the given family, its value
+    from _lattice_formula.  Raises InvalidParams unless x is an integer
+    and DegreeOutOfRange outside 0..N, as every evaluator does for its
+    degree and node."""
+    x = _check_degree(fp, x, "lattice node")
+    return LatticePoint(x=x, value=_lattice_formula(fp)(x))
 
 
 def lattice(fp: FamilyParams) -> tuple[LatticePoint, ...]:
     """All N+1 lattice points of the family, in node order."""
-    return tuple(lattice_point(fp, x) for x in range(fp.N + 1))
+    value = _lattice_formula(fp)
+    return tuple(LatticePoint(x=x, value=value(x)) for x in range(fp.N + 1))
 
 
 def _pochhammer(a: float, n: int) -> float:

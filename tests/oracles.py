@@ -7,10 +7,12 @@ literals were produced by separate oracle scripts (exact rational sums and
 an independent eigensolver) and are pinned here as plain constants.  The
 per-family closed forms of the squared mode frequencies and the coupling
 bound are written out family by family, in the float operation order whose
-bits the CLI payloads carry.  twisted_vectors_reference is the analytic
-eigenvector kernel, a twisted factorization, run one eigenvalue at a time
-in Python floats, kept to pin the all-eigenvalues-at-once kernel bit for
-bit.  hypergeometric_series_reference is the
+bits the CLI payloads carry; so are the dual q-Krawtchouk spectra of K
+and of the shifted matrix T, dual_q_interaction_reference and
+dual_q_shifted_eigenvalues_reference.  twisted_vectors_reference is the
+analytic eigenvector kernel, a twisted factorization, run one eigenvalue
+at a time in Python floats, kept to pin the all-eigenvalues-at-once kernel
+bit for bit.  hypergeometric_series_reference is the
 series evaluation as first written: two general terminating summers that
 find the degree and the denominator poles from the parameters, kept to
 pin the package's family_eval bit for bit.  column_ql_reference is
@@ -282,6 +284,19 @@ def closed_squares_reference(chain) -> tuple[float, ...]:
     return tuple(w2 + c * (q ** (x - n + 1) - q ** (-x)) for x in range(n))
 
 
+def dual_q_interaction_reference(q: float, N: int) -> tuple[float, ...]:
+    """K's closed-form spectrum q^(x-N) - q^(-x), x = 0..N, of dual
+    q-Krawtchouk cbar = -1, in the operation order first written."""
+    return tuple(q ** (x - N) - q ** (-x) for x in range(N + 1))
+
+
+def dual_q_shifted_eigenvalues_reference(q: float, cbar: float, N: int) -> tuple[float, ...]:
+    """Eigenvalues 0 - lambda(x) = 0 - (q^-x + cbar q^(x-N)), x = 0..N, of
+    the shifted dual q-Krawtchouk matrix T = M - (1 + cbar q^-N) I, in the
+    operation order first written: +0.0 where lambda(x) is 0."""
+    return tuple(0.0 - (q ** (-x) + cbar * q ** (x - N)) for x in range(N + 1))
+
+
 def max_coupling_reference(chain) -> float:
     """Coupling bound of a built-in chain, math.inf when unbounded."""
     n = chain.n
@@ -509,7 +524,7 @@ def twisted_vectors_reference(fam) -> np.ndarray:
     if isinstance(fam, DualQKrawtchoukParams):
         q, cbar, N = fam.q, fam.cbar, fam.N
         F = tuple((-1.0 - cbar) * q ** (i - N) for i in range(N + 1))
-        lam = tuple(0.0 - (q ** (-x) + cbar * q ** (x - N)) for x in range(N + 1))
+        lam = dual_q_shifted_eigenvalues_reference(q, cbar, N)
     else:
         try:
             F, lam = (0.0,) * M.size, interaction_spectrum(fam)

@@ -588,6 +588,38 @@ def test_positive_definiteness_boundary_flip():
         assert not is_positive_definite(_chain(interaction, n, 1.001 * bound))
 
 
+def _near_floor_chains(r, omega=1.5, n=12):
+    """A Krawtchouk chain and a custom chain with gamma_r = 2, whose
+    smallest square omega^2 + c mu_min is r omega^2: mu_min is -(n - 1) / 2
+    for Krawtchouk and -2 cos(pi / (n + 1)) for the custom chain."""
+    w2 = omega**2
+    krawtchouk = _chain(KrawtchoukInteraction(), n, (1.0 - r) * 2.0 * w2 / (n - 1), omega)
+    custom = _chain(
+        CustomInteraction(gammas=(2.0,) * (n - 1)),
+        n,
+        (1.0 - r) * w2 / (2.0 * math.cos(math.pi / (n + 1))),
+        omega,
+    )
+    return krawtchouk, custom
+
+
+def test_positive_definiteness_floor_is_pd_tol():
+    # Smallest squares a decade above and below the floor PD_TOL omega^2
+    # on every route: a floor of 1e-10 refuses the first pair, one of
+    # 1e-14 passes the second.
+    w2 = 1.5**2
+    krawtchouk, custom = _near_floor_chains(1e-11)
+    assert is_positive_definite(krawtchouk) and is_positive_definite(custom)
+    for chain, method in ((krawtchouk, "closed"), (krawtchouk, "numeric"), (custom, "auto")):
+        omegas = mode_frequencies(chain, method).omegas
+        assert omegas[0] ** 2 == pytest.approx(1e-11 * w2, rel=1e-3), (chain, method)
+    krawtchouk, custom = _near_floor_chains(1e-13)
+    assert not is_positive_definite(krawtchouk) and not is_positive_definite(custom)
+    for chain, method in ((krawtchouk, "closed"), (krawtchouk, "numeric"), (custom, "auto")):
+        with pytest.raises(NotPositiveDefinite):
+            mode_frequencies(chain, method)
+
+
 def test_krawtchouk_flip_confirmed_by_numeric_eigenvalue():
     low = numeric_decomposition(
         assemble_quadratic_form(_chain(KrawtchoukInteraction(), 4, 0.666))
