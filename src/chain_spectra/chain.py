@@ -31,7 +31,8 @@ by numpy's default, unstable sort: tied energies fall into one level
 whatever their order, and the members of each level of two or more states
 are then sorted by state; a level of one state needs no sort.  numpy is
 imported inside the level-table functions on purpose, so that mode
-frequencies and bounds never load it.
+frequencies and bounds never load it.  Every pass over a table, its
+iteration and the CLI's export, reads pieces of _piece_rows member rows.
 
 A ChainSpec resolves its interaction to its Jacobi family once, when it is
 built, and keeps it as chain.family (None for a custom chain); every
@@ -101,9 +102,10 @@ NUMERIC_CAP = 8192
 # The state count stops at its first partial product above 2**_COUNT_BITS,
 # far above LEVEL_CAP: an exact count below it takes well under a second.
 _COUNT_BITS = 1 << 15
-# Iterating a LevelTable turns whole levels of about this many member rows
-# at a time into Python tuples, and holds one such block at a time.
-_READ_ROWS = 1 << 12
+# Every pass over a LevelTable, its iteration and the CLI's export, holds
+# one piece of about this many occupation entries (member rows times modes)
+# at a time: 2^12 rows of a table of 12 modes.
+_PIECE_ENTRIES = 12 << 12
 # enumerate_levels gathers the states of shared levels into their sort keys
 # this many positions at a time.
 _SORT_BLOCK = 1 << 16
@@ -473,8 +475,9 @@ class LevelTable(abc.Sequence[LevelGroup]):
     occupations (states x modes) are the members of level i.  A LevelGroup,
     with Python float, int and tuple fields, is built only when its level is
     read: by an index (negative ones too), by a slice, which gives a tuple,
-    or by iteration, which converts whole levels of about 2^12 member rows
-    at a time and drops each block before it converts the next.
+    or by iteration, which converts whole levels of at most _piece_rows
+    member rows at a time, or one larger level, and drops each block before
+    it converts the next: a pass's memory does not grow with the modes.
     """
 
     energies: np.ndarray
@@ -502,33 +505,37 @@ class LevelTable(abc.Sequence[LevelGroup]):
         if not -len(self) <= i < len(self):
             raise IndexError(f"level {_shown(i)} out of range for {len(self)} levels")
         i %= len(self)
-        lo, hi = self.offsets[i : i + 2].tolist()
-        return LevelGroup(
-            float(self.energies[i]),
-            int(self.degeneracies[i]),
-            tuple(zip(*self.occupations[lo:hi].T.tolist())),
-        )
+        return next(self._groups(i, i + 1))
 
     def __iter__(self):
-        offsets = self.offsets
+        offsets, rows = self.offsets, _piece_rows(self)
         start = 0
         while start < len(self):
-            # Whole levels of at most _READ_ROWS members, or one larger level.
-            stop = offsets.searchsorted(offsets[start] + _READ_ROWS, "right") - 1
+            # Whole levels of at most `rows` members, or one larger level.
+            stop = offsets.searchsorted(offsets[start] + rows, "right") - 1
             stop = max(start + 1, int(stop))
-            bounds = (offsets[start : stop + 1] - offsets[start]).tolist()
-            block = self.occupations[offsets[start] : offsets[stop]]
-            rows = list(zip(*block.T.tolist()))
-            yield from map(
-                LevelGroup,
-                self.energies[start:stop].tolist(),
-                self.degeneracies[start:stop].tolist(),
-                (tuple(rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
-            )
             # Dropped before the next block is built, so that one block of
             # member tuples is alive beside the levels the caller keeps.
-            del block, rows
+            yield from self._groups(start, stop)
             start = stop
+
+    def _groups(self, start: int, stop: int):
+        """The LevelGroups of levels start to stop - 1, from one block of
+        member tuples."""
+        offsets = self.offsets[start : stop + 1]
+        bounds = (offsets - offsets[0]).tolist()
+        rows = list(zip(*self.occupations[offsets[0] : offsets[-1]].T.tolist()))
+        return map(
+            LevelGroup,
+            self.energies[start:stop].tolist(),
+            self.degeneracies[start:stop].tolist(),
+            (tuple(rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
+        )
+
+
+def _piece_rows(table: LevelTable) -> int:
+    """Member rows in one piece of a pass over the table, at least one."""
+    return max(1, _PIECE_ENTRIES // table.occupations.shape[1])
 
 
 def enumerate_levels(chain: ChainSpec, max_total: int) -> LevelTable:

@@ -47,6 +47,7 @@ from .chain import (
     HahnInteraction,
     KrawtchoukInteraction,
     LevelTable,
+    _piece_rows,
     enumerate_levels,
     ground_energy,
     max_coupling,
@@ -62,9 +63,6 @@ from .errors import (
     UnsupportedFamily,
 )
 from .jacobi import verify_family
-
-# export formats the members of its levels this many rows at a time.
-_CSV_ROWS = 1 << 14
 
 # SVG canvas, in px.
 _SVG_WIDTH = 840.0
@@ -330,8 +328,9 @@ def _cmd_export(parser, args):
 
 
 def _csv_chunks(table: LevelTable, max_total: int):
-    """The export CSV of a level table, yielded in pieces of _CSV_ROWS
-    member rows, so that the whole text is never held at once.
+    """The export CSV of a level table, yielded in pieces of
+    chain._piece_rows member rows, so that neither the whole text nor more
+    than one piece's budget of occupation entries is held at once.
 
     Occupation k is written through a lookup row holding "|" and the digits
     of k, padded with zero bytes to a common width: the rows of a piece are
@@ -348,11 +347,12 @@ def _csv_chunks(table: LevelTable, max_total: int):
         digits = f"|{k}".encode("ascii")
         lookup[k, : len(digits)] = np.frombuffer(digits, dtype=np.uint8)
     starts = table.offsets[:-1]
+    rows = _piece_rows(table)
     yield "energy,degeneracy,occupations"
-    for lo in range(0, len(table.occupations), _CSV_ROWS):
-        chars = lookup[table.occupations[lo : lo + _CSV_ROWS]]
+    for lo in range(0, len(table.occupations), rows):
+        chars = lookup[table.occupations[lo : lo + rows]]
         chars[:, 0, 0] = ord(";")
-        first, last = np.searchsorted(starts, (lo, lo + _CSV_ROWS)).tolist()
+        first, last = np.searchsorted(starts, (lo, lo + rows)).tolist()
         chars[starts[first:last] - lo, 0, 0] = ord("\n")
         tail, *members = chars[chars != 0].tobytes().decode("ascii").split("\n")
         energies = table.energies[first:last].tolist()
@@ -423,8 +423,31 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
+    # export's pieces are computed while they are written, so the write
+    # runs under the same handlers as the command.
     try:
         code, text = _COMMANDS[args.command](parser, args)
+        if text is not None:
+            to_stdout = args.out is None
+            try:
+                fh = sys.stdout if to_stdout else open(args.out, "w", encoding="utf-8")
+                try:
+                    for piece in [text] if isinstance(text, str) else text:
+                        fh.write(piece)
+                    fh.flush()
+                finally:
+                    if not to_stdout:
+                        fh.close()
+            except OSError as exc:
+                if to_stdout:
+                    # What is left in the stdout buffer goes to os.devnull,
+                    # so the flush at interpreter exit cannot fail again.
+                    import os
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                name = "stdout" if to_stdout else args.out
+                _diagnose(f"cannot write {name}: {exc.strerror or exc}")
+                return 2
+            _diagnose(f"wall_ms={1e3 * (time.perf_counter() - t0):.3f}")
     except BudgetExceeded as exc:
         _diagnose(str(exc))
         return 4
@@ -434,28 +457,6 @@ def main(argv=None) -> int:
     except MemoryError:
         _diagnose(f"{args.command} ran out of memory")
         return 4
-    if text is not None:
-        pieces = [text] if isinstance(text, str) else text
-        to_stdout = args.out is None
-        try:
-            fh = sys.stdout if to_stdout else open(args.out, "w", encoding="utf-8")
-            try:
-                for piece in pieces:
-                    fh.write(piece)
-                fh.flush()
-            finally:
-                if not to_stdout:
-                    fh.close()
-        except OSError as exc:
-            if to_stdout:
-                # What is left in the stdout buffer goes to os.devnull, so
-                # the flush at interpreter exit cannot fail again.
-                import os
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            name = "stdout" if to_stdout else args.out
-            _diagnose(f"cannot write {name}: {exc.strerror or exc}")
-            return 2
-        _diagnose(f"wall_ms={1e3 * (time.perf_counter() - t0):.3f}")
     return code
 
 

@@ -433,6 +433,13 @@ def test_coupling_coefficients_frozen():
     )
     gammas = (0.3, 1.7)
     assert coupling_coefficients(_chain(CustomInteraction(gammas=gammas), 3, 0.1)) == gammas
+    # Dual q-Krawtchouk q = 0.01: every E_r is finite at n = 155, but the
+    # largest 2 E_r overflows; at n = 154 it is 1.99e306.
+    assert max(coupling_coefficients(_chain(DualQKrawtchoukInteraction(q=0.01), 154, 0.0))) == (
+        pytest.approx(1.98997487421e306, rel=1e-11)
+    )
+    with pytest.raises(InvalidParams, match="coupling magnitudes 2 E_r overflow"):
+        coupling_coefficients(_chain(DualQKrawtchoukInteraction(q=0.01), 155, 0.0))
 
 
 def test_coupling_coefficients_match_closed_formulas():
@@ -1132,19 +1139,48 @@ def test_level_group_is_a_frozen_slotted_record():
 
 
 def test_level_table_iteration_spans_conversion_chunks():
-    # Iteration converts whole levels of at most _READ_ROWS members at a
-    # time, or one larger level.  At c = 0 a Krawtchouk chain has K + 1
-    # levels: with n = 12 and K = 8 levels 0-4 (1,820 members) fill the
-    # first chunk, and levels 5-8 (4,368 to 75,582 members) are each one
-    # chunk of their own.
+    # Iteration converts whole levels of at most _piece_rows members at a
+    # time, or one larger level: 4,096 rows of a 12-mode table.  At c = 0 a
+    # Krawtchouk chain has K + 1 levels: with n = 12 and K = 8 levels 0-4
+    # (1,820 members) fill the first chunk, and levels 5-8 (4,368 to 75,582
+    # members) are each one chunk of their own.
     table = enumerate_levels(_chain(KrawtchoukInteraction(), 12, 0.0), 8)
+    assert chain_module._piece_rows(table) == 4096
     assert [g.degeneracy for g in table] == [math.comb(11 + k, k) for k in range(9)]
-    assert table[-1].degeneracy > chain_module._READ_ROWS
+    assert table[-1].degeneracy > chain_module._piece_rows(table)
     assert list(table) == [table[i] for i in range(len(table))]
-    # Singleton levels, over more than two chunks.
+    # Singleton levels, over more than two chunks of 4,915 rows.
     hahn = enumerate_levels(_chain(HahnInteraction(alpha=0.5), 10, 0.1), 9)
-    assert len(hahn.occupations) > 2 * chain_module._READ_ROWS
+    assert len(hahn.occupations) > 2 * chain_module._piece_rows(hahn)
     assert list(hahn) == list(hahn[:])
+
+
+def test_level_table_iteration_memory_does_not_grow_with_modes():
+    # A block holds about _PIECE_ENTRIES occupation entries whatever n is:
+    # one pass over Constant n = 3000, K = 1 (3,001 states, an 8.6 MiB
+    # table, 16-row blocks) traces 1.1 MiB, against 138 MiB when every
+    # block was 2^12 rows of 3,000 entries.
+    table = enumerate_levels(_chain(ConstantInteraction(), 3000, 0.1), 1)
+    assert chain_module._piece_rows(table) == 16
+    tracemalloc.start()
+    try:
+        states = sum(g.degeneracy for g in table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states == 3001
+    assert peak <= 4 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("c, levels", [(0.1, 601), (0.0, 2)])
+def test_level_table_pieces_of_a_long_chain_match_the_reference(c, levels):
+    # n = 600 gives pieces of 81 rows: singleton levels over 8 pieces, and
+    # at c = 0 one level of 600 members, larger than a piece.
+    chain = _chain(ConstantInteraction(), 600, c)
+    table = enumerate_levels(chain, 1)
+    assert (len(table), chain_module._piece_rows(table)) == (levels, 81)
+    assert list(table) == list(oracles.enumerate_levels_reference(chain, 1))
+    assert list(table) == [table[i] for i in range(len(table))]
 
 
 def test_enumerate_levels_peak_memory_per_state():

@@ -15,6 +15,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import typing
 import xml.etree.ElementTree as ET
 
@@ -28,6 +29,7 @@ from chain_spectra import chain as chain_module
 from chain_spectra import cli
 from chain_spectra.chain import (
     ChainSpec,
+    ConstantInteraction,
     KrawtchoukInteraction,
     enumerate_levels,
     mode_frequencies,
@@ -718,6 +720,13 @@ def test_plot_custom_panels_and_flags(tmp_path):
     assert _run(["plot", "--panel", "constant:c=0.1,q=2", "--out", str(out)]).returncode == 2
     # A repeated key is refused, not overwritten by its last value.
     assert _run(["plot", "--panel", "krawtchouk:c=0.18,c=0.5", "--out", str(out)]).returncode == 2
+    # An entry without "=" is a usage error with its one-line message.
+    proc = _run(["plot", "--panel", "krawtchouk:c", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "chain-spectra: error: panel entry 'c' is not key=value"
+    )
+    assert "Traceback" not in proc.stderr
 
 
 # -- inputs -------------------------------------------------------------------
@@ -897,7 +906,8 @@ def test_export_degenerate_members_joined():
     "family, c",
     [
         # Ten levels of up to 11,440 members at c = 0, which span the
-        # 2^14-row pieces the CSV is formatted in; singleton levels at c = 0.1.
+        # 6,144-row pieces an 8-mode CSV is formatted in; singleton levels
+        # at c = 0.1.
         (["--family", "krawtchouk"], "0"),
         (["--family", "hahn", "--alpha", "0.5"], "0.1"),
     ],
@@ -916,13 +926,53 @@ def test_export_pieces_join_to_the_level_groups(family, c, capsys, tmp_path):
         interaction=interaction(*map(float, family[3:])),
     )
     groups = enumerate_levels(chain, 9)
-    assert sum(g.degeneracy for g in groups) == 24_310 > cli._CSV_ROWS
+    assert chain_module._piece_rows(groups) == 6144
+    assert sum(g.degeneracy for g in groups) == 24_310 > 3 * 6144
     rows = [
         f"{g.energy!r},{g.degeneracy},"
         + ";".join("|".join(str(k) for k in ks) for ks in g.occupations)
         for g in groups
     ]
     assert payload == "\n".join(["energy,degeneracy,occupations", *rows]) + "\n"
+
+
+def test_export_piece_memory_does_not_grow_with_modes():
+    # Constant n = 3000, K = 1 (3,001 states, an 8.6 MiB table) is
+    # formatted 16 rows at a time: 0.4 MiB traced for the whole CSV,
+    # against 69 MiB in pieces of 2^14 rows of 3,000 entries.  Its text is
+    # that of the level groups.
+    chain = ChainSpec(n=3000, omega=1.0, coupling=0.1, interaction=ConstantInteraction())
+    table = enumerate_levels(chain, 1)
+    assert chain_module._piece_rows(table) == 16
+    tracemalloc.start()
+    try:
+        for _ in cli._csv_chunks(table, 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak / 2**20
+    lines = "".join(cli._csv_chunks(table, 1)).splitlines()
+    assert lines[0] == "energy,degeneracy,occupations"
+    assert len(lines) == 3002
+    for i in (0, 1, 1500, 3000):
+        g = table[i]
+        row = ";".join("|".join(map(str, ks)) for ks in g.occupations)
+        assert lines[i + 1] == f"{g.energy!r},{g.degeneracy},{row}"
+
+
+def test_payload_memory_error_exits_4(monkeypatch, capsys):
+    # The pieces of export are computed while main writes them: a
+    # MemoryError there is exit 4 with one line, as in the command.
+    def pieces(table, max_total):
+        yield "energy,degeneracy,occupations"
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_csv_chunks", pieces)
+    argv = ["export", "--family", "krawtchouk", "--n", "4", "--c", "0.4", "--levels", "1"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == "export ran out of memory\n"
 
 
 def test_export_budget_exit4():

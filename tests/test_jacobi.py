@@ -1161,6 +1161,39 @@ def test_dqds_retry_ladder_falls_back_to_the_safe_step(monkeypatch, offdiag, k, 
         _zero_diagonal_eigenvalues(offdiag)
 
 
+# Forms whose dqds work is pinned, with the transforms each took when
+# pinned: K of dual q-Krawtchouk q = 1.6 at n = 128 (176 without the
+# initial reversal), a ladder of couplings halving every two sites up the
+# chain, whose least eigenvalue sits at its top (64 without the reversal),
+# and 199 couplings spread over 60 octaves (274 without the periodic split).
+_WORK_FORMS = {
+    "qkrawtchouk-128": (_interaction_matrix(DualQKrawtchoukParams(N=127, cbar=-1.0, q=1.6))[1], 78),
+    "ladder-40": (tuple(2.0 ** (-k / 2) for k in range(38, -1, -1)), 49),
+    "scattered-200": (tuple(2.0 ** (-60 * (37 * k % 101) / 101) for k in range(199)), 189),
+}
+
+
+@pytest.mark.parametrize("offdiag, pinned", _WORK_FORMS.values(), ids=_WORK_FORMS)
+def test_dqds_work_is_pinned(monkeypatch, offdiag, pinned):
+    # The reversal and the split change how many transforms dqds takes, not
+    # its answer within the tested bounds: each form may take at most 10 %
+    # more transforms, with or without shift, than when it was pinned.
+    calls = []
+
+    def counting(step):
+        def counted(*args):
+            calls.append(step.__name__)
+            return step(*args)
+
+        return counted
+
+    for name in ("_dqds_step", "_dqd_safe_step"):
+        monkeypatch.setattr(jacobi, name, counting(getattr(jacobi, name)))
+    values = _zero_diagonal_eigenvalues(offdiag)
+    assert len(values) == len(offdiag) + 1 and values == sorted(values)
+    assert len(calls) <= 1.1 * pinned, len(calls)
+
+
 def test_all_above_pivot_signs():
     M = SymTridiagonal
     # The eigenvalues of an empty matrix are vacuously above any shift; a
